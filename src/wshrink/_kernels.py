@@ -5,9 +5,9 @@ fold per grid point inside cross-validation sweeps, which makes them the
 package's hottest scalar loops.  When numba is importable they are compiled
 with ``@njit``; setting the environment variable ``WSHRINK_NO_NUMBA=1``
 (checked once at import) selects the vectorized numpy fallback instead.
-``USING_NUMBA`` reports which path is active, and both implementations are
-exported so they can be benchmarked against each other
-(``benchmarks/bench_gamma_solver.py``).
+``USING_NUMBA`` reports which path is active (``benchmarks/run.py`` records
+it with every run), and both implementations are exported so they can be
+compared.
 
 The residual solved here is, for nonnegative eigenvalues ``lam`` and radius
 ``rho``::

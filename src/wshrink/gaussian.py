@@ -69,22 +69,6 @@ def spectral_decompose(matrix) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=V * signs)
 
 
-def clean_psd_eigenvalues(w: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Clamp roundoff negatives to zero and apply the relative rank cut.
-
-    Rejects eigenvalues below ``-PSD_TOL * max(1, lambda_max)``, which signals
-    a genuinely indefinite input rather than roundoff.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    top = max(float(w.max(initial=0.0)), 0.0)
-    if w.min(initial=0.0) < -PSD_TOL * max(1.0, top):
-        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {w.min():.3e})")
-    out = w.copy()
-    out[out < RANK_RTOL * max(top, 0.0)] = 0.0
-    np.maximum(out, 0.0, out=out)
-    return out
-
-
 def sqrtm_psd(matrix) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 

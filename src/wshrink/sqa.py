@@ -1,8 +1,9 @@
 """Sequential quadratic approximation solver under precision zero constraints.
 
 Minimizes the convex reformulation objective over matrices with a prescribed
-symmetric zero pattern (conditional-independence structure).  Each iteration
-solves a projected Newton system for a feasible descent direction and
+symmetric zero pattern (conditional-independence structure).  It starts from
+a strictly feasible point built from the analytical solution, and each
+iteration solves a projected Newton system for a feasible descent direction and
 backtracks with an Armijo rule that also enforces the cone constraints
 ``0 < X < gamma I``.  The Newton system is never materialized at full size:
 it is solved over the free coordinates (upper-triangle entries off the
@@ -15,12 +16,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .analytical import ShrinkageSolution, _check_rho
+from .analytical import ShrinkageSolution, _check_rho, eigenvalue_map, wasserstein_shrinkage
 from .errors import LinearSolveError, LineSearchError
 from .gaussian import PSD_TOL, RANK_RTOL, as_symmetric
 
@@ -31,7 +33,7 @@ class SparsityPattern:
 
     Pairs are stored 0-based with symmetric closure applied; diagonal pairs
     are rejected (the diagonal of a positive definite matrix cannot vanish,
-    and the identity must stay feasible).
+    and the diagonal part of the warm start must stay feasible).
     """
 
     dim: int
@@ -78,7 +80,6 @@ class SolverConfig:
     max_iters: int = 100
     max_halvings: int = 60
     cg_tol: float = 1e-8
-    gamma0: float = 2.0
     dense_threshold: int = 2000
     cg_max_iters: int | None = None
     keep_iterates: bool = False
@@ -92,8 +93,6 @@ class SolverConfig:
         for name in ("max_iters", "max_halvings", "dense_threshold"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.gamma0 <= 1.0:
-            raise ValueError("gamma0 must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -142,28 +141,6 @@ def project_pattern(Z, gamma_component: float, pattern: SparsityPattern | None):
     return out, float(gamma_component)
 
 
-def _free_indices(p: int, pattern: SparsityPattern | None):
-    iu, ju = np.triu_indices(p)
-    if pattern is not None and len(pattern):
-        keep = ~pattern.mask()[iu, ju]
-        iu, ju = iu[keep], ju[keep]
-    return iu, ju
-
-
-def _expand(u: np.ndarray, I: np.ndarray, J: np.ndarray, p: int):
-    """Free coordinates -> (symmetric matrix, scalar)."""
-    V = np.zeros((p, p))
-    V[I, J] = u[:-1]
-    V[J, I] = u[:-1]
-    return V, float(u[-1])
-
-
-def _contract(M: np.ndarray, s: float, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Adjoint of ``_expand``: accumulate both mirror entries per free pair."""
-    vals = M[I, J] + np.where(I != J, M[J, I], 0.0)
-    return np.append(vals, s)
-
-
 class _Workspace:
     """Factorizations and matrix products reused within one iteration.
 
@@ -186,7 +163,6 @@ class _Workspace:
         self.X = X
         self.gamma = float(gamma)
         self.p = p
-        self.logdet_X = 2.0 * float(np.log(np.diag(LX)).sum())
         eye = np.eye(p)
         self.Xinv = scipy.linalg.cho_solve((LX, True), eye)
         self.Ginv = scipy.linalg.cho_solve((LG, True), eye)
@@ -197,11 +173,6 @@ class _Workspace:
         self.W = 0.5 * (self.W + self.W.T)
         GX = self.Ginv @ X
         self.h_gamma_gamma = 2.0 / gamma**3 * float(np.sum(GX.T * (self.GinvS @ GX)))
-
-    def objective(self, rho: float) -> float:
-        # gamma^2 <(gamma I - X)^{-1}, cov> == gamma <G^{-1}, cov>
-        trace_term = self.gamma * float(np.trace(self.GinvS))
-        return -self.logdet_X + self.gamma * (rho * rho - float(np.trace(self.cov))) + trace_term
 
     def gradient(self, rho: float):
         g_mat = self.GinvSGinv - self.Xinv
@@ -219,40 +190,77 @@ class _Workspace:
         return mat, scalar
 
 
-def _pairform(A: np.ndarray, B: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Reduced matrix of the map V -> A V B over the symmetric free basis."""
-    T = (
-        A[np.ix_(I, I)] * B[np.ix_(J, J)]
-        + A[np.ix_(I, J)] * B[np.ix_(J, I)]
-        + A[np.ix_(J, I)] * B[np.ix_(I, J)]
-        + A[np.ix_(J, J)] * B[np.ix_(I, I)]
-    )
-    c = np.where(I == J, 2.0, 1.0)
-    return T / np.outer(c, c)
+#: ``_take(A[R], C, out=buf)`` writes ``A[np.ix_(R, C)]`` into ``buf``; the indices are in range
+_take = partial(np.take, axis=1, mode="clip")
 
 
-def _reduced_hessian(ws: _Workspace, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-    f = I.size
-    H = np.empty((f + 1, f + 1))
-    H[:f, :f] = _pairform(ws.Xinv, ws.Xinv, I, J) + (2.0 / ws.gamma) * _pairform(ws.Ginv, ws.GinvSGinv, I, J)
-    border = _contract(-ws.W / ws.gamma**2, 0.0, I, J)[:-1]
-    H[:f, f] = border
-    H[f, :f] = border
-    H[f, f] = ws.h_gamma_gamma
-    return H
+class _FreeCoordinates:
+    """Free coordinates of a zero pattern: the upper-triangle pairs ``(I, J)`` off
+    the pattern, plus the multiplier.
+
+    Also assembles the reduced Newton matrix over them.  For symmetric ``A``, ``B``
+    the map ``V -> A V B`` on the symmetric free basis has entries
+    ``A_II*B_JJ + A_JJ*B_II + A_IJ*B_IJ^T + (A_IJ*B_IJ^T)^T``, where
+    ``A_IJ[k, l] = A[I_k, J_l]``, halved in each row and column of a diagonal pair.
+    Assembly allocates three f x f scratch buffers on first use and keeps them.
+    """
+
+    def __init__(self, p: int, pattern: SparsityPattern | None):
+        self.mask = pattern.mask() if pattern is not None else np.zeros((p, p), dtype=bool)
+        I, J = np.triu_indices(p)
+        keep = ~self.mask[I, J]
+        self.I, self.J = I[keep], J[keep]
+        self.diag = np.flatnonzero(self.I == self.J)
+        self.bufs = None
+
+    def expand(self, u: np.ndarray):
+        """Free coordinates -> (symmetric matrix, scalar)."""
+        V = np.zeros(self.mask.shape)
+        V[self.I, self.J] = u[:-1]
+        V[self.J, self.I] = u[:-1]
+        return V, float(u[-1])
+
+    def contract(self, M: np.ndarray, s: float) -> np.ndarray:
+        """Adjoint of ``expand``: accumulate both mirror entries per free pair."""
+        I, J = self.I, self.J
+        return np.append(M[I, J] + np.where(I != J, M[J, I], 0.0), s)
+
+    def newton_matrix(self, ws: _Workspace) -> np.ndarray:
+        I, J, f = self.I, self.J, self.I.size
+        if self.bufs is None:
+            self.bufs = np.empty((3, f, f))
+        b0, b1, b2 = self.bufs
+        H = np.empty((f + 1, f + 1))
+        T = H[:f, :f]
+        # X^-1 (x) X^-1 is 2 (A_II*A_JJ + A_IJ*A_IJ^T); sqrt(2) A carries the 2
+        A = np.sqrt(2.0) * ws.Xinv
+        np.multiply(_take(A[I], I, out=b0), _take(A[J], J, out=b1), out=T)
+        _take(A[I], J, out=b0)
+        T += np.multiply(b0, b0.T, out=b1)
+        # (2 / gamma) G^-1 (x) G^-1 S G^-1
+        A, B = (2.0 / ws.gamma) * ws.Ginv, ws.GinvSGinv
+        T += np.multiply(_take(A[I], I, out=b0), _take(B[J], J, out=b1), out=b2)
+        T += np.multiply(_take(A[J], J, out=b0), _take(B[I], I, out=b1), out=b2)
+        np.multiply(_take(A[I], J, out=b0), _take(B[I], J, out=b1).T, out=b2)
+        T += b2
+        T += b2.T
+        T[self.diag] *= 0.5
+        T[:, self.diag] *= 0.5
+        H[:f, f] = H[f, :f] = self.contract(-ws.W / ws.gamma**2, 0.0)[:-1]
+        H[f, f] = ws.h_gamma_gamma
+        return H
 
 
-def _solve_direction(ws: _Workspace, g_mat, g_gamma, I, J, config: SolverConfig, hessian: str):
-    p = ws.p
-    b = -_contract(g_mat, g_gamma, I, J)
+def _solve_direction(ws: _Workspace, g_mat, g_gamma, free: _FreeCoordinates, config: SolverConfig, hessian: str):
+    b = -free.contract(g_mat, g_gamma)
     n_free = b.size
     if hessian == "identity":
-        scale = np.append(np.where(I == J, 1.0, 2.0), 1.0)
+        scale = np.append(np.where(free.I == free.J, 1.0, 2.0), 1.0)
         return b / scale
     if hessian != "newton":
         raise ValueError(f"unknown hessian mode {hessian!r}")
     if n_free <= config.dense_threshold:
-        H = _reduced_hessian(ws, I, J)
+        H = free.newton_matrix(ws)
         try:
             return scipy.linalg.solve(H, b, assume_a="pos")
         except np.linalg.LinAlgError as exc:
@@ -261,9 +269,8 @@ def _solve_direction(ws: _Workspace, g_mat, g_gamma, I, J, config: SolverConfig,
         return np.zeros_like(b)
 
     def matvec(u):
-        V, w = _expand(u, I, J, p)
-        M, s = ws.hessian_apply(V, w)
-        return _contract(M, s, I, J)
+        M, s = ws.hessian_apply(*free.expand(u))
+        return free.contract(M, s)
 
     op = LinearOperator((n_free, n_free), matvec=matvec, dtype=np.float64)
     maxiter = config.cg_max_iters if config.cg_max_iters is not None else 10 * n_free
@@ -316,10 +323,9 @@ def descent_direction(
     ws = _Workspace(covs, as_symmetric(X, name="X"), gamma)
     if pattern is not None and pattern.dim != ws.p:
         raise ValueError("pattern dimension does not match X")
-    I, J = _free_indices(ws.p, pattern)
+    free = _FreeCoordinates(ws.p, pattern)
     g_mat, g_gamma = ws.gradient(rho)
-    u = _solve_direction(ws, g_mat, g_gamma, I, J, config, hessian)
-    dX, dgamma = _expand(u, I, J, ws.p)
+    dX, dgamma = free.expand(_solve_direction(ws, g_mat, g_gamma, free, config, hessian))
     delta = float(np.sum(g_mat * dX) + g_gamma * dgamma)
     return NewtonStep(delta_X=dX, delta_gamma=dgamma, predicted_decrease=delta)
 
@@ -366,11 +372,14 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
               config: SolverConfig | None = None):
     """Solve the robust estimation problem under a zero pattern.
 
-    Starts from the identity and iterates projected Newton steps with Armijo
-    backtracking until the projected gradient norm drops below
-    ``config.grad_tol`` or the iteration budget is exhausted (the result is
-    still returned in that case, flagged in the trace).  A singular input
-    covariance is replaced by ``cov + eps I`` with
+    Warm-starts at the multiplier ``gamma*`` of the analytical solution ``X*``.
+    ``X`` starts halfway from ``D = diag(eigenvalue_map(diag(cov), gamma*))``, the
+    best diagonal matrix for ``gamma*``, to ``X*`` with the pattern entries zeroed,
+    and halves back toward ``D`` until it is strictly feasible and no worse than
+    ``D``.  Iterates projected Newton steps with Armijo backtracking until the
+    projected gradient norm drops below ``config.grad_tol`` or the iteration
+    budget is exhausted (the result is still returned, flagged in the trace).
+    A singular input covariance is replaced by ``cov + eps I`` with
     ``eps = 1e-8 * max(1, lambda_max)``.
 
     Returns ``(ShrinkageSolution, SolverTrace)``.
@@ -388,26 +397,33 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
     if pattern is not None and pattern.dim != p:
         raise ValueError("pattern dimension does not match cov")
 
-    I, J = _free_indices(p, pattern)
-    mask = pattern.mask() if pattern is not None else None
-    X = np.eye(p)
-    gamma = config.gamma0
-    f = _objective_at(S, X, gamma, rho)
+    free = _FreeCoordinates(p, pattern)
+    mask = free.mask
+    warm = wasserstein_shrinkage(S, rho)
+    gamma = warm.dual_multiplier
+    D = np.diag(eigenvalue_map(np.diag(S), gamma))  # each S_ii > 0 maps into (0, gamma)
+    X, f = D, _objective_at(S, D, gamma, rho)
+    toward = np.where(mask, 0.0, warm.precision) - D
+    # from t = 1/2, since t = 1 would start an empty-pattern solve at its answer
+    for t in 0.5 ** np.arange(1, 12):
+        f_t = _objective_at(S, D + t * toward, gamma, rho)
+        if f_t is not None and f_t <= f:
+            X, f = D + t * toward, f_t
+            break
     trace = SolverTrace(objectives=[f], iterates=[(X.copy(), gamma)] if config.keep_iterates else None)
     start = time.perf_counter()
 
     for _ in range(config.max_iters):
         ws = _Workspace(S, X, gamma)
         g_mat, g_gamma = ws.gradient(rho)
-        pg = g_mat if mask is None else np.where(mask, 0.0, g_mat)
+        pg = np.where(mask, 0.0, g_mat)
         pg_norm = float(np.sqrt(np.sum(pg * pg) + g_gamma * g_gamma))
         trace.grad_norms.append(pg_norm)
         if pg_norm <= config.grad_tol:
             trace.converged = True
             trace.message = "projected gradient below tolerance"
             break
-        u = _solve_direction(ws, g_mat, g_gamma, I, J, config, "newton")
-        dX, dgamma = _expand(u, I, J, p)
+        dX, dgamma = free.expand(_solve_direction(ws, g_mat, g_gamma, free, config, "newton"))
         delta = float(np.sum(g_mat * dX) + g_gamma * dgamma)
         if delta >= -1e-14:
             trace.converged = True

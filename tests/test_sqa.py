@@ -274,9 +274,14 @@ class TestDescentDirection:
         assert_allclose(step.delta_X, -pg, atol=1e-12)
         assert_allclose(step.delta_gamma, -pq, atol=1e-12)
 
-    @pytest.mark.parametrize("pairs", [[(0, 3)], [(0, 1), (2, 3)], []])
-    def test_matches_dense_kron_oracle(self, pairs, rng):
-        p = 4
+    @pytest.mark.parametrize("p, pairs", [
+        pytest.param(4, [(0, 3)], id="pairs0"),
+        pytest.param(4, [(0, 1), (2, 3)], id="pairs1"),
+        pytest.param(4, [], id="pairs2"),
+        # free dimension 22 >> p: the diagonal-pair scaling of many rows and columns
+        pytest.param(7, [(0, 6), (1, 5), (2, 4), (0, 3), (3, 6), (1, 2)], id="p7_six_pairs"),
+    ])
+    def test_matches_dense_kron_oracle(self, p, pairs, rng):
         cov = random_spd(p, rng)
         X, gamma = feasible_point(p, rng)
         rho = 0.9
@@ -362,13 +367,45 @@ class TestSolve:
         objs = np.array(trace.objectives)
         assert (np.diff(objs) < 0.0).all()
 
-    def test_iterates_strictly_feasible(self, rng):
-        cov = random_spd(6, rng)
-        _, trace = sqa_solve(cov, 0.4, config=SolverConfig(keep_iterates=True, grad_tol=1e-9))
+    @staticmethod
+    def assert_iterates_strictly_feasible(trace, pattern):
+        assert trace.converged
+        assert len(trace.iterates) == trace.iterations + 1  # the warm start comes first
         for X, gamma in trace.iterates:
             w = np.linalg.eigvalsh(X)
             assert w[0] > 0.0
             assert w[-1] < gamma
+            if pattern is not None:
+                assert not np.any(X[pattern.mask()])
+
+    def test_iterates_strictly_feasible(self, rng):
+        cov = random_spd(6, rng)
+        _, trace = sqa_solve(cov, 0.4, config=SolverConfig(keep_iterates=True, grad_tol=1e-9))
+        self.assert_iterates_strictly_feasible(trace, None)
+
+    @pytest.mark.parametrize("kind", ["rank_deficient", "scaled_1e-4"])
+    def test_iterates_strictly_feasible_with_pattern(self, kind, rng):
+        p, rho = 6, 0.4
+        pattern = SparsityPattern(p, [(0, 5), (1, 4), (2, 3), (0, 2)])
+        if kind == "rank_deficient":
+            A = rng.standard_normal((3, p))
+            cov = A.T @ A / 3.0  # n = 3 < p
+        else:
+            cov, rho = 1e-4 * random_spd(p, rng), 1e-2 * rho
+        _, trace = sqa_solve(cov, rho, pattern, SolverConfig(keep_iterates=True, grad_tol=1e-9))
+        self.assert_iterates_strictly_feasible(trace, pattern)
+
+    def test_few_samples_with_pattern_converge(self, rng):
+        # n = 3 < p = 8: the optimum hugs the cone boundary on the null space of
+        # cov.  From a purely diagonal start these solves take up to 94 iterations;
+        # the warm start keeps the structure of the analytical solution.
+        pattern = SparsityPattern(8, [(0, 7), (1, 6), (2, 5), (3, 4)])
+        for _ in range(10):
+            A = rng.standard_normal((3, 8))
+            sol, trace = sqa_solve(A.T @ A / 3.0, 0.4, pattern)
+            assert trace.converged
+            assert trace.iterations <= 60
+            assert not np.any(sol.precision[pattern.mask()])
 
     def test_pattern_zeros_exact(self, rng):
         cov = random_spd(6, rng)
@@ -400,10 +437,6 @@ class TestSolve:
         assert not trace.converged
         assert "budget" in trace.message
         assert np.linalg.eigvalsh(sol.precision)[0] > 0.0
-
-    def test_gamma0_must_exceed_one(self):
-        with pytest.raises(ValueError, match="gamma0"):
-            SolverConfig(gamma0=1.0)
 
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(ValueError, match="PSD"):
