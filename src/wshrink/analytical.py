@@ -2,19 +2,22 @@
 
 Given a sample covariance with spectral decomposition ``sum_i lam_i v_i v_i^T``
 and an ambiguity radius ``rho > 0``, the robust precision estimator shares the
-sample eigenvectors and has eigenvalues ``x_i = map(lam_i, gamma*)`` where the
-dual multiplier ``gamma*`` solves a strictly increasing scalar equation.  This
-module provides the shared convex objective, a priori root brackets, the
-hybrid bisection/Newton root solve, the eigenvalue map, and the assembled
-estimator.
+sample eigenvectors and has eigenvalues ``x_i = map(lam_i, gamma*)``.  The dual
+multiplier ``gamma*`` is the unique positive root of the strictly increasing
+residual ``phi(g) = rho^2 g - n0 - sum_{lam > 0} map(lam, g) / g``, with ``n0``
+zero eigenvalues (see ``_kernels``).  This module provides the convex
+objective shared with the iterative solver, an a priori root bracket, the root
+solve, the eigenvalue map, and the assembled estimator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from . import _kernels
 from .gaussian import PSD_TOL, RANK_RTOL, as_symmetric, spectral_decompose
@@ -92,8 +95,8 @@ def gamma_bracket(eigenvalues, rho: float) -> BisectionBracket:
     if lam.min() > 0.0:
         gmax = min(gmax, float(np.sqrt(np.sum(1.0 / lam))) / rho)
 
-    def residual(gamma: float) -> float:
-        return _kernels.gamma_residual_numpy(gamma, lam, rho)
+    pos = lam[lam > 0.0]
+    residual = partial(_kernels.gamma_residual, pos=pos, n_zero=p - pos.size, rho=rho)
 
     for _ in range(64):
         if residual(gmin) <= 0.0 or gmin <= 0.0:
@@ -137,6 +140,20 @@ def eigenvalue_map(lam, gamma_star: float):
     return out.reshape(arr.shape)
 
 
+def _objective_at(cov, X, gamma: float, rho: float) -> float | None:
+    """Objective of the convex reformulation, or None when ``(X, gamma)`` is
+    outside the cone ``0 < X < gamma I``; the inputs are taken as validated."""
+    p = X.shape[0]
+    try:
+        LX = np.linalg.cholesky(X)
+        LA = np.linalg.cholesky(gamma * np.eye(p) - X)
+    except np.linalg.LinAlgError:
+        return None
+    logdet = 2.0 * float(np.log(np.diag(LX)).sum())
+    trace_term = float(np.trace(scipy.linalg.cho_solve((LA, True), cov)))
+    return -logdet + gamma * (rho * rho - float(np.trace(cov))) + gamma * gamma * trace_term
+
+
 def reformulation_objective(cov, X, gamma: float, rho: float) -> float:
     """Objective of the convex reformulation at a feasible point.
 
@@ -155,10 +172,10 @@ def reformulation_objective(cov, X, gamma: float, rho: float) -> float:
         raise ValueError("X must be positive definite")
     if gamma - e[-1] <= 1e-12 * scale:
         raise ValueError("gamma I - X must be positive definite")
-    p = Xs.shape[0]
-    A = gamma * np.eye(p) - Xs
-    trace_term = float(np.trace(np.linalg.solve(A, S)))
-    return float(-np.log(e).sum() + gamma * (rho * rho - np.trace(S)) + gamma * gamma * trace_term)
+    value = _objective_at(S, Xs, gamma, rho)
+    if value is None:
+        raise ValueError("X and gamma I - X must be numerically positive definite")
+    return value
 
 
 def wasserstein_shrinkage(cov, rho: float, tol: float = DEFAULT_GAMMA_TOL) -> ShrinkageSolution:
@@ -170,8 +187,7 @@ def wasserstein_shrinkage(cov, rho: float, tol: float = DEFAULT_GAMMA_TOL) -> Sh
     the plain inverse should be used explicitly otherwise.
     """
     _check_rho(rho)
-    S = as_symmetric(cov, name="cov")
-    dec = spectral_decompose(S)
+    dec = spectral_decompose(cov)
     lam = _clean_spectrum(dec.eigenvalues, name="cov eigenvalues")
     gamma, iters, _ = _solve_gamma_info(lam, rho, tol)
     x = _kernels.shrink_eigenvalues(lam, gamma)

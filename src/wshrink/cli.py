@@ -24,6 +24,7 @@ from .applications import (
     known_zero_pattern,
     lda_classify,
     lda_fit,
+    min_variance_weights,
     pooled_moments,
     rolling_backtest,
     sparse_estimator,
@@ -291,6 +292,13 @@ def cmd_lda(args) -> int:
     return EXIT_OK
 
 
+def _oos_square(precision, train_moments, val_rows) -> float:
+    """CV score: mean squared held-out return of the minimum-variance portfolio."""
+    w = min_variance_weights(precision)
+    r = np.atleast_2d(val_rows) @ w
+    return float(np.mean(r * r))
+
+
 def cmd_portfolio(args) -> int:
     returns = io.read_matrix_csv(args.input)
     config = BacktestConfig(window=args.window, stride=args.stride)
@@ -301,15 +309,7 @@ def cmd_portfolio(args) -> int:
             raise UserError("not enough observations for the training window")
         train = returns[: args.window]
         estimator = _estimator_for(grid.name, None, _solver_config(args))
-
-        def oos_square(precision, train_moments, val_rows):
-            from .applications import min_variance_weights
-
-            w = min_variance_weights(precision)
-            r = np.atleast_2d(val_rows) @ w
-            return float(np.mean(r * r))
-
-        report = cross_validate(train, estimator, grid, scheme=args.cv, score=oos_square,
+        report = cross_validate(train, estimator, grid, scheme=args.cv, score=_oos_square,
                                 seed=args.seed, divisor_policy="n-1")
         value = report.selected
         report_doc.update({"values": report.values.tolist(),

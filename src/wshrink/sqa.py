@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .analytical import ShrinkageSolution, _check_rho, eigenvalue_map, wasserstein_shrinkage
+from .analytical import ShrinkageSolution, _check_rho, _objective_at, eigenvalue_map, wasserstein_shrinkage
 from .errors import LinearSolveError, LineSearchError
 from .gaussian import PSD_TOL, RANK_RTOL, as_symmetric
 
@@ -167,7 +167,8 @@ class _Workspace:
         self.Xinv = scipy.linalg.cho_solve((LX, True), eye)
         self.Ginv = scipy.linalg.cho_solve((LG, True), eye)
         self.GinvS = self.Ginv @ cov
-        self.GinvSGinv = 0.5 * (self.GinvS @ self.Ginv + (self.GinvS @ self.Ginv).T)
+        GinvSGinv = self.GinvS @ self.Ginv
+        self.GinvSGinv = 0.5 * (GinvSGinv + GinvSGinv.T)
         K = X @ self.GinvS
         self.W = self.Ginv @ (K + K.T) @ self.Ginv
         self.W = 0.5 * (self.W + self.W.T)
@@ -330,23 +331,13 @@ def descent_direction(
     return NewtonStep(delta_X=dX, delta_gamma=dgamma, predicted_decrease=delta)
 
 
-def _objective_at(cov, X, gamma: float, rho: float) -> float | None:
-    """Objective value, or None when (X, gamma) is outside the cone."""
-    p = X.shape[0]
-    try:
-        LX = np.linalg.cholesky(X)
-        LA = np.linalg.cholesky(gamma * np.eye(p) - X)
-    except np.linalg.LinAlgError:
-        return None
-    logdet = 2.0 * float(np.log(np.diag(LX)).sum())
-    trace_term = float(np.trace(scipy.linalg.cho_solve((LA, True), cov)))
-    return -logdet + gamma * (rho * rho - float(np.trace(cov))) + gamma * gamma * trace_term
-
-
 def armijo_step(cov, X, gamma, rho, step: NewtonStep, config: SolverConfig | None = None,
-                f_current: float | None = None) -> float:
+                f_current: float | None = None) -> tuple[float, float]:
     """Largest step size ``1/2^m`` keeping the iterate in the cone (C1) and
-    achieving sufficient decrease (C2)."""
+    achieving sufficient decrease (C2).
+
+    Returns ``(alpha, f_new)``, where ``f_new`` is the objective at the accepted point.
+    """
     config = config or SolverConfig()
     if not step.predicted_decrease < 0.0:
         raise ValueError("step is not a descent direction (predicted decrease must be negative)")
@@ -360,7 +351,7 @@ def armijo_step(cov, X, gamma, rho, step: NewtonStep, config: SolverConfig | Non
     for _ in range(config.max_halvings + 1):
         f_new = _objective_at(cov, X + alpha * step.delta_X, gamma + alpha * step.delta_gamma, rho)
         if f_new is not None and f_new <= f_current + config.sigma * alpha * step.predicted_decrease:
-            return alpha
+            return alpha, f_new
         alpha *= 0.5
     raise LineSearchError(
         f"no admissible step size within {config.max_halvings} halvings "
@@ -430,9 +421,8 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
             trace.message = "predicted decrease numerically zero"
             break
         step = NewtonStep(delta_X=dX, delta_gamma=dgamma, predicted_decrease=delta)
-        alpha = armijo_step(S, X, gamma, rho, step, config, f_current=f)
-        f_new = _objective_at(S, X + alpha * dX, gamma + alpha * dgamma, rho)
-        if f_new is None or not f_new < f:
+        alpha, f_new = armijo_step(S, X, gamma, rho, step, config, f_current=f)
+        if not f_new < f:
             trace.converged = True
             trace.message = "objective stagnated at floating-point resolution"
             break

@@ -111,6 +111,22 @@ class TestSolveGamma:
             root = solve_gamma(lam, rho, tol=1e-12)
             assert abs(br.residual(root)) <= 1e-12
 
+    @given(
+        lam=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e4)), min_size=1, max_size=40),
+        rho=st.floats(min_value=1e-2, max_value=1e2),
+        k=st.integers(min_value=-8, max_value=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scale_equivariance(self, lam, rho, k):
+        # cov -> c cov, rho -> sqrt(c) rho gives gamma -> gamma / c; the residual
+        # must not cancel when sum(lam) dwarfs rho^2
+        lam, c = np.array(lam), 10.0**k
+        root = solve_gamma(lam, rho)
+        scaled = c * solve_gamma(c * lam, np.sqrt(c) * rho)
+        assert abs(scaled - root) <= 1e-10 * root
+        br = gamma_bracket(lam, rho)
+        assert br.gamma_min <= root <= br.gamma_max
+
 
 class TestEigenvalueMap:
     def test_scalar_chain(self):

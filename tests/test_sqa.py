@@ -322,9 +322,11 @@ class TestArmijo:
         delta = float(np.sum(g_mat * huge))
         assert delta < 0.0
         step = NewtonStep(delta_X=huge, delta_gamma=0.0, predicted_decrease=delta)
-        alpha = armijo_step(cov, X, gamma, 1.0, step)
+        alpha, f_new = armijo_step(cov, X, gamma, 1.0, step)
         assert alpha < 1.0
         assert np.linalg.eigvalsh(X + alpha * huge)[0] > 0.0
+        assert f_new == reformulation_objective(cov, X + alpha * huge, gamma, 1.0)
+        assert f_new < reformulation_objective(cov, X, gamma, 1.0)
 
     def test_rejects_nondescent_step(self, rng):
         cov = random_spd(3, rng)
