@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _kernels
-from .gaussian import PSD_TOL, RANK_RTOL, as_symmetric, spectral_decompose
+from .gaussian import RANK_RTOL, as_symmetric, psd_spectrum, spectral_decompose
 
 #: default stopping tolerance on the scalar residual phi(gamma)
 DEFAULT_GAMMA_TOL = 1e-12
@@ -56,21 +56,6 @@ class ShrinkageSolution:
     iterations: int
 
 
-def _clean_spectrum(eigenvalues, name="eigenvalues") -> np.ndarray:
-    lam = np.asarray(eigenvalues, dtype=np.float64).reshape(-1)
-    if lam.size == 0:
-        raise ValueError(f"{name} must be nonempty")
-    if not np.isfinite(lam).all():
-        raise ValueError(f"{name} contain non-finite values")
-    top = max(float(lam.max()), 0.0)
-    if lam.min() < -PSD_TOL * max(1.0, top):
-        raise ValueError(f"{name} must be nonnegative (min {lam.min():.3e})")
-    out = lam.copy()
-    out[out < RANK_RTOL * top] = 0.0
-    np.maximum(out, 0.0, out=out)
-    return out
-
-
 def _check_rho(rho: float):
     if not np.isfinite(rho) or rho <= 0.0:
         raise ValueError(f"radius must be a positive real, got {rho!r}")
@@ -84,7 +69,11 @@ def gamma_bracket(eigenvalues, rho: float) -> BisectionBracket:
     harmonic term dropped whenever some eigenvalue vanishes.
     """
     _check_rho(rho)
-    lam = _clean_spectrum(eigenvalues)
+    return _bracket(psd_spectrum(eigenvalues), rho)
+
+
+def _bracket(lam: np.ndarray, rho: float) -> BisectionBracket:
+    """``gamma_bracket`` for a spectrum already cleaned by ``psd_spectrum``."""
     p = lam.size
     lmax = float(lam.max())
     rho2 = rho * rho
@@ -111,17 +100,19 @@ def gamma_bracket(eigenvalues, rho: float) -> BisectionBracket:
     return BisectionBracket(gamma_min=float(gmin), gamma_max=float(gmax), residual=residual)
 
 
-def _solve_gamma_info(eigenvalues, rho: float, tol: float = DEFAULT_GAMMA_TOL):
-    lam = _clean_spectrum(eigenvalues)
-    bracket = gamma_bracket(lam, rho)
+def _solve_gamma_info(lam: np.ndarray, rho: float, tol: float = DEFAULT_GAMMA_TOL):
+    """Root solve for a spectrum already cleaned by ``psd_spectrum`` and a checked
+    radius; returns ``(gamma, iterations, residual)``."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    bracket = _bracket(lam, rho)
     return _kernels.solve_gamma_bracketed(lam, rho, bracket.gamma_min, bracket.gamma_max, tol)
 
 
 def solve_gamma(eigenvalues, rho: float, tol: float = DEFAULT_GAMMA_TOL) -> float:
     """Unique positive root of the dual-multiplier equation."""
-    gamma, _, _ = _solve_gamma_info(eigenvalues, rho, tol)
+    _check_rho(rho)
+    gamma, _, _ = _solve_gamma_info(psd_spectrum(eigenvalues), rho, tol)
     return gamma
 
 
@@ -167,10 +158,9 @@ def reformulation_objective(cov, X, gamma: float, rho: float) -> float:
     if S.shape != Xs.shape:
         raise ValueError("cov and X dimensions differ")
     e = np.linalg.eigvalsh(Xs)
-    scale = max(1.0, abs(gamma), float(e[-1]))
     if e[0] <= 0.0:
         raise ValueError("X must be positive definite")
-    if gamma - e[-1] <= 1e-12 * scale:
+    if gamma - e[-1] <= RANK_RTOL * max(abs(gamma), float(e[-1])):
         raise ValueError("gamma I - X must be positive definite")
     value = _objective_at(S, Xs, gamma, rho)
     if value is None:
@@ -188,7 +178,7 @@ def wasserstein_shrinkage(cov, rho: float, tol: float = DEFAULT_GAMMA_TOL) -> Sh
     """
     _check_rho(rho)
     dec = spectral_decompose(cov)
-    lam = _clean_spectrum(dec.eigenvalues, name="cov eigenvalues")
+    lam = psd_spectrum(dec.eigenvalues, "cov")
     gamma, iters, _ = _solve_gamma_info(lam, rho, tol)
     x = _kernels.shrink_eigenvalues(lam, gamma)
     V = dec.eigenvectors

@@ -4,12 +4,12 @@ portfolio backtest."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analytical import wasserstein_shrinkage
-from .evaluation import SampleMoments, TuningGrid, sample_moments, stein_loss
+from .evaluation import SampleMoments, sample_moments, stein_loss
 from .gaussian import as_symmetric, spectral_decompose
 from .sqa import SolverConfig, SparsityPattern, sqa_solve
 
@@ -146,10 +146,6 @@ class BenchmarkResult:
             "q20": np.quantile(table, 0.2, axis=0),
             "q80": np.quantile(table, 0.8, axis=0),
         }
-
-    def best_losses(self, name: str) -> np.ndarray:
-        """Per-trial loss at the best grid point (oracle tuning)."""
-        return self.losses[name].min(axis=1)
 
 
 def synthetic_benchmark(spec: SyntheticSpec, estimators: dict, grids: dict) -> BenchmarkResult:

@@ -232,11 +232,6 @@ def cmd_lda(args) -> int:
         raise UserError("lda requires --labels")
     labels = io.read_labels_csv(args.labels)
     dataset = LabeledDataset(data, labels)
-    config = _solver_config(args)
-
-    def fit_with(rho: float):
-        return lda_fit(dataset, lambda moments: analytical_estimator(moments, rho))
-
     report_doc = {"command": "lda", "n": int(data.shape[0]), "p": int(data.shape[1])}
     if args.grid:
         grid = _load_grid(args.grid)
@@ -273,7 +268,7 @@ def cmd_lda(args) -> int:
     else:
         raise UserError("lda requires --rho or --grid")
 
-    model = fit_with(rho)
+    model = lda_fit(dataset, lambda moments: analytical_estimator(moments, rho))
     train_acc = float(np.mean(lda_classify(model, data) == labels))
     report_doc["train_accuracy"] = train_acc
     if args.test_input:
@@ -407,10 +402,7 @@ def main(argv=None) -> int:
         return EXIT_USER
     try:
         return args.func(args)
-    except (UserError, io.ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    except ValueError as exc:
+    except (UserError, ValueError, FileNotFoundError) as exc:  # io.ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except EstimationError as exc:

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EstimationError, SingularMatrixError
-from .gaussian import RANK_RTOL, as_symmetric
+from .gaussian import as_symmetric, psd_spectrum
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def linear_shrinkage(moments, alpha: float) -> np.ndarray:
     cov = _covariance_of(moments)
     blend = (1.0 - alpha) * cov + alpha * np.diag(np.diag(cov))
     w = np.linalg.eigvalsh(blend)
-    if w[0] <= RANK_RTOL * max(float(w[-1]), 0.0) or w[0] <= 0.0:
+    if psd_spectrum(w, "blended covariance")[0] == 0.0:
         raise SingularMatrixError(
             f"blended covariance is singular at alpha={alpha:g} (min eigenvalue {w[0]:.3e})"
         )

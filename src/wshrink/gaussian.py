@@ -5,6 +5,11 @@ distributions) is built on the operations here: exact symmetrization, spectral
 decomposition with a deterministic sign convention, PSD square roots, the
 covariance metric induced by the type-2 Wasserstein distance, and the
 Kullback-Leibler divergence with proper handling of degenerate covariances.
+
+It also holds the package's one PSD policy, ``psd_spectrum``: every decision
+that a spectrum is PSD, or that a matrix is rank deficient, goes through it.
+Its tolerances are relative to the largest eigenvalue, so the decisions are
+unchanged when a matrix is scaled by any positive factor.
 """
 
 from __future__ import annotations
@@ -13,12 +18,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: eigenvalues below RANK_RTOL * lambda_max are treated as exactly zero
+#: eigenvalues below RANK_RTOL * lambda_max count as exactly zero (rank decisions)
 RANK_RTOL = 1e-12
-#: most-negative eigenvalue tolerated in a nominally PSD matrix before clamping
-CLAMP_TOL = 1e-10
-#: rejection threshold for PSD-required inputs
+#: an eigenvalue below -PSD_TOL * lambda_max makes a matrix not PSD; above, it is roundoff
 PSD_TOL = 1e-8
+
+
+def psd_spectrum(eigenvalues, name: str = "spectrum") -> np.ndarray:
+    """Validate the eigenvalues of a nominally PSD matrix and clean them.
+
+    Raises ``ValueError`` on an empty or non-finite spectrum, or when an
+    eigenvalue lies below ``-PSD_TOL * lambda_max``.  Returns a copy in which
+    eigenvalues below ``RANK_RTOL * lambda_max`` (roundoff negatives included)
+    are exact zeros, so the matrix is positive definite exactly when the
+    smallest returned eigenvalue is positive.  ``name`` labels the matrix in
+    error messages.
+    """
+    lam = np.asarray(eigenvalues, dtype=np.float64).reshape(-1)
+    if lam.size == 0:
+        raise ValueError(f"{name} has no eigenvalues")
+    if not np.isfinite(lam).all():
+        raise ValueError(f"{name} has non-finite eigenvalues")
+    top = max(float(lam.max()), 0.0)
+    if lam.min() < -PSD_TOL * top:
+        raise ValueError(f"{name} is not PSD (min eigenvalue {lam.min():.3e})")
+    return np.where(lam < RANK_RTOL * top, 0.0, lam)
 
 
 def as_symmetric(matrix, rtol: float = 1e-8, name: str = "matrix") -> np.ndarray:
@@ -36,8 +60,7 @@ def as_symmetric(matrix, rtol: float = 1e-8, name: str = "matrix") -> np.ndarray
         raise ValueError(f"{name} must have dimension >= 1")
     if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
-    scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - M.T).max() > rtol * scale:
+    if np.abs(M - M.T).max() > rtol * float(np.abs(M).max()):
         raise ValueError(f"{name} is not symmetric within tolerance {rtol:g}")
     upper = np.triu(M)
     return upper + np.triu(M, 1).T
@@ -69,14 +92,15 @@ def spectral_decompose(matrix) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=V * signs)
 
 
-def sqrtm_psd(matrix) -> np.ndarray:
+def sqrtm_psd(matrix, name: str = "matrix") -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Roundoff negatives in the spectrum are clamped to zero so rank-deficient
-    covariances are handled uniformly.
+    The spectrum goes through ``psd_spectrum``: indefinite input is rejected,
+    and eigenvalues below the rank cut, roundoff included, count as zero so
+    rank-deficient covariances are handled uniformly.
     """
     dec = spectral_decompose(matrix)
-    w = np.maximum(dec.eigenvalues, 0.0)
+    w = psd_spectrum(dec.eigenvalues, name)
     V = dec.eigenvectors
     return as_symmetric((V * np.sqrt(w)) @ V.T, rtol=1.0)
 
@@ -85,8 +109,8 @@ def sqrtm_psd(matrix) -> np.ndarray:
 class GaussianModel:
     """Normal distribution with a possibly rank-deficient covariance.
 
-    The covariance must be symmetric with eigenvalues above ``-CLAMP_TOL``
-    (scale-relative); roundoff negatives are clamped to zero on construction.
+    The covariance must be symmetric and pass ``psd_spectrum``; roundoff
+    negatives are clamped to zero on construction.
     """
 
     mean: np.ndarray
@@ -100,12 +124,9 @@ class GaussianModel:
         if cov.shape[0] != mean.size:
             raise ValueError("mean and covariance dimensions differ")
         dec = spectral_decompose(cov)
-        w = dec.eigenvalues
-        top = max(float(w[-1]), 0.0)
-        if w[0] < -CLAMP_TOL * max(1.0, top):
-            raise ValueError(f"covariance is not PSD (min eigenvalue {w[0]:.3e})")
-        if w[0] < 0.0:
-            cov = as_symmetric((dec.eigenvectors * np.maximum(w, 0.0)) @ dec.eigenvectors.T, rtol=1.0)
+        w = psd_spectrum(dec.eigenvalues, "covariance")
+        if dec.eigenvalues[0] < 0.0:
+            cov = as_symmetric((dec.eigenvectors * w) @ dec.eigenvectors.T, rtol=1.0)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
@@ -123,8 +144,8 @@ def induced_metric_V(S1, S2) -> float:
     """Wasserstein-induced metric between PSD matrices.
 
     ``V(S1, S2) = sqrt(tr S1 + tr S2 - 2 tr sqrt(sqrt(S2) S1 sqrt(S2)))``;
-    this equals the Gaussian Wasserstein distance at equal means.  Inputs with
-    an eigenvalue below ``-PSD_TOL`` (scale-relative) are rejected.
+    this equals the Gaussian Wasserstein distance at equal means.  Inputs that
+    fail ``psd_spectrum`` are rejected (by ``sqrtm_psd``).
 
     Evaluated through the equivalent orthogonal-Procrustes form
     ``min_U || sqrt(S1) - sqrt(S2) U ||_F``: computing a norm of a difference
@@ -135,12 +156,8 @@ def induced_metric_V(S1, S2) -> float:
     B = as_symmetric(S2, name="S2")
     if A.shape != B.shape:
         raise ValueError("dimension mismatch")
-    for M, name in ((A, "S1"), (B, "S2")):
-        w = np.linalg.eigvalsh(M)
-        if w[0] < -PSD_TOL * max(1.0, float(w[-1])):
-            raise ValueError(f"{name} is not PSD (min eigenvalue {w[0]:.3e})")
-    ra = sqrtm_psd(A)
-    rb = sqrtm_psd(B)
+    ra = sqrtm_psd(A, "S1")
+    rb = sqrtm_psd(B, "S2")
     W, _, Zt = np.linalg.svd(rb @ ra)
     return float(np.linalg.norm(ra - rb @ (W @ Zt)))
 
@@ -167,15 +184,12 @@ def kl_divergence(p1: GaussianModel, p2: GaussianModel) -> float:
     dmean = p2.mean - p1.mean
 
     dec2 = spectral_decompose(S2)
-    w2 = dec2.eigenvalues
-    top2 = max(float(w2[-1]), 0.0)
-    keep = w2 > RANK_RTOL * top2
-    if top2 == 0.0:
-        keep = np.zeros_like(keep)
+    w2 = psd_spectrum(dec2.eigenvalues, "P2 covariance")
+    keep = w2 > 0.0
 
     if not keep.all():
         E0 = dec2.eigenvectors[:, ~keep]
-        leak_tol = 1e-10 * max(1.0, float(np.trace(S1)), float(np.trace(S2)))
+        leak_tol = 1e-10 * max(float(np.trace(S1)), float(np.trace(S2)))
         mass_outside = float(np.abs(E0.T @ S1 @ E0).max(initial=0.0))
         mean_outside = float(np.linalg.norm(E0.T @ dmean))
         if mass_outside > leak_tol or mean_outside > np.sqrt(leak_tol):
@@ -187,8 +201,8 @@ def kl_divergence(p1: GaussianModel, p2: GaussianModel) -> float:
         return 0.0
     d2 = w2[keep]
     A = as_symmetric(E.T @ S1 @ E, rtol=1.0)
-    wA = np.linalg.eigvalsh(A)
-    if wA[0] <= RANK_RTOL * max(float(wA[-1]), 0.0) or wA[0] <= 0.0:
+    wA = psd_spectrum(np.linalg.eigvalsh(A), "P1 covariance on the support of P2")
+    if wA[0] == 0.0:
         return float("inf")
     dm = E.T @ dmean
     quad = float(np.sum(dm * dm / d2))

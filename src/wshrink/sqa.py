@@ -24,7 +24,13 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .analytical import ShrinkageSolution, _check_rho, _objective_at, eigenvalue_map, wasserstein_shrinkage
 from .errors import LinearSolveError, LineSearchError
-from .gaussian import PSD_TOL, RANK_RTOL, as_symmetric
+from .gaussian import as_symmetric, psd_spectrum
+
+#: the reduced Newton system is assembled and factorized up to this free dimension,
+#: and solved matrix-free by conjugate gradients above it
+DENSE_THRESHOLD = 2000
+#: relative residual at which conjugate gradients stop
+CG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,24 +79,20 @@ class SparsityPattern:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Line search, stopping, and inner-solve parameters."""
+    """Line search and stopping parameters."""
 
     sigma: float = 1e-4
     grad_tol: float = 1e-3
     max_iters: int = 100
     max_halvings: int = 60
-    cg_tol: float = 1e-8
-    dense_threshold: int = 2000
-    cg_max_iters: int | None = None
     keep_iterates: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.sigma < 0.5:
             raise ValueError("sigma must lie in (0, 0.5)")
-        for name in ("grad_tol", "cg_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("max_iters", "max_halvings", "dense_threshold"):
+        if self.grad_tol <= 0.0:
+            raise ValueError("grad_tol must be positive")
+        for name in ("max_iters", "max_halvings"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -252,15 +254,10 @@ class _FreeCoordinates:
         return H
 
 
-def _solve_direction(ws: _Workspace, g_mat, g_gamma, free: _FreeCoordinates, config: SolverConfig, hessian: str):
+def _solve_direction(ws: _Workspace, g_mat, g_gamma, free: _FreeCoordinates):
     b = -free.contract(g_mat, g_gamma)
     n_free = b.size
-    if hessian == "identity":
-        scale = np.append(np.where(free.I == free.J, 1.0, 2.0), 1.0)
-        return b / scale
-    if hessian != "newton":
-        raise ValueError(f"unknown hessian mode {hessian!r}")
-    if n_free <= config.dense_threshold:
+    if n_free <= DENSE_THRESHOLD:
         H = free.newton_matrix(ws)
         try:
             return scipy.linalg.solve(H, b, assume_a="pos")
@@ -274,13 +271,13 @@ def _solve_direction(ws: _Workspace, g_mat, g_gamma, free: _FreeCoordinates, con
         return free.contract(M, s)
 
     op = LinearOperator((n_free, n_free), matvec=matvec, dtype=np.float64)
-    maxiter = config.cg_max_iters if config.cg_max_iters is not None else 10 * n_free
-    u, info = cg(op, b, rtol=config.cg_tol, atol=0.0, maxiter=maxiter)
+    maxiter = 10 * n_free
+    u, info = cg(op, b, rtol=CG_TOL, atol=0.0, maxiter=maxiter)
     if info != 0:
         resid = float(np.linalg.norm(matvec(u) - b) / np.linalg.norm(b))
         raise LinearSolveError(
             f"conjugate gradients stopped after {maxiter} iterations with relative residual {resid:.3e} "
-            f"(target {config.cg_tol:.1e}, free dimension {n_free})"
+            f"(target {CG_TOL:.1e}, free dimension {n_free})"
         )
     return u
 
@@ -309,16 +306,12 @@ def descent_direction(
     gamma: float,
     rho: float,
     pattern: SparsityPattern | None = None,
-    config: SolverConfig | None = None,
-    hessian: str = "newton",
 ) -> NewtonStep:
     """Feasible descent direction from the projected Newton system.
 
-    With ``hessian="identity"`` the step degenerates to projected steepest
-    descent.  The predicted decrease is ``<g, step>`` and is negative unless
-    the projected gradient vanishes.
+    The predicted decrease is ``<g, step>`` and is negative unless the
+    projected gradient vanishes.
     """
-    config = config or SolverConfig()
     _check_rho(rho)
     covs = as_symmetric(cov, name="cov")
     ws = _Workspace(covs, as_symmetric(X, name="X"), gamma)
@@ -326,7 +319,7 @@ def descent_direction(
         raise ValueError("pattern dimension does not match X")
     free = _FreeCoordinates(ws.p, pattern)
     g_mat, g_gamma = ws.gradient(rho)
-    dX, dgamma = free.expand(_solve_direction(ws, g_mat, g_gamma, free, config, hessian))
+    dX, dgamma = free.expand(_solve_direction(ws, g_mat, g_gamma, free))
     delta = float(np.sum(g_mat * dX) + g_gamma * dgamma)
     return NewtonStep(delta_X=dX, delta_gamma=dgamma, predicted_decrease=delta)
 
@@ -371,20 +364,18 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
     projected gradient norm drops below ``config.grad_tol`` or the iteration
     budget is exhausted (the result is still returned, flagged in the trace).
     A singular input covariance is replaced by ``cov + eps I`` with
-    ``eps = 1e-8 * max(1, lambda_max)``.
+    ``eps = 1e-8 * lambda_max``, or ``eps = 1e-8 * rho^2`` when ``cov = 0``;
+    both scale with the data.
 
     Returns ``(ShrinkageSolution, SolverTrace)``.
     """
     config = config or SolverConfig()
     _check_rho(rho)
     S = as_symmetric(cov, name="cov")
-    w = np.linalg.eigvalsh(S)
-    lmax = max(float(w[-1]), 0.0)
-    if w[0] < -PSD_TOL * max(1.0, lmax):
-        raise ValueError(f"cov is not PSD (min eigenvalue {w[0]:.3e})")
-    if w[0] < RANK_RTOL * max(lmax, 1e-300) or lmax == 0.0:
-        S = S + (1e-8 * max(1.0, lmax)) * np.eye(S.shape[0])
     p = S.shape[0]
+    lam = psd_spectrum(np.linalg.eigvalsh(S), "cov")
+    if lam[0] == 0.0:
+        S = S + 1e-8 * (lam[-1] if lam[-1] > 0.0 else rho * rho) * np.eye(p)
     if pattern is not None and pattern.dim != p:
         raise ValueError("pattern dimension does not match cov")
 
@@ -414,7 +405,7 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
             trace.converged = True
             trace.message = "projected gradient below tolerance"
             break
-        dX, dgamma = free.expand(_solve_direction(ws, g_mat, g_gamma, free, config, "newton"))
+        dX, dgamma = free.expand(_solve_direction(ws, g_mat, g_gamma, free))
         delta = float(np.sum(g_mat * dX) + g_gamma * dgamma)
         if delta >= -1e-14:
             trace.converged = True

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import _kernels
-from .analytical import _check_rho, _clean_spectrum, solve_gamma
-from .gaussian import RANK_RTOL, as_symmetric, induced_metric_V, spectral_decompose, sqrtm_psd
+from .analytical import _check_rho, _solve_gamma_info
+from .gaussian import RANK_RTOL, as_symmetric, induced_metric_V, psd_spectrum, spectral_decompose, sqrtm_psd
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,6 @@ class WorstCaseDistribution:
     multiplier: float
     attained_distance: float
     attained_value: float
-
-
-def _require_pd(M: np.ndarray, name: str) -> np.ndarray:
-    w = np.linalg.eigvalsh(M)
-    if w[0] <= RANK_RTOL * max(float(w[-1]), 0.0) or w[0] <= 0.0:
-        raise ValueError(f"{name} must be positive definite (min eigenvalue {w[0]:.3e})")
-    return w
 
 
 def extremal_gamma(cov, X, rho: float) -> float:
@@ -51,8 +44,9 @@ def extremal_gamma(cov, X, rho: float) -> float:
     Xs = as_symmetric(X, name="X")
     if S.shape != Xs.shape:
         raise ValueError("cov and X dimensions differ")
-    _require_pd(S, "cov")
-    _require_pd(Xs, "X")
+    for M, name in ((S, "cov"), (Xs, "X")):
+        if psd_spectrum(np.linalg.eigvalsh(M), name)[0] == 0.0:
+            raise ValueError(f"{name} must be positive definite, not rank deficient")
 
     d, U = np.linalg.eigh(Xs)
     m_diag = np.einsum("ia,ij,ja->a", U, S, U)
@@ -103,7 +97,7 @@ def extremal_covariance(cov, X, gamma: float) -> WorstCaseDistribution:
         raise ValueError("cov and X dimensions differ")
     p = S.shape[0]
     e = np.linalg.eigvalsh(Xs)
-    if gamma - float(e[-1]) <= RANK_RTOL * max(1.0, abs(gamma)):
+    if gamma - float(e[-1]) <= RANK_RTOL * max(abs(gamma), float(e[-1])):
         raise ValueError("gamma I - X must be positive definite")
     A = gamma * np.eye(p) - Xs
     B = np.linalg.solve(A, S)
@@ -127,8 +121,8 @@ def extremal_for_optimal(cov, rho: float) -> WorstCaseDistribution:
     _check_rho(rho)
     S = as_symmetric(cov, name="cov")
     dec = spectral_decompose(S)
-    lam = _clean_spectrum(dec.eigenvalues, name="cov eigenvalues")
-    gamma = solve_gamma(lam, rho)
+    lam = psd_spectrum(dec.eigenvalues, "cov")
+    gamma, _, _ = _solve_gamma_info(lam, rho)
     x = _kernels.shrink_eigenvalues(lam, gamma)
     s = np.empty_like(lam)
     pos = lam > 0.0
@@ -153,7 +147,7 @@ def sample_within_radius(cov, rho: float, count: int, rng: np.random.Generator):
     """
     _check_rho(rho)
     S = as_symmetric(cov, name="cov")
-    root = sqrtm_psd(S)
+    root = sqrtm_psd(S, "cov")
     p = S.shape[0]
     out = []
     for _ in range(int(count)):

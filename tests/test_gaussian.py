@@ -1,18 +1,72 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wshrink.analytical import wasserstein_shrinkage
 from wshrink.gaussian import (
+    PSD_TOL,
+    RANK_RTOL,
     GaussianModel,
     as_symmetric,
     induced_metric_V,
     kl_divergence,
+    psd_spectrum,
     spectral_decompose,
     sqrtm_psd,
     wasserstein_gaussian,
 )
+from wshrink.sqa import sqa_solve
+from wshrink.worst_case import extremal_for_optimal
 
 from conftest import random_psd_singular, random_spd
+
+
+@st.composite
+def spectra(draw):
+    """A top eigenvalue, then exact zeros and positive or negative eigenvalues
+    at 1e-16 to 1 of it: roundoff, either side of the tolerances, and gross."""
+    top = draw(st.floats(min_value=1e-6, max_value=1e6))
+    magnitude = st.floats(min_value=-16.0, max_value=0.0).map(lambda e: 10.0**e)
+    rest = draw(st.lists(st.one_of(st.just(0.0), magnitude, magnitude.map(lambda m: -m)), max_size=11))
+    return top * np.array([1.0] + rest)
+
+
+class TestPsdSpectrum:
+    @given(w=spectra(), k=st.integers(min_value=-40, max_value=40))
+    @settings(max_examples=400, deadline=None)
+    def test_policy_is_scale_free(self, w, k):
+        c = 2.0**k  # a power of two scales every eigenvalue and both thresholds exactly
+        top = w.max()
+        if w.min() < -PSD_TOL * top:
+            for spectrum in (w, c * w):
+                with pytest.raises(ValueError, match="PSD"):
+                    psd_spectrum(spectrum)
+            return
+        clean = psd_spectrum(w)
+        assert np.array_equal(clean, np.where(w < RANK_RTOL * top, 0.0, w))
+        scaled = psd_spectrum(c * w)
+        assert scaled.tobytes() == (c * clean).tobytes()  # bit for bit
+
+    def test_rejects_empty_and_nonfinite(self):
+        with pytest.raises(ValueError, match="no eigenvalues"):
+            psd_spectrum([])
+        with pytest.raises(ValueError, match="non-finite"):
+            psd_spectrum([1.0, np.nan])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-10])
+    @pytest.mark.parametrize("entry", [
+        lambda S, rho: wasserstein_shrinkage(S, rho),
+        lambda S, rho: sqa_solve(S, rho),
+        lambda S, rho: GaussianModel(np.zeros(2), S),
+        lambda S, rho: induced_metric_V(S, np.eye(2)),
+        lambda S, rho: extremal_for_optimal(S, rho),
+    ], ids=["wasserstein_shrinkage", "sqa_solve", "GaussianModel", "induced_metric_V", "extremal_for_optimal"])
+    def test_small_indefinite_matrix_rejected(self, entry, scale):
+        # indefinite at every scale; an absolute floor on the tolerance let it pass once small
+        with pytest.raises(ValueError, match="PSD"):
+            entry(scale * np.diag([1.0, -0.5]), np.sqrt(scale))
 
 
 class TestSymmetrize:
@@ -109,8 +163,9 @@ class TestWasserstein:
 
 class TestInducedMetric:
     def test_identity_of_indiscernibles(self, rng):
-        S = random_spd(4, rng)
-        assert induced_metric_V(S, S) <= 1e-8
+        # rank deficient: roundoff eigenvalues below the rank cut must not enter the roots
+        for S in (random_spd(4, rng), random_psd_singular(8, 3, rng)):
+            assert induced_metric_V(S, S) <= 1e-12
 
     def test_scalar_case(self):
         assert_allclose(induced_metric_V([[1.0]], [[4.0]]), 1.0, atol=1e-12)

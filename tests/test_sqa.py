@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wshrink import sqa
 from wshrink.analytical import reformulation_objective, wasserstein_shrinkage
 from wshrink.errors import LineSearchError
 from wshrink.sqa import (
@@ -264,16 +265,6 @@ class TestDescentDirection:
         assert np.abs(step.delta_X).max() <= 1e-6
         assert abs(step.delta_gamma) <= 1e-6
 
-    def test_identity_hessian_gives_projected_steepest_descent(self, rng):
-        cov = random_spd(4, rng)
-        X, gamma = feasible_point(4, rng)
-        pat = SparsityPattern(4, [(0, 2)])
-        step = descent_direction(cov, X, gamma, 1.0, pat, hessian="identity")
-        g_mat, g_gamma = sqa_gradient(cov, X, gamma, 1.0)
-        pg, pq = project_pattern(g_mat, g_gamma, pat)
-        assert_allclose(step.delta_X, -pg, atol=1e-12)
-        assert_allclose(step.delta_gamma, -pq, atol=1e-12)
-
     @pytest.mark.parametrize("p, pairs", [
         pytest.param(4, [(0, 3)], id="pairs0"),
         pytest.param(4, [(0, 1), (2, 3)], id="pairs1"),
@@ -281,14 +272,15 @@ class TestDescentDirection:
         # free dimension 22 >> p: the diagonal-pair scaling of many rows and columns
         pytest.param(7, [(0, 6), (1, 5), (2, 4), (0, 3), (3, 6), (1, 2)], id="p7_six_pairs"),
     ])
-    def test_matches_dense_kron_oracle(self, p, pairs, rng):
+    def test_matches_dense_kron_oracle(self, p, pairs, rng, monkeypatch):
         cov = random_spd(p, rng)
         X, gamma = feasible_point(p, rng)
         rho = 0.9
         pattern = SparsityPattern(p, pairs) if pairs else None
         dX_ref, dg_ref, H, g = dense_kkt_oracle(cov, X, gamma, rho, pattern)
-        for config in (SolverConfig(), SolverConfig(dense_threshold=0)):
-            step = descent_direction(cov, X, gamma, rho, pattern, config)
+        for threshold in (sqa.DENSE_THRESHOLD, 0):  # dense assembly, then conjugate gradients
+            monkeypatch.setattr(sqa, "DENSE_THRESHOLD", threshold)
+            step = descent_direction(cov, X, gamma, rho, pattern)
             assert np.abs(step.delta_X - dX_ref).max() <= 1e-8 * (1.0 + np.abs(dX_ref).max())
             assert abs(step.delta_gamma - dg_ref) <= 1e-8 * (1.0 + abs(dg_ref))
             z = np.append(step.delta_X.reshape(-1), step.delta_gamma)
@@ -432,6 +424,20 @@ class TestSolve:
         sol, trace = sqa_solve(cov, 0.8)
         assert trace.converged
         assert np.linalg.eigvalsh(sol.precision)[0] > 0.0
+
+    @pytest.mark.parametrize("pairs", [[], [(0, 7), (1, 6), (2, 5)]], ids=["empty", "pattern"])
+    def test_scale_equivariance_rank_deficient(self, pairs, rng):
+        # n = 5 < p = 8, so the solve regularizes cov, and the ridge must scale with it:
+        # (c cov, sqrt(c) rho) gives X / c
+        A = rng.standard_normal((5, 8))
+        cov, rho = A.T @ A / 5.0, 0.5
+        pattern = SparsityPattern(8, pairs)
+        ref, _ = sqa_solve(cov, rho, pattern, SolverConfig(grad_tol=1e-10))
+        for c in (1e-8, 1e-4, 1e4):
+            sol, trace = sqa_solve(c * cov, np.sqrt(c) * rho, pattern, SolverConfig(grad_tol=1e-10 * c))
+            assert trace.converged
+            gap = np.linalg.norm(c * sol.precision - ref.precision) / np.linalg.norm(ref.precision)
+            assert gap <= 1e-6
 
     def test_budget_exhaustion_flagged(self, rng):
         cov = random_spd(6, rng)
