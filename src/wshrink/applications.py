@@ -252,7 +252,7 @@ def min_variance_weights(precision) -> np.ndarray:
     X = as_symmetric(precision, name="precision")
     t = X.sum(axis=1)
     denom = float(t.sum())
-    if denom <= 1e-12:
+    if denom <= 1e-12 * float(np.abs(X).sum()):  # relative to the scale of X
         raise ValueError(f"1' X 1 = {denom:.3e} is too close to zero")
     w = t / denom
     return w / w.sum()
@@ -313,6 +313,6 @@ def rolling_backtest(returns, estimator, config: BacktestConfig) -> BacktestResu
     series = np.concatenate(oos)
     mean = float(series.mean())
     std = float(series.std(ddof=1)) if series.size > 1 else 0.0
-    degenerate = std <= 1e-12 * max(1.0, abs(mean))
+    degenerate = std <= 1e-12 * abs(mean)  # relative, so the Sharpe ratio is scale free
     sharpe = float("nan") if degenerate else mean / std
     return BacktestResult(mean=mean, std=std, sharpe=sharpe, returns=series, n_estimations=n_estimations)

@@ -62,8 +62,12 @@ def as_symmetric(matrix, rtol: float = 1e-8, name: str = "matrix") -> np.ndarray
         raise ValueError(f"{name} contains non-finite entries")
     if np.abs(M - M.T).max() > rtol * float(np.abs(M).max()):
         raise ValueError(f"{name} is not symmetric within tolerance {rtol:g}")
-    upper = np.triu(M)
-    return upper + np.triu(M, 1).T
+    return _mirror_upper(M)
+
+
+def _mirror_upper(M: np.ndarray) -> np.ndarray:
+    """Exactly symmetric copy of a square matrix: its upper triangle, mirrored."""
+    return np.triu(M) + np.triu(M, 1).T
 
 
 @dataclass(frozen=True)
@@ -123,10 +127,10 @@ class GaussianModel:
         cov = as_symmetric(self.covariance, name="covariance")
         if cov.shape[0] != mean.size:
             raise ValueError("mean and covariance dimensions differ")
-        dec = spectral_decompose(cov)
-        w = psd_spectrum(dec.eigenvalues, "covariance")
-        if dec.eigenvalues[0] < 0.0:
-            cov = as_symmetric((dec.eigenvectors * w) @ dec.eigenvectors.T, rtol=1.0)
+        lam, V = np.linalg.eigh(cov)  # cov is validated: no second as_symmetric pass
+        w = psd_spectrum(lam, "covariance")
+        if lam[0] < 0.0:
+            cov = _mirror_upper((V * w) @ V.T)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 

@@ -7,9 +7,11 @@ iteration solves a projected Newton system for a feasible descent direction and
 backtracks with an Armijo rule that also enforces the cone constraints
 ``0 < X < gamma I``.  The Newton system is never materialized at full size:
 it is solved over the free coordinates (upper-triangle entries off the
-pattern, plus the multiplier), either by direct assembly of the reduced
-matrix when the free dimension is small or by matrix-free conjugate
-gradients using Kronecker-product identities.
+pattern, plus the multiplier).  Up to a free dimension of
+``DENSE_THRESHOLD``, the pair block of the reduced matrix is assembled in row
+blocks into one reused buffer and Cholesky-factorized in place, and the
+multiplier is eliminated by its Schur complement.  Above it, the system is
+solved by matrix-free conjugate gradients using Kronecker-product identities.
 """
 
 from __future__ import annotations
@@ -196,25 +198,30 @@ class _Workspace:
 #: ``_take(A[R], C, out=buf)`` writes ``A[np.ix_(R, C)]`` into ``buf``; the indices are in range
 _take = partial(np.take, axis=1, mode="clip")
 
+#: rows of the reduced Newton matrix assembled per block by ``_FreeCoordinates.solve_newton``
+_BLOCK_ROWS = 64
+
 
 class _FreeCoordinates:
     """Free coordinates of a zero pattern: the upper-triangle pairs ``(I, J)`` off
-    the pattern, plus the multiplier.
+    the pattern, the ``p`` diagonal pairs first, plus the multiplier.
 
-    Also assembles the reduced Newton matrix over them.  For symmetric ``A``, ``B``
-    the map ``V -> A V B`` on the symmetric free basis has entries
-    ``A_II*B_JJ + A_JJ*B_II + A_IJ*B_IJ^T + (A_IJ*B_IJ^T)^T``, where
-    ``A_IJ[k, l] = A[I_k, J_l]``, halved in each row and column of a diagonal pair.
-    Assembly allocates three f x f scratch buffers on first use and keeps them.
+    Also solves the reduced Newton system over them.  For symmetric ``A``, ``B``
+    the map ``V -> A V B`` on the symmetric free basis has the entry
+    ``A[I_k, I_l] B[J_k, J_l] + A[I_k, J_l] B[J_k, I_l] + A[J_k, I_l] B[I_k, J_l]
+    + A[J_k, J_l] B[I_k, I_l]`` in row ``k`` and column ``l``, halved in each row
+    and column of a diagonal pair.  Each term is the product of two row-gathered
+    blocks, so the pair block is assembled in blocks of ``_BLOCK_ROWS`` rows into
+    one f x f buffer, which is kept and factorized in place.
     """
 
     def __init__(self, p: int, pattern: SparsityPattern | None):
         self.mask = pattern.mask() if pattern is not None else np.zeros((p, p), dtype=bool)
-        I, J = np.triu_indices(p)
+        I, J = np.triu_indices(p, 1)
         keep = ~self.mask[I, J]
-        self.I, self.J = I[keep], J[keep]
-        self.diag = np.flatnonzero(self.I == self.J)
-        self.bufs = None
+        diag = np.arange(p)
+        self.I, self.J = np.concatenate((diag, I[keep])), np.concatenate((diag, J[keep]))
+        self.T = None
 
     def expand(self, u: np.ndarray):
         """Free coordinates -> (symmetric matrix, scalar)."""
@@ -228,41 +235,58 @@ class _FreeCoordinates:
         I, J = self.I, self.J
         return np.append(M[I, J] + np.where(I != J, M[J, I], 0.0), s)
 
-    def newton_matrix(self, ws: _Workspace) -> np.ndarray:
-        I, J, f = self.I, self.J, self.I.size
-        if self.bufs is None:
-            self.bufs = np.empty((3, f, f))
-        b0, b1, b2 = self.bufs
-        H = np.empty((f + 1, f + 1))
-        T = H[:f, :f]
-        # X^-1 (x) X^-1 is 2 (A_II*A_JJ + A_IJ*A_IJ^T); sqrt(2) A carries the 2
+    def solve_newton(self, ws: _Workspace, b: np.ndarray) -> np.ndarray:
+        """Solve the reduced Newton system ``H u = b`` over the free coordinates.
+
+        The pair block ``T`` of ``H`` is assembled (upper triangle only) and
+        Cholesky-factorized in place; the multiplier is eliminated through its
+        Schur complement ``h_gamma_gamma - c^T T^-1 c``, where ``c`` is the
+        pair-multiplier border.  Raises ``LinearSolveError`` unless ``H`` is
+        positive definite.
+        """
+        I, J, f, p = self.I, self.J, self.I.size, ws.p
+        if self.T is None:
+            self.T = np.empty((f, f))
+        T = self.T
+        # X^-1 (x) X^-1: its four terms are two equal pairs; sqrt(2) X^-1 carries the 2
         A = np.sqrt(2.0) * ws.Xinv
-        np.multiply(_take(A[I], I, out=b0), _take(A[J], J, out=b1), out=T)
-        _take(A[I], J, out=b0)
-        T += np.multiply(b0, b0.T, out=b1)
-        # (2 / gamma) G^-1 (x) G^-1 S G^-1
-        A, B = (2.0 / ws.gamma) * ws.Ginv, ws.GinvSGinv
-        T += np.multiply(_take(A[I], I, out=b0), _take(B[J], J, out=b1), out=b2)
-        T += np.multiply(_take(A[J], J, out=b0), _take(B[I], I, out=b1), out=b2)
-        np.multiply(_take(A[I], J, out=b0), _take(B[I], J, out=b1).T, out=b2)
-        T += b2
-        T += b2.T
-        T[self.diag] *= 0.5
-        T[:, self.diag] *= 0.5
-        H[:f, f] = H[f, :f] = self.contract(-ws.W / ws.gamma**2, 0.0)[:-1]
-        H[f, f] = ws.h_gamma_gamma
-        return H
+        G, B = (2.0 / ws.gamma) * ws.Ginv, ws.GinvSGinv
+        bufs = np.empty((2, min(_BLOCK_ROWS, f) * f))
+        for s in range(0, f, _BLOCK_ROWS):
+            e = min(s + _BLOCK_ROWS, f)
+            Ir, Jr, Ic, Jc = I[s:e], J[s:e], I[s:], J[s:]
+            u, v = (buf[: (e - s) * Ic.size].reshape(e - s, Ic.size) for buf in bufs)
+            Tr = T[s:e, s:]  # the upper triangle only: all that the factorization reads
+            AI, AJ, GI, GJ, BI, BJ = A[Ir], A[Jr], G[Ir], G[Jr], B[Ir], B[Jr]
+            np.multiply(_take(AI, Ic, out=u), _take(AJ, Jc, out=v), out=Tr)
+            for left, right, cl, cr in ((AI, AJ, Jc, Ic), (GI, BJ, Ic, Jc), (GI, BJ, Jc, Ic),
+                                        (GJ, BI, Ic, Jc), (GJ, BI, Jc, Ic)):
+                Tr += np.multiply(_take(left, cl, out=u), _take(right, cr, out=v), out=u)
+            if s < p:  # the basis matrix of a diagonal pair is E_ii, not E_ii + E_ii
+                Tr[: p - s] *= 0.5
+                Tr[:, : p - s] *= 0.5
+        try:
+            # T is C-ordered, so T.T is F-ordered with T's upper triangle as its lower one:
+            # LAPACK factorizes the buffer in place
+            L, _ = scipy.linalg.cho_factor(T.T, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveError(f"reduced Newton system is not positive definite: {exc}") from exc
+        c = self.contract(-ws.W / ws.gamma**2, 0.0)[:-1]
+        z = scipy.linalg.cho_solve((L, True), np.column_stack((b[:-1], c)), check_finite=False)
+        schur = ws.h_gamma_gamma - float(c @ z[:, 1])
+        if not schur > 0.0:
+            raise LinearSolveError(
+                f"reduced Newton system is not positive definite: Schur complement of the multiplier {schur:.3e}"
+            )
+        w = (b[-1] - float(c @ z[:, 0])) / schur
+        return np.append(z[:, 0] - w * z[:, 1], w)
 
 
 def _solve_direction(ws: _Workspace, g_mat, g_gamma, free: _FreeCoordinates):
     b = -free.contract(g_mat, g_gamma)
     n_free = b.size
     if n_free <= DENSE_THRESHOLD:
-        H = free.newton_matrix(ws)
-        try:
-            return scipy.linalg.solve(H, b, assume_a="pos")
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveError(f"reduced Newton system is not positive definite: {exc}") from exc
+        return free.solve_newton(ws, b)
     if not np.any(b):
         return np.zeros_like(b)
 

@@ -195,6 +195,17 @@ class TestPortfolio:
         with pytest.raises(ValueError, match="zero"):
             min_variance_weights(X)
 
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_weights_and_sharpe_scale_free(self, c, rng):
+        X = random_spd(5, rng)
+        assert_allclose(min_variance_weights(c * X), min_variance_weights(X), rtol=1e-12)
+        R = rng.standard_normal((40, 4)) * 0.01 + 0.002
+        cfg = BacktestConfig(window=12, stride=3)
+        base = rolling_backtest(R, lambda m: np.linalg.inv(m.covariance), cfg)
+        scaled = rolling_backtest(c * R, lambda m: np.linalg.inv(m.covariance), cfg)
+        assert np.isfinite(scaled.sharpe)
+        assert_allclose(scaled.sharpe, base.sharpe, rtol=1e-10)
+
     def test_constant_returns_flagged(self):
         R = np.ones((20, 3)) * 0.02
         result = rolling_backtest(R, lambda m: np.eye(3), BacktestConfig(window=10, stride=2))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wshrink import gaussian
 from wshrink.analytical import wasserstein_shrinkage
 from wshrink.gaussian import (
     PSD_TOL,
@@ -250,3 +251,18 @@ class TestGaussianModel:
     def test_dimension_check(self):
         with pytest.raises(ValueError, match="dimension"):
             GaussianModel(np.zeros(3), np.eye(2))
+
+    @pytest.mark.parametrize("cov", [
+        pytest.param(np.array([[2.0, 0.5], [0.5, 1.0]]), id="psd"),
+        pytest.param(np.diag([1.0, -5e-11]), id="clamped"),
+    ])
+    def test_validates_once(self, cov, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return as_symmetric(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "as_symmetric", counting)
+        GaussianModel(np.zeros(2), cov)
+        assert len(calls) == 1

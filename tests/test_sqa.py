@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from wshrink import sqa
 from wshrink.analytical import reformulation_objective, wasserstein_shrinkage
-from wshrink.errors import LineSearchError
+from wshrink.errors import LinearSolveError, LineSearchError
 from wshrink.sqa import (
     NewtonStep,
     SolverConfig,
@@ -287,6 +289,62 @@ class TestDescentDirection:
             P = projection_matrix(pattern, p)
             kkt = P @ (H @ z + g)
             assert np.linalg.norm(kkt) <= 1e-8 * max(1.0, np.linalg.norm(P @ g))
+
+    def test_row_blocks_match_dense_kron_oracle(self, rng):
+        # p = 16 with 4 pattern pairs: 132 free pairs, so two full row blocks and a partial one
+        p = 16
+        pattern = SparsityPattern(p, [(0, 15), (3, 7), (5, 12), (9, 10)])
+        assert sqa._FreeCoordinates(p, pattern).I.size == 132
+        cov = random_spd(p, rng)
+        X, gamma = feasible_point(p, rng)
+        dX_ref, dg_ref, _, _ = dense_kkt_oracle(cov, X, gamma, 0.9, pattern)
+        step = descent_direction(cov, X, gamma, 0.9, pattern)
+        assert np.linalg.norm(step.delta_X - dX_ref) <= 1e-10 * np.linalg.norm(dX_ref)
+        assert abs(step.delta_gamma - dg_ref) <= 1e-10 * abs(dg_ref)
+
+    def test_diagonal_pairs_span_row_blocks(self, rng):
+        # p = 70 > _BLOCK_ROWS: the diagonal pairs fill the first row block and part of the second
+        p = 70
+        kept = {(0, 1), (5, 40), (33, 69)}
+        pattern = SparsityPattern(p, [(i, j) for i in range(p) for j in range(i + 1, p) if (i, j) not in kept])
+        cov = random_spd(p, rng)
+        X, gamma = feasible_point(p, rng)
+        step = descent_direction(cov, X, gamma, 0.9, pattern)
+        g_mat, g_gamma = sqa_gradient(cov, X, gamma, 0.9)
+        M, s = sqa_hessian_apply(cov, X, gamma, (step.delta_X, step.delta_gamma))
+        free = sqa._FreeCoordinates(p, pattern)
+        residual = free.contract(M + g_mat, s + g_gamma)  # projected Newton equation
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(free.contract(g_mat, g_gamma))
+
+    def test_nonpositive_schur_complement_raises(self, rng):
+        p = 5
+        cov = random_spd(p, rng)
+        X, gamma = feasible_point(p, rng)
+        ws = sqa._Workspace(cov, X, gamma)
+        free = sqa._FreeCoordinates(p, SparsityPattern(p, [(0, 4)]))
+        b = -free.contract(*ws.gradient(0.9))
+        free.solve_newton(ws, b)
+        ws.h_gamma_gamma = 0.0  # the pair block stays positive definite; H does not
+        with pytest.raises(LinearSolveError, match="Schur complement"):
+            free.solve_newton(ws, b)
+
+    def test_dense_step_memory(self, rng):
+        # one dense Newton step holds one f x f buffer, plus row blocks and O(p^2) workspace
+        p = 40
+        upper = [(i, j) for i in range(p) for j in range(i + 1, p)]
+        pairs = [upper[k] for k in rng.choice(len(upper), size=354, replace=False)]
+        pattern = SparsityPattern(p, pairs)
+        f = sqa._FreeCoordinates(p, pattern).I.size
+        assert f == 466
+        cov = random_spd(p, rng)
+        X, gamma = feasible_point(p, rng)
+        tracemalloc.start()
+        try:
+            descent_direction(cov, X, gamma, 0.9, pattern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * f * f
 
     def test_predicted_decrease_negative_off_optimum(self, rng):
         cov = random_spd(4, rng)
