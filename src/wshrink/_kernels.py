@@ -1,8 +1,8 @@
 """Numeric kernels of the analytical estimator: the eigenvalue map, the
 dual-multiplier residual and its root solve.
 
-They run once per fold per grid point inside cross-validation sweeps.  The
-eigenvalue map sends a sample eigenvalue ``lam > 0`` to
+A sweep eigendecomposes each fold once and runs these kernels once per fold
+per grid point.  The eigenvalue map sends a sample eigenvalue ``lam > 0`` to
 ``x(lam, g) = 4 / (lam * (1 + sqrt(1 + 4/(lam*g)))^2)`` and ``lam = 0`` to ``g``.
 Through the identity ``sqrt(lam^2 g^2 + 4 lam g)/2 - lam g/2 = 1 - x(lam, g)/g``
 the residual whose positive root is the multiplier reads, for ``n0`` zero

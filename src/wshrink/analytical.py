@@ -7,7 +7,7 @@ multiplier ``gamma*`` is the unique positive root of the strictly increasing
 residual ``phi(g) = rho^2 g - n0 - sum_{lam > 0} map(lam, g) / g``, with ``n0``
 zero eigenvalues (see ``_kernels``).  This module provides the convex
 objective shared with the iterative solver, an a priori root bracket, the root
-solve, the eigenvalue map, and the assembled estimator.
+solve, the eigenvalue map, the assembled estimator and its radius path.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _kernels
-from .gaussian import RANK_RTOL, as_symmetric, psd_spectrum, spectral_decompose
+from .gaussian import RANK_RTOL, _mirror_upper, as_symmetric, psd_spectrum, spectral_decompose
 
 #: default stopping tolerance on the scalar residual phi(gamma)
 DEFAULT_GAMMA_TOL = 1e-12
@@ -177,12 +177,24 @@ def wasserstein_shrinkage(cov, rho: float, tol: float = DEFAULT_GAMMA_TOL) -> Sh
     the plain inverse should be used explicitly otherwise.
     """
     _check_rho(rho)
+    return _shrink_decomposed(spectral_decompose(cov), rho, tol)
+
+
+def wasserstein_shrinkage_path(cov, radii, tol: float = DEFAULT_GAMMA_TOL):
+    """Yield ``wasserstein_shrinkage(cov, rho)`` for each of ``radii``, from one ``eigh``."""
     dec = spectral_decompose(cov)
+    for rho in radii:
+        _check_rho(rho)
+        yield _shrink_decomposed(dec, rho, tol)
+
+
+def _shrink_decomposed(dec, rho: float, tol: float) -> ShrinkageSolution:
+    """The estimator at a checked radius from the decomposition of ``cov``."""
     lam = psd_spectrum(dec.eigenvalues, "cov")
     gamma, iters, _ = _solve_gamma_info(lam, rho, tol)
     x = _kernels.shrink_eigenvalues(lam, gamma)
     V = dec.eigenvectors
-    precision = as_symmetric((V * x) @ V.T, rtol=1.0)
+    precision = _mirror_upper((V * x) @ V.T)  # symmetric by construction
 
     # objective evaluated in the shared eigenbasis; zero sample eigenvalues
     # contribute nothing to the trace term (their limit value)

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytical import wasserstein_shrinkage
-from .evaluation import SampleMoments, sample_moments, stein_loss
+from .analytical import wasserstein_shrinkage, wasserstein_shrinkage_path
+from .evaluation import SampleMoments, _grid_scores, sample_moments, stein_loss
 from .gaussian import as_symmetric, spectral_decompose
 from .sqa import SolverConfig, SparsityPattern, sqa_solve
 
@@ -111,6 +111,16 @@ def analytical_estimator(moments: SampleMoments, rho: float) -> np.ndarray:
     return wasserstein_shrinkage(moments.covariance, rho).precision
 
 
+# apart from analytical_estimator while benchmarks/tests pins its eigh count per (fold, radius)
+def analytical_path_estimator(moments: SampleMoments, rho: float) -> np.ndarray:
+    """``analytical_estimator`` with a radius path: one ``eigh`` per fold of a sweep."""
+    return analytical_estimator(moments, rho)
+
+
+analytical_path_estimator.path = lambda moments, radii: (
+    solution.precision for solution in wasserstein_shrinkage_path(moments.covariance, radii))
+
+
 def sparse_estimator(pattern: SparsityPattern, config: SolverConfig | None = None):
     """Bind a zero pattern (and solver config) into a ``(moments, rho)`` estimator."""
 
@@ -151,11 +161,11 @@ class BenchmarkResult:
 def synthetic_benchmark(spec: SyntheticSpec, estimators: dict, grids: dict) -> BenchmarkResult:
     """Run the synthetic Stein-loss protocol.
 
-    ``estimators`` maps a label to ``(moments, value) -> precision`` and
-    ``grids`` maps the same labels to their tuning grids.  Each trial draws
-    fresh samples from the fixed ground truth (trial ``t`` uses generator
-    seed ``spec.seed + t``, 1-based) and scores every estimator at every grid
-    point against the true covariance.  Estimator errors propagate.
+    ``estimators`` maps a label to ``(moments, value) -> precision`` (its
+    ``path`` when present) and ``grids`` maps the same labels to their grids.
+    Each trial draws fresh samples from the fixed ground truth (trial ``t``
+    uses generator seed ``spec.seed + t``, 1-based) and scores every
+    estimator at every grid point against the true covariance.  Errors propagate.
     """
     if set(estimators) != set(grids):
         raise ValueError("estimators and grids must share the same labels")
@@ -165,8 +175,8 @@ def synthetic_benchmark(spec: SyntheticSpec, estimators: dict, grids: dict) -> B
         data = sample_gaussian(sigma0, spec.n_samples, spec.seed + t + 1)
         moments = sample_moments(data)
         for name, estimate in estimators.items():
-            for g, value in enumerate(grids[name].values):
-                losses[name][t, g] = stein_loss(estimate(moments, float(value)), sigma0)
+            losses[name][t] = list(_grid_scores(estimate, moments, grids[name].values,
+                                                lambda P: stein_loss(P, sigma0), catch=()))
     return BenchmarkResult(spec=spec, grids=dict(grids), losses=losses)
 
 

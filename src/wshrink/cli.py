@@ -21,6 +21,7 @@ from .applications import (
     LabeledDataset,
     SyntheticSpec,
     analytical_estimator,
+    analytical_path_estimator,
     known_zero_pattern,
     lda_classify,
     lda_fit,
@@ -94,7 +95,7 @@ def _estimator_for(param: str, pattern: SparsityPattern | None, config: SolverCo
             raise UserError("--pattern cannot be combined with an alpha grid")
         return lambda moments, value: linear_shrinkage(moments, value)
     if pattern is None:
-        return analytical_estimator
+        return analytical_path_estimator
     return sparse_estimator(pattern, config)
 
 
@@ -161,6 +162,7 @@ def cmd_tune(args) -> int:
         "values": report.values.tolist(),
         "mean_scores": report.mean_scores.tolist(),
         "fold_scores": report.fold_scores.tolist(),
+        "failed_folds": report.failed_folds.tolist(),
         "selected": report.selected,
         "mode": report.mode,
         "scheme": report.scheme,
@@ -201,7 +203,7 @@ def cmd_synthetic(args) -> int:
                          trials=args.trials, seed=args.seed)
     grid = _load_grid(args.grid) if args.grid else TuningGrid.from_log10("rho", -2.0, 1.0, args.grid_points)
     config = _solver_config(args)
-    estimators = {"wasserstein": analytical_estimator}
+    estimators = {"wasserstein": analytical_path_estimator}
     grids = {"wasserstein": grid}
     if args.known_zeros:
         truth = zero_pattern_of(np.linalg.inv(synthetic_sigma0(spec)))
@@ -309,6 +311,7 @@ def cmd_portfolio(args) -> int:
         value = report.selected
         report_doc.update({"values": report.values.tolist(),
                            "mean_scores": report.mean_scores.tolist(),
+                           "failed_folds": report.failed_folds.tolist(),
                            "selected": value, "param": grid.name, "scheme": args.cv})
         param_name = grid.name
     elif args.rho is not None:

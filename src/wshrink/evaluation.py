@@ -11,6 +11,9 @@ import scipy.linalg
 from .errors import EstimationError, SingularMatrixError
 from .gaussian import as_symmetric, psd_spectrum
 
+#: the errors that fail one cell of a sweep instead of the whole sweep
+_FAILURES = (ValueError, np.linalg.LinAlgError, EstimationError)
+
 
 @dataclass(frozen=True)
 class SampleMoments:
@@ -168,6 +171,7 @@ class CVReport:
     ``fold_scores[k, g]`` is the score of grid value ``g`` on fold ``k``
     (``inf`` marks an estimator failure at that point); the selected value
     optimizes the mean score, ties resolved toward the smallest value.
+    ``failed_folds[g]`` counts the failed folds of value ``g``, ``first_errors[g]`` the first one's text.
     """
 
     param_name: str
@@ -178,6 +182,26 @@ class CVReport:
     mode: str
     scheme: str
     seed: int
+    failed_folds: np.ndarray
+    first_errors: tuple
+
+
+def _grid_scores(estimator, moments, values, score, catch=_FAILURES):
+    """Per grid value, in order, ``score(precision)`` or the ``catch`` error that replaced it."""
+    path = getattr(estimator, "path", None)
+    chunks = [values] if path else [values[g : g + 1] for g in range(len(values))]
+    path = path or (lambda m, chunk: (estimator(m, float(v)) for v in chunk))
+    for chunk in chunks:
+        done = 0
+        try:  # strict: a path that runs short fails the values it left out
+            for _, precision in zip(chunk, path(moments, chunk), strict=True):
+                done += 1
+                try:
+                    yield score(precision)
+                except catch as exc:
+                    yield exc
+        except catch as exc:  # the path stopped: this value and every later one fail
+            yield from [exc] * (len(chunk) - done)
 
 
 def cross_validate(
@@ -196,8 +220,13 @@ def cross_validate(
     fold; ``score(precision, train_moments, validation_data) -> float``
     defaults to the held-out Gaussian negative log-likelihood.  ``mode`` is
     ``"min"`` (losses) or ``"max"`` (e.g. classification accuracy).
-    Estimator or score failures at a grid point score ``inf`` (``-inf`` when
-    maximizing) and stay visible in the report.
+    An estimator with a path, ``estimator.path(moments, values)`` yielding
+    the fold's precisions in grid order, is fitted through it instead.
+
+    A ``ValueError``, ``LinAlgError`` or ``EstimationError`` scores ``inf``
+    (``-inf`` when maximizing) and is counted in the report.  An estimator
+    call or a score that raises fails only its cell; a path that raises
+    before yielding value ``g`` fails cells ``g`` onward of its fold.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -210,18 +239,21 @@ def cross_validate(
     failure = np.inf if mode == "min" else -np.inf
 
     fold_scores = np.empty((len(folds), grid.values.size))
+    failed_folds = np.zeros(grid.values.size, dtype=int)
+    first_errors = [None] * grid.values.size
     for k, fold in enumerate(folds):
         train_mask = np.ones(n, dtype=bool)
         train_mask[fold] = False
         train = X[train_mask]
         div = float(train.shape[0] - 1) if divisor_policy == "n-1" else None
         moments = sample_moments(train, divisor=div)
-        for g, value in enumerate(grid.values):
-            try:
-                precision = estimator(moments, float(value))
-                fold_scores[k, g] = score(precision, moments, X[fold])
-            except (ValueError, np.linalg.LinAlgError, EstimationError):
-                fold_scores[k, g] = failure
+        for g, cell in enumerate(_grid_scores(estimator, moments, grid.values,
+                                              lambda P: score(P, moments, X[fold]))):
+            if isinstance(cell, Exception):
+                failed_folds[g] += 1
+                first_errors[g] = first_errors[g] or f"{type(cell).__name__}: {cell}"
+                cell = failure
+            fold_scores[k, g] = cell
 
     mean_scores = fold_scores.mean(axis=0)
     best = int(np.argmin(mean_scores)) if mode == "min" else int(np.argmax(mean_scores))
@@ -234,24 +266,7 @@ def cross_validate(
         mode=mode,
         scheme=scheme,
         seed=seed,
+        failed_folds=failed_folds,
+        first_errors=tuple(first_errors),
     )
 
-
-def kfold_stein(folds, estimator, divisor: float | None = None) -> np.ndarray:
-    """Stein loss of per-fold estimates against the complement covariance.
-
-    ``folds`` is a sequence of observation blocks (e.g. one per year).  Fold
-    ``k`` trains ``estimator(moments_k)``, which is scored against the sample
-    covariance of all remaining folds.  A singular complement covariance
-    raises; the caller decides how to regularize.
-    """
-    blocks = [np.atleast_2d(np.asarray(b, dtype=np.float64)) for b in folds]
-    if len(blocks) < 2:
-        raise ValueError("need at least 2 folds")
-    losses = np.empty(len(blocks))
-    for k, block in enumerate(blocks):
-        rest = np.vstack([b for i, b in enumerate(blocks) if i != k])
-        precision = estimator(sample_moments(block, divisor=divisor))
-        reference = sample_moments(rest, divisor=divisor).covariance
-        losses[k] = stein_loss(precision, reference)
-    return losses

@@ -1,3 +1,6 @@
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from wshrink.analytical import (
     reformulation_objective,
     solve_gamma,
     wasserstein_shrinkage,
+    wasserstein_shrinkage_path,
 )
 from wshrink.sqa import sqa_gradient
 
@@ -275,3 +279,73 @@ class TestDivisorScaling:
             b = wasserstein_shrinkage(cov / kappa, rho)
             assert np.abs(b.precision - kappa * a.precision).max() <= 1e-8 * np.abs(b.precision).max()
             assert abs(b.dual_multiplier - kappa * a.dual_multiplier) <= 1e-8 * b.dual_multiplier
+
+
+@st.composite
+def covariances(draw):
+    """``c * cov`` for a random spectrum on random eigenvectors, or for the
+    rank-deficient sample second moment of ``n < p`` rows."""
+    p = draw(st.integers(min_value=1, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if p > 1 and draw(st.booleans()):
+        A = rng.standard_normal((draw(st.integers(min_value=1, max_value=p - 1)), p))
+        cov = A.T @ A / A.shape[0]
+    else:
+        exponents = st.floats(min_value=-3.0, max_value=3.0)
+        lam = 10.0 ** np.array(draw(st.lists(exponents, min_size=p, max_size=p)))
+        Q = random_rotation(p, rng)
+        cov = (Q * lam) @ Q.T
+    return 10.0 ** draw(st.integers(min_value=-8, max_value=8)) * 0.5 * (cov + cov.T)
+
+
+class TestShrinkagePath:
+    @given(
+        cov=covariances(),
+        radii=st.lists(st.floats(min_value=1e-3, max_value=1e2), min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_radius_solves(self, cov, radii):
+        # radii relative to sqrt(tr cov): every scale c sees the same range of shrinkage
+        radii = np.sqrt(np.trace(cov) + 1e-300) * np.array(radii)
+        solutions = list(wasserstein_shrinkage_path(cov, radii))
+        assert len(solutions) == len(radii)
+        for rho, path_sol in zip(radii, solutions):
+            sol = wasserstein_shrinkage(cov, rho)
+            scale = np.abs(sol.precision).max()
+            assert np.abs(path_sol.precision - sol.precision).max() <= 1e-12 * scale
+            assert abs(path_sol.dual_multiplier - sol.dual_multiplier) <= 1e-12 * sol.dual_multiplier
+            assert path_sol.radius == sol.radius
+
+    def test_decomposes_once(self, monkeypatch, rng):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
+        solutions = list(wasserstein_shrinkage_path(random_spd(5, rng), np.geomspace(0.1, 10.0, 7)))
+        assert len(solutions) == 7 and len(calls) == 1
+
+    def test_invalid_radius_raises_when_reached(self, rng):
+        path = wasserstein_shrinkage_path(random_spd(3, rng), [0.5, -1.0])
+        assert next(path).radius == 0.5
+        with pytest.raises(ValueError, match="radius"):
+            next(path)
+
+    def test_holds_one_precision_at_a_time(self, rng):
+        # The whole 21-radius path peaks no higher than one wasserstein_shrinkage
+        # call, up to half a precision (8 p^2 bytes): each radius frees its
+        # temporaries, and the path keeps no solution it has yielded.  Keeping
+        # them all would add 20 precisions.
+        p = 60
+        cov = random_psd_singular(p, 40, rng)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single = peak(lambda: wasserstein_shrinkage(cov, 1e-3))
+        path = peak(lambda: collections.deque(
+            wasserstein_shrinkage_path(cov, np.geomspace(1e-3, 1.0, 21)), maxlen=0))
+        assert path - single < 0.5 * 8 * p * p

@@ -7,6 +7,7 @@ from wshrink.applications import (
     LabeledDataset,
     SyntheticSpec,
     analytical_estimator,
+    analytical_path_estimator,
     known_zero_pattern,
     lda_classify,
     lda_fit,
@@ -274,3 +275,14 @@ class TestBenchmark:
         assert_allclose(s["q20"], np.quantile(table, 0.2, axis=0), rtol=1e-12)
         assert_allclose(s["q80"], np.quantile(table, 0.8, axis=0), rtol=1e-12)
         assert_allclose(s["mean"], table.mean(axis=0), rtol=1e-12)
+
+    def test_path_estimator_matches_per_value_losses(self, monkeypatch):
+        spec = SyntheticSpec(dim=6, density=0.3, n_samples=5, trials=3, seed=4)  # n < p
+        grid = TuningGrid("rho", np.geomspace(0.01, 10.0, 7))
+        plain = synthetic_benchmark(spec, {"w": analytical_estimator}, {"w": grid})
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
+        path = synthetic_benchmark(spec, {"w": analytical_path_estimator}, {"w": grid})
+        assert_allclose(path.losses["w"], plain.losses["w"], rtol=1e-12)
+        assert len(calls) == 2 * spec.trials  # sampling and one shrinkage path per trial

@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from wshrink import io
 from wshrink.applications import sample_gaussian
-from wshrink.cli import main
-from wshrink.sqa import SparsityPattern
+from wshrink.cli import _estimator_for, main
+from wshrink.sqa import SolverConfig, SparsityPattern
 
 from conftest import random_spd
 
@@ -155,6 +155,18 @@ class TestTune:
             outs.append((tmp_path / name).read_text())
         assert outs[0] == outs[1]
 
+    def test_rho_grid_runs_the_radius_path(self):
+        assert hasattr(_estimator_for("rho", None, SolverConfig()), "path")
+        assert not hasattr(_estimator_for("alpha", None, SolverConfig()), "path")
+
+    def test_report_counts_failed_folds(self, tmp_path, rng):
+        data = write_csv(tmp_path / "d.csv", rng.standard_normal((12, 3)))
+        out = str(tmp_path / "r.json")
+        assert main(["tune", "--input", data, "--cv", "kfold:3", "--output", out,
+                     "--grid", '{"param":"rho","log10_from":-1,"log10_to":0,"points":3}']) == 0
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["failed_folds"] == [0, 0, 0]
+
     def test_alpha_grid_uses_linear_shrinkage(self, tmp_path, rng):
         data = write_csv(tmp_path / "d.csv", rng.standard_normal((12, 4)))
         out = str(tmp_path / "r.json")
@@ -284,3 +296,4 @@ class TestPortfolioCommand:
                      "--output", out]) == 0
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["selected"] in doc["values"]
+        assert doc["failed_folds"] == [0, 0, 0]

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wshrink.applications import analytical_estimator, analytical_path_estimator
+from wshrink.cli import _oos_square
 from wshrink.errors import SingularMatrixError
 from wshrink.evaluation import (
     CLASSIFICATION_ALPHA_GRID,
@@ -11,7 +15,6 @@ from wshrink.evaluation import (
     TuningGrid,
     cross_validate,
     gaussian_validation_nll,
-    kfold_stein,
     linear_shrinkage,
     make_folds,
     sample_moments,
@@ -187,6 +190,8 @@ class TestCrossValidate:
         report = cross_validate(data, flaky, TuningGrid("rho", [0.5, 2.0]), scheme="kfold:2")
         assert np.isinf(report.fold_scores[:, 1]).all()
         assert report.selected == 0.5
+        assert report.failed_folds.tolist() == [0, 2]
+        assert report.first_errors == (None, "ValueError: boom")
 
     def test_maximize_mode_breaks_ties_to_smallest(self, rng):
         data = rng.standard_normal((6, 2))
@@ -196,24 +201,97 @@ class TestCrossValidate:
         )
         assert report.selected == 1.0
 
+    def test_per_value_failure_fails_only_its_cell(self, rng):
+        data = rng.standard_normal((10, 3))
+        calls = []
 
-class TestKFoldStein:
-    def test_identical_folds_and_exact_inverse(self, rng):
-        block = rng.standard_normal((30, 3))
-        losses = kfold_stein([block, block.copy()], lambda m: np.linalg.inv(m.covariance))
-        assert_allclose(losses, np.zeros(2), atol=1e-9)
+        def fails_once(moments, value):
+            calls.append(value)
+            if len(calls) == 2:  # fold 0, second grid value
+                raise np.linalg.LinAlgError("singular")
+            return self._inverse_estimator(moments, value)
 
-    def test_matches_direct_loop(self, rng):
-        folds = [rng.standard_normal((12, 3)) for _ in range(4)]
-        estimator = lambda m: np.linalg.inv(m.covariance + 0.1 * np.eye(3))  # noqa: E731
-        losses = kfold_stein(folds, estimator)
-        for k in range(4):
-            rest = np.vstack([f for i, f in enumerate(folds) if i != k])
-            expected = stein_loss(estimator(sample_moments(folds[k])),
-                                  sample_moments(rest).covariance)
-            assert_allclose(losses[k], expected, rtol=1e-12)
+        grid = TuningGrid("rho", [0.5, 1.0, 2.0])
+        report = cross_validate(data, fails_once, grid, scheme="kfold:2")
+        reference = cross_validate(data, self._inverse_estimator, grid, scheme="kfold:2")
+        failed = np.zeros((2, 3), dtype=bool)
+        failed[0, 1] = True
+        assert np.isinf(report.fold_scores[failed]).all()
+        assert_allclose(report.fold_scores[~failed], reference.fold_scores[~failed], rtol=0)
+        assert report.failed_folds.tolist() == [0, 1, 0]
+        assert report.first_errors == (None, "LinAlgError: singular", None)
 
-    def test_singular_complement_raises(self, rng):
-        folds = [rng.standard_normal((2, 5)), rng.standard_normal((2, 5))]
-        with pytest.raises(SingularMatrixError):
-            kfold_stein(folds, lambda m: np.eye(5))
+    def _path_estimator(self, path):
+        def estimate(moments, value):
+            raise AssertionError("the path must be used")
+
+        estimate.path = path
+        return estimate
+
+    def test_path_that_raises_fails_the_rest_of_its_fold(self, rng):
+        data = rng.standard_normal((10, 3))
+        grid = TuningGrid("rho", [0.25, 0.5, 1.0, 2.0])
+        folds_seen = []
+
+        def path(moments, values):
+            folds_seen.append(moments)
+            for g, value in enumerate(values):
+                if len(folds_seen) == 1 and g == 2:  # fold 0 stops after two values
+                    raise ValueError("diverged")
+                yield self._inverse_estimator(moments, value)
+
+        report = cross_validate(data, self._path_estimator(path), grid, scheme="kfold:2")
+        reference = cross_validate(data, self._inverse_estimator, grid, scheme="kfold:2")
+        assert len(folds_seen) == 2
+        assert np.isinf(report.fold_scores[0, 2:]).all()
+        assert_allclose(report.fold_scores[0, :2], reference.fold_scores[0, :2], rtol=0)
+        assert_allclose(report.fold_scores[1], reference.fold_scores[1], rtol=0)
+        assert report.failed_folds.tolist() == [0, 0, 1, 1]
+        assert report.first_errors == (None, None, "ValueError: diverged", "ValueError: diverged")
+
+    def test_score_failure_on_a_path_fails_only_its_cell(self, rng):
+        data = rng.standard_normal((10, 3))
+        grid = TuningGrid("rho", [0.5, 1.0, 2.0])
+        path = lambda m, values: (self._inverse_estimator(m, v) for v in values)  # noqa: E731
+
+        def score(precision, moments, rows):
+            if precision[0, 0] == self._inverse_estimator(moments, 1.0)[0, 0]:
+                raise SingularMatrixError("score")
+            return gaussian_validation_nll(precision, moments, rows)
+
+        report = cross_validate(data, self._path_estimator(path), grid, scheme="kfold:2", score=score)
+        assert np.isinf(report.fold_scores[:, 1]).all()
+        assert np.isfinite(report.fold_scores[:, [0, 2]]).all()
+        assert report.failed_folds.tolist() == [0, 2, 0]
+
+    def test_short_path_fails_the_values_it_left_out(self, rng):
+        data = rng.standard_normal((10, 3))
+        grid = TuningGrid("rho", [0.5, 1.0, 2.0])
+        path = lambda m, values: (self._inverse_estimator(m, v) for v in values[:2])  # noqa: E731
+        report = cross_validate(data, self._path_estimator(path), grid, scheme="kfold:2")
+        assert np.isfinite(report.fold_scores[:, :2]).all()
+        assert report.failed_folds.tolist() == [0, 0, 2]
+        assert report.first_errors[2].startswith("ValueError")
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=5, max_value=12),
+        p=st.integers(min_value=1, max_value=10),
+        scheme=st.sampled_from(["loo", "kfold:5"]),
+        log10_scale=st.integers(min_value=-3, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_path_estimator_matches_per_value_sweep(self, seed, n, p, scheme, log10_scale):
+        # p >= n gives rank-deficient training covariances; kfold:5 scores the
+        # portfolio's out-of-sample square, loo the held-out likelihood
+        rng = np.random.default_rng(seed)
+        data = 10.0**log10_scale * rng.standard_normal((n, p)) + rng.standard_normal(p)
+        grid = TuningGrid.from_log10("rho", log10_scale - 2.0, log10_scale + 1.0, 9)
+        score = _oos_square if scheme == "kfold:5" else None
+        args = dict(scheme=scheme, score=score, seed=seed % 7, divisor_policy="n-1")
+        plain = cross_validate(data, analytical_estimator, grid, **args)
+        path = cross_validate(data, analytical_path_estimator, grid, **args)
+        scale = np.abs(plain.fold_scores[np.isfinite(plain.fold_scores)]).max(initial=0.0)
+        assert_allclose(path.fold_scores, plain.fold_scores, rtol=1e-10, atol=1e-10 * scale)
+        assert path.selected == plain.selected
+        assert (path.failed_folds == plain.failed_folds).all()
