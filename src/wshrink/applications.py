@@ -161,11 +161,12 @@ class BenchmarkResult:
 def synthetic_benchmark(spec: SyntheticSpec, estimators: dict, grids: dict) -> BenchmarkResult:
     """Run the synthetic Stein-loss protocol.
 
-    ``estimators`` maps a label to ``(moments, value) -> precision`` (its
-    ``path`` when present) and ``grids`` maps the same labels to their grids.
-    Each trial draws fresh samples from the fixed ground truth (trial ``t``
-    uses generator seed ``spec.seed + t``, 1-based) and scores every
-    estimator at every grid point against the true covariance.  Errors propagate.
+    ``estimators`` maps a label to ``(moments, value) -> precision`` and
+    ``grids`` maps the same labels to their tuning grids.  Each trial draws
+    fresh samples from the fixed ground truth (trial ``t`` uses generator
+    seed ``spec.seed + t``, 1-based) and scores every estimator at every grid
+    point against the true covariance, through its ``path`` when it has one.
+    Estimator errors propagate.
     """
     if set(estimators) != set(grids):
         raise ValueError("estimators and grids must share the same labels")

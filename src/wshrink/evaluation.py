@@ -11,9 +11,6 @@ import scipy.linalg
 from .errors import EstimationError, SingularMatrixError
 from .gaussian import as_symmetric, psd_spectrum
 
-#: the errors that fail one cell of a sweep instead of the whole sweep
-_FAILURES = (ValueError, np.linalg.LinAlgError, EstimationError)
-
 
 @dataclass(frozen=True)
 class SampleMoments:
@@ -186,7 +183,8 @@ class CVReport:
     first_errors: tuple
 
 
-def _grid_scores(estimator, moments, values, score, catch=_FAILURES):
+def _grid_scores(estimator, moments, values, score,
+                 catch=(ValueError, np.linalg.LinAlgError, EstimationError)):
     """Per grid value, in order, ``score(precision)`` or the ``catch`` error that replaced it."""
     path = getattr(estimator, "path", None)
     chunks = [values] if path else [values[g : g + 1] for g in range(len(values))]

@@ -1,13 +1,5 @@
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
-
-# CI selects the "ci" profile (HYPOTHESIS_PROFILE=ci): a failing property prints
-# the blob that reproduces it with @reproduce_failure.  Local runs keep the default.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_spd(p, rng, scale=1.0, cond=None):
