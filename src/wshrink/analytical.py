@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _kernels
-from .gaussian import RANK_RTOL, _mirror_upper, as_symmetric, psd_spectrum, spectral_decompose
+from .gaussian import RANK_RTOL, as_symmetric, psd_spectrum, spectral_decompose
 
 #: default stopping tolerance on the scalar residual phi(gamma)
 DEFAULT_GAMMA_TOL = 1e-12
@@ -193,8 +193,8 @@ def _shrink_decomposed(dec, rho: float, tol: float) -> ShrinkageSolution:
     lam = psd_spectrum(dec.eigenvalues, "cov")
     gamma, iters, _ = _solve_gamma_info(lam, rho, tol)
     x = _kernels.shrink_eigenvalues(lam, gamma)
-    V = dec.eigenvectors
-    precision = _mirror_upper((V * x) @ V.T)  # symmetric by construction
+    W = dec.eigenvectors * np.sqrt(x)
+    precision = W @ W.T  # exactly symmetric (see ``gaussian``)
 
     # objective evaluated in the shared eigenbasis; zero sample eigenvalues
     # contribute nothing to the trace term (their limit value)

@@ -229,11 +229,16 @@ def pooled_moments(dataset: LabeledDataset) -> SampleMoments:
 
 def lda_fit(dataset: LabeledDataset, estimator) -> LdaModel:
     """Class means plus a shared precision from ``estimator(pooled_moments)``."""
+    return next(lda_fit_path(dataset, lambda moments: [estimator(moments)]))
+
+
+def lda_fit_path(dataset: LabeledDataset, path):
+    """An ``LdaModel`` for each precision that ``path(pooled_moments)`` yields."""
     X, y = dataset.features, dataset.labels
     classes = np.unique(y)
     means = np.vstack([X[y == cls].mean(axis=0) for cls in classes])
-    precision = estimator(pooled_moments(dataset))
-    return LdaModel(classes=classes, means=means, precision=np.asarray(precision, dtype=np.float64))
+    for precision in path(pooled_moments(dataset)):
+        yield LdaModel(classes=classes, means=means, precision=np.asarray(precision, dtype=np.float64))
 
 
 def lda_classify(model: LdaModel, z):

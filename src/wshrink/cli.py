@@ -25,6 +25,7 @@ from .applications import (
     known_zero_pattern,
     lda_classify,
     lda_fit,
+    lda_fit_path,
     min_variance_weights,
     pooled_moments,
     rolling_backtest,
@@ -181,7 +182,7 @@ def cmd_worstcase(args) -> int:
     except ValueError as exc:
         raise UserError(str(exc)) from None
     result = extremal_for_optimal(cov, args.rho)
-    if abs(result.attained_distance - args.rho) > 1e-6:
+    if abs(result.attained_distance - args.rho) > 1e-6 * args.rho:  # relative: scale free
         print(
             f"error: attained distance {result.attained_distance:.12g} deviates from rho={args.rho:g}",
             file=sys.stderr,
@@ -244,16 +245,13 @@ def cmd_lda(args) -> int:
         folds = make_folds(data.shape[0], args.cv, args.seed)
         scores = np.zeros((len(folds), grid.values.size))
         for k, fold in enumerate(folds):
-            mask = np.ones(data.shape[0], dtype=bool)
-            mask[fold] = False
             try:
-                train = LabeledDataset(data[mask], labels[mask])
+                train = LabeledDataset(np.delete(data, fold, axis=0), np.delete(labels, fold))
             except ValueError as exc:
                 raise UserError(f"fold {k}: {exc}") from None
-            for g, rho in enumerate(grid.values):
-                model = lda_fit(train, lambda m, r=rho: analytical_estimator(m, r))
-                predicted = lda_classify(model, data[fold])
-                scores[k, g] = float(np.mean(predicted == labels[fold]))
+            path = lda_fit_path(train, lambda m: analytical_path_estimator.path(m, grid.values))
+            for g, model in enumerate(path):  # one eigh per fold
+                scores[k, g] = float(np.mean(lda_classify(model, data[fold]) == labels[fold]))
         mean_acc = scores.mean(axis=0)
         best = int(np.argmax(mean_acc))
         rho = float(grid.values[best])

@@ -10,6 +10,11 @@ It also holds the package's one PSD policy, ``psd_spectrum``: every decision
 that a spectrum is PSD, or that a matrix is rank deficient, goes through it.
 Its tolerances are relative to the largest eigenvalue, so the decisions are
 unchanged when a matrix is scaled by any positive factor.
+
+A PSD matrix rebuilt from a nonnegative spectrum ``w`` is ``W @ W.T`` with
+``W = V diag(sqrt(w))``: numpy forms a product of a factor with its own
+transpose by BLAS ``syrk``, exactly symmetric and at half the flops, so
+``as_symmetric`` mirrors only input that is not exactly symmetric.
 """
 
 from __future__ import annotations
@@ -48,10 +53,11 @@ def psd_spectrum(eigenvalues, name: str = "spectrum") -> np.ndarray:
 def as_symmetric(matrix, rtol: float = 1e-8, name: str = "matrix") -> np.ndarray:
     """Validate a square symmetric matrix and return an exactly symmetric copy.
 
-    The upper triangle is authoritative: the returned array mirrors it so that
-    ``out[i, j] == out[j, i]`` holds exactly.  Raises ``ValueError`` on
-    non-square, non-finite, or asymmetric (beyond ``rtol``, scale-relative)
-    input.
+    Exactly symmetric input, such as a product of a factor with its own
+    transpose, is returned as a plain copy.  Otherwise the upper triangle is
+    authoritative: the returned array mirrors it so that ``out[i, j] ==
+    out[j, i]`` holds exactly.  Raises ``ValueError`` on non-square,
+    non-finite, or asymmetric (beyond ``rtol``, scale-relative) input.
     """
     M = np.asarray(matrix, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -60,13 +66,10 @@ def as_symmetric(matrix, rtol: float = 1e-8, name: str = "matrix") -> np.ndarray
         raise ValueError(f"{name} must have dimension >= 1")
     if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
+    if np.array_equal(M, M.T):  # checked first: the tolerance test allocates p x p float temporaries
+        return M.copy()
     if np.abs(M - M.T).max() > rtol * float(np.abs(M).max()):
         raise ValueError(f"{name} is not symmetric within tolerance {rtol:g}")
-    return _mirror_upper(M)
-
-
-def _mirror_upper(M: np.ndarray) -> np.ndarray:
-    """Exactly symmetric copy of a square matrix: its upper triangle, mirrored."""
     return np.triu(M) + np.triu(M, 1).T
 
 
@@ -88,12 +91,12 @@ class SpectralDecomposition:
 
 def spectral_decompose(matrix) -> SpectralDecomposition:
     """Eigendecompose a symmetric matrix with a deterministic sign convention."""
-    M = as_symmetric(matrix)
-    w, V = np.linalg.eigh(M)
+    w, V = np.linalg.eigh(as_symmetric(matrix))
     anchor = np.abs(V).argmax(axis=0)
     signs = np.sign(V[anchor, np.arange(V.shape[1])])
     signs[signs == 0.0] = 1.0
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=V * signs)
+    V *= signs
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=V)
 
 
 def sqrtm_psd(matrix, name: str = "matrix") -> np.ndarray:
@@ -104,9 +107,8 @@ def sqrtm_psd(matrix, name: str = "matrix") -> np.ndarray:
     rank-deficient covariances are handled uniformly.
     """
     dec = spectral_decompose(matrix)
-    w = psd_spectrum(dec.eigenvalues, name)
-    V = dec.eigenvectors
-    return as_symmetric((V * np.sqrt(w)) @ V.T, rtol=1.0)
+    W = dec.eigenvectors * np.sqrt(np.sqrt(psd_spectrum(dec.eigenvalues, name)))
+    return W @ W.T
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,8 @@ class GaussianModel:
         lam, V = np.linalg.eigh(cov)  # cov is validated: no second as_symmetric pass
         w = psd_spectrum(lam, "covariance")
         if lam[0] < 0.0:
-            cov = _mirror_upper((V * w) @ V.T)
+            W = V * np.sqrt(w)
+            cov = W @ W.T
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 

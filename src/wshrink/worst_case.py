@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from . import _kernels
 from .analytical import _check_rho, _solve_gamma_info
-from .gaussian import RANK_RTOL, as_symmetric, induced_metric_V, psd_spectrum, spectral_decompose, sqrtm_psd
+from .gaussian import RANK_RTOL, as_symmetric, induced_metric_V, psd_spectrum, spectral_decompose
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ def extremal_for_optimal(cov, rho: float) -> WorstCaseDistribution:
     pos = lam > 0.0
     s[pos] = gamma * gamma * lam[pos] / (gamma - x[pos]) ** 2
     s[~pos] = 1.0 / gamma
-    V = dec.eigenvectors
-    worst = as_symmetric((V * s) @ V.T, rtol=1.0)
+    W = dec.eigenvectors * np.sqrt(s)
+    worst = W @ W.T
     return WorstCaseDistribution(
         covariance=worst,
         multiplier=float(gamma),
@@ -137,30 +137,3 @@ def extremal_for_optimal(cov, rho: float) -> WorstCaseDistribution:
         attained_value=float(np.sum(s * x)),
     )
 
-
-def sample_within_radius(cov, rho: float, count: int, rng: np.random.Generator):
-    """Random PSD matrices within distance ``rho`` of ``cov``.
-
-    Draws ``cov^{1/2} (I + E) cov^{1/2}`` for a small random symmetric ``E``
-    and halves ``E`` until the ball constraint holds.  Used for dominance
-    spot checks; interior coverage matters, exactness does not.
-    """
-    _check_rho(rho)
-    S = as_symmetric(cov, name="cov")
-    root = sqrtm_psd(S, "cov")
-    p = S.shape[0]
-    out = []
-    for _ in range(int(count)):
-        A = rng.standard_normal((p, p))
-        E = 0.5 * (A + A.T)
-        norm = float(np.linalg.norm(E, 2))
-        if norm > 0.0:
-            E *= 0.5 / norm
-        candidate = as_symmetric(root @ (np.eye(p) + E) @ root, rtol=1.0)
-        for _ in range(100):
-            if induced_metric_V(candidate, S) <= rho:
-                break
-            E *= 0.5
-            candidate = as_symmetric(root @ (np.eye(p) + E) @ root, rtol=1.0)
-        out.append(candidate)
-    return out

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 
 def random_spd(p, rng, scale=1.0, cond=None):
@@ -27,6 +30,34 @@ def random_rotation(p, rng):
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
     return Q
+
+
+@st.composite
+def covariances(draw):
+    """``c * cov`` for a random spectrum on random eigenvectors, or for the
+    rank-deficient sample second moment of ``n < p`` rows."""
+    p = draw(st.integers(min_value=1, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if p > 1 and draw(st.booleans()):
+        A = rng.standard_normal((draw(st.integers(min_value=1, max_value=p - 1)), p))
+        cov = A.T @ A / A.shape[0]
+    else:
+        exponents = st.floats(min_value=-3.0, max_value=3.0)
+        lam = 10.0 ** np.array(draw(st.lists(exponents, min_size=p, max_size=p)))
+        Q = random_rotation(p, rng)
+        cov = (Q * lam) @ Q.T
+    return 10.0 ** draw(st.integers(min_value=-8, max_value=8)) * 0.5 * (cov + cov.T)
+
+
+
+def tracemalloc_peak(run) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

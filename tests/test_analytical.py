@@ -1,5 +1,4 @@
 import collections
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from wshrink.analytical import (
 )
 from wshrink.sqa import sqa_gradient
 
-from conftest import random_psd_singular, random_rotation, random_spd
+from conftest import covariances, random_psd_singular, random_rotation, random_spd, tracemalloc_peak
 
 FIG1_EIGENVALUES = 10.0 ** (np.arange(1, 6) - 3.0)  # 1e-2 .. 1e2
 
@@ -281,23 +280,6 @@ class TestDivisorScaling:
             assert abs(b.dual_multiplier - kappa * a.dual_multiplier) <= 1e-8 * b.dual_multiplier
 
 
-@st.composite
-def covariances(draw):
-    """``c * cov`` for a random spectrum on random eigenvectors, or for the
-    rank-deficient sample second moment of ``n < p`` rows."""
-    p = draw(st.integers(min_value=1, max_value=12))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    if p > 1 and draw(st.booleans()):
-        A = rng.standard_normal((draw(st.integers(min_value=1, max_value=p - 1)), p))
-        cov = A.T @ A / A.shape[0]
-    else:
-        exponents = st.floats(min_value=-3.0, max_value=3.0)
-        lam = 10.0 ** np.array(draw(st.lists(exponents, min_size=p, max_size=p)))
-        Q = random_rotation(p, rng)
-        cov = (Q * lam) @ Q.T
-    return 10.0 ** draw(st.integers(min_value=-8, max_value=8)) * 0.5 * (cov + cov.T)
-
-
 class TestShrinkagePath:
     @given(
         cov=covariances(),
@@ -336,16 +318,24 @@ class TestShrinkagePath:
         # them all would add 20 precisions.
         p = 60
         cov = random_psd_singular(p, 40, rng)
-
-        def peak(run):
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        single = peak(lambda: wasserstein_shrinkage(cov, 1e-3))
-        path = peak(lambda: collections.deque(
+        single = tracemalloc_peak(lambda: wasserstein_shrinkage(cov, 1e-3))
+        path = tracemalloc_peak(lambda: collections.deque(
             wasserstein_shrinkage_path(cov, np.geomspace(1e-3, 1.0, 21)), maxlen=0))
         assert path - single < 0.5 * 8 * p * p
+
+    def test_one_solve_peaks_below_five_matrices(self, rng):
+        # about 3.2 matrices (8 p^2 bytes each): the validated copy, eigh's work
+        # and eigenvectors, W = V sqrt(x) and W @ W.T.  Mirroring (V x) @ V.T and
+        # validating through M - M.T reads 6.2.
+        p = 60
+        cov = random_psd_singular(p, 40, rng)
+        assert tracemalloc_peak(lambda: wasserstein_shrinkage(cov, 1e-3)) < 5 * 8 * p * p
+
+    @given(cov=covariances(), radii=st.lists(st.floats(min_value=1e-3, max_value=1e2), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_precisions_exactly_symmetric(self, cov, radii):
+        radii = np.sqrt(np.trace(cov) + 1e-300) * np.array(radii)
+        X = wasserstein_shrinkage(cov, radii[0]).precision
+        assert np.array_equal(X, X.T)
+        for solution in wasserstein_shrinkage_path(cov, radii):
+            assert np.array_equal(solution.precision, solution.precision.T)

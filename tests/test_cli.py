@@ -1,12 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wshrink import io
-from wshrink.applications import sample_gaussian
+from wshrink import cli, io
+from wshrink.applications import LabeledDataset, analytical_estimator, lda_classify, lda_fit, sample_gaussian
 from wshrink.cli import _estimator_for, main
+from wshrink.evaluation import make_folds
 from wshrink.sqa import SolverConfig, SparsityPattern
 
 from conftest import random_spd
@@ -198,6 +200,18 @@ class TestWorstCase:
         io.write_matrix_csv(again, written)
         assert (io.read_matrix_csv(again) == written).all()
 
+    def test_attained_distance_checked_relative_to_rho(self, tmp_path, monkeypatch):
+        # at rho = 1e-8 an absolute 1e-6 bound would accept any distance
+        cov = write_csv(tmp_path / "cov.csv", [[1.0]])
+        real = cli.extremal_for_optimal
+
+        def off(cov, rho):
+            return dataclasses.replace(real(cov, rho), attained_distance=rho * (1.0 + 1e-3))
+
+        monkeypatch.setattr(cli, "extremal_for_optimal", off)
+        assert main(["worstcase", "--input", cov, "--rho", "1e-8",
+                     "--output", str(tmp_path / "w.csv")]) == 2
+
     def test_rejects_nonpositive_rho(self, tmp_path):
         cov = write_csv(tmp_path / "cov.csv", [[1.0]])
         assert main(["worstcase", "--input", cov, "--rho", "0",
@@ -275,6 +289,30 @@ class TestLdaCommand:
         assert doc["selected_rho"] in doc["values"]
         predictions = (tmp_path / "report_predictions.csv").read_text().split()
         assert predictions == ["0", "1"]
+
+    def test_grid_runs_one_radius_path_per_fold(self, tmp_path, rng, monkeypatch):
+        data, labels = self._toy(tmp_path, rng)
+        grid = '{"param":"rho","log10_from":-1,"log10_to":0.5,"points":4}'
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
+        out = str(tmp_path / "report.json")
+        assert main(["lda", "--input", data, "--labels", labels, "--cv", "kfold:4", "--seed", "2",
+                     "--grid", grid, "--output", out]) == 0
+        assert len(calls) == 4 + 1  # one per fold, one for the final fit
+        doc = json.loads((tmp_path / "report.json").read_text())
+
+        # the per-radius loop: one lda_fit, and so one eigh, per (fold, radius)
+        X, y = io.read_matrix_csv(data), io.read_labels_csv(labels)
+        rhos = np.logspace(-1, 0.5, 4)
+        scores = np.zeros((4, rhos.size))
+        for k, fold in enumerate(make_folds(X.shape[0], "kfold:4", 2)):
+            train = LabeledDataset(np.delete(X, fold, axis=0), np.delete(y, fold))
+            for g, rho in enumerate(rhos):
+                model = lda_fit(train, lambda m, r=rho: analytical_estimator(m, r))
+                scores[k, g] = np.mean(lda_classify(model, X[fold]) == y[fold])
+        assert doc["mean_accuracy"] == scores.mean(axis=0).tolist()
+        assert doc["selected_rho"] == float(rhos[np.argmax(scores.mean(axis=0))])
 
 
 class TestPortfolioCommand:

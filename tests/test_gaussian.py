@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -21,7 +21,7 @@ from wshrink.gaussian import (
 from wshrink.sqa import sqa_solve
 from wshrink.worst_case import extremal_for_optimal
 
-from conftest import random_psd_singular, random_spd
+from conftest import covariances, random_psd_singular, random_spd, tracemalloc_peak
 
 
 @st.composite
@@ -85,6 +85,45 @@ class TestSymmetrize:
             as_symmetric(np.ones((2, 3)))
         with pytest.raises(ValueError, match="finite"):
             as_symmetric([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_exactly_symmetric_input_returns_an_equal_copy(self, rng):
+        M = random_psd_singular(5, 3, rng)
+        S = as_symmetric(M)
+        assert S.tobytes() == M.tobytes() and not np.shares_memory(S, M)
+
+    def test_exactly_symmetric_input_peaks_near_one_copy(self, rng):
+        p = 60
+        M = random_psd_singular(p, 40, rng)
+        assert tracemalloc_peak(lambda: as_symmetric(M)) < 1.5 * 8 * p * p
+
+
+class TestExactSymmetry:
+    """Matrices rebuilt from a spectrum come out as ``W @ W.T``: exactly symmetric."""
+
+    @given(cov=covariances())
+    @settings(max_examples=100, deadline=None)
+    def test_sqrtm_psd(self, cov):
+        R = sqrtm_psd(cov)
+        assert np.array_equal(R, R.T)
+
+    @given(cov=covariances(), radius=st.floats(min_value=1e-3, max_value=1e2))
+    @settings(max_examples=100, deadline=None)
+    def test_extremal_for_optimal(self, cov, radius):
+        worst = extremal_for_optimal(cov, np.sqrt(np.trace(cov)) * radius).covariance
+        assert np.array_equal(worst, worst.T)
+
+    @given(cov=covariances(), k=st.integers(min_value=-11, max_value=-9))
+    @settings(max_examples=100, deadline=None)
+    def test_clamped_gaussian_model(self, cov, k):
+        assume(cov.shape[0] > 1)
+        lam, V = np.linalg.eigh(cov)
+        lam[0] = -(10.0**k) * lam[-1]  # a roundoff negative: within PSD_TOL, so clamped
+        M = (V * lam) @ V.T
+        M = 0.5 * (M + M.T)
+        assert np.linalg.eigvalsh(M)[0] < 0.0
+        C = GaussianModel(np.zeros(cov.shape[0]), M).covariance
+        assert np.array_equal(C, C.T)
+        assert np.linalg.eigvalsh(C)[0] > -1e-12 * lam[-1]
 
 
 class TestSpectralDecompose:

@@ -4,13 +4,8 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 from wshrink.analytical import wasserstein_shrinkage
-from wshrink.gaussian import induced_metric_V
-from wshrink.worst_case import (
-    extremal_covariance,
-    extremal_for_optimal,
-    extremal_gamma,
-    sample_within_radius,
-)
+from wshrink.gaussian import as_symmetric, induced_metric_V, sqrtm_psd
+from wshrink.worst_case import extremal_covariance, extremal_for_optimal, extremal_gamma
 
 from conftest import random_psd_singular, random_spd
 
@@ -139,6 +134,33 @@ class TestExtremalForOptimal:
         for rho in (0.3, 1.0, 2.5):
             worst = extremal_for_optimal(cov, rho)
             assert abs(worst.attained_distance - rho) <= 1e-6
+
+
+def sample_within_radius(cov, rho: float, count: int, rng: np.random.Generator):
+    """Random PSD matrices within distance ``rho`` of ``cov``.
+
+    Draws ``cov^{1/2} (I + E) cov^{1/2}`` for a small random symmetric ``E``
+    and halves ``E`` until the ball constraint holds.  Used for dominance
+    spot checks; interior coverage matters, exactness does not.
+    """
+    S = as_symmetric(cov, name="cov")
+    root = sqrtm_psd(S, "cov")
+    p = S.shape[0]
+    out = []
+    for _ in range(int(count)):
+        A = rng.standard_normal((p, p))
+        E = 0.5 * (A + A.T)
+        norm = float(np.linalg.norm(E, 2))
+        if norm > 0.0:
+            E *= 0.5 / norm
+        candidate = as_symmetric(root @ (np.eye(p) + E) @ root, rtol=1.0)
+        for _ in range(100):
+            if induced_metric_V(candidate, S) <= rho:
+                break
+            E *= 0.5
+            candidate = as_symmetric(root @ (np.eye(p) + E) @ root, rtol=1.0)
+        out.append(candidate)
+    return out
 
 
 class TestDominance:
