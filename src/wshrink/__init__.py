@@ -6,6 +6,11 @@ distribution.  Without structural constraints it reduces to a nonlinear
 eigenvalue shrinkage with a scalar dual root solve; with conditional
 independence (zero-pattern) constraints it is solved by a projected Newton
 method; the attaining worst-case distribution is available in closed form.
+
+The package exports the paper's objects (the analytical estimator and its
+radius path, the reformulation objective, the SQA solver, the worst-case
+distribution), cross-validation, and the three experiment pipelines.  The
+SQA step internals (Newton direction, Armijo line search) stay in ``sqa``.
 """
 
 from ._kernels import USING_NUMBA
@@ -15,7 +20,6 @@ from .analytical import (
     eigenvalue_map,
     gamma_bracket,
     reformulation_objective,
-    solve_gamma,
     wasserstein_shrinkage,
     wasserstein_shrinkage_path,
 )
@@ -56,25 +60,17 @@ from .evaluation import (
     stein_loss,
 )
 from .gaussian import (
-    GaussianModel,
     SpectralDecomposition,
     as_symmetric,
     induced_metric_V,
-    kl_divergence,
     spectral_decompose,
     sqrtm_psd,
-    wasserstein_gaussian,
 )
 from .sqa import (
-    NewtonStep,
     SolverConfig,
     SolverTrace,
     SparsityPattern,
-    armijo_step,
-    descent_direction,
-    project_pattern,
     sqa_gradient,
-    sqa_hessian_apply,
     sqa_solve,
 )
 from .worst_case import (
@@ -93,7 +89,6 @@ __all__ = [
     "eigenvalue_map",
     "gamma_bracket",
     "reformulation_objective",
-    "solve_gamma",
     "wasserstein_shrinkage",
     "wasserstein_shrinkage_path",
     "BacktestConfig",
@@ -131,23 +126,15 @@ __all__ = [
     "make_folds",
     "sample_moments",
     "stein_loss",
-    "GaussianModel",
     "SpectralDecomposition",
     "as_symmetric",
     "induced_metric_V",
-    "kl_divergence",
     "spectral_decompose",
     "sqrtm_psd",
-    "wasserstein_gaussian",
-    "NewtonStep",
     "SolverConfig",
     "SolverTrace",
     "SparsityPattern",
-    "armijo_step",
-    "descent_direction",
-    "project_pattern",
     "sqa_gradient",
-    "sqa_hessian_apply",
     "sqa_solve",
     "WorstCaseDistribution",
     "extremal_covariance",

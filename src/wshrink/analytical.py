@@ -22,8 +22,8 @@ import scipy.linalg
 from . import _kernels
 from .gaussian import RANK_RTOL, as_symmetric, psd_spectrum, spectral_decompose
 
-#: default stopping tolerance on the scalar residual phi(gamma)
-DEFAULT_GAMMA_TOL = 1e-12
+#: stopping tolerance on the scalar residual phi(gamma)
+GAMMA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,20 +100,11 @@ def _bracket(lam: np.ndarray, rho: float) -> BisectionBracket:
     return BisectionBracket(gamma_min=float(gmin), gamma_max=float(gmax), residual=residual)
 
 
-def _solve_gamma_info(lam: np.ndarray, rho: float, tol: float = DEFAULT_GAMMA_TOL):
+def _solve_gamma_info(lam: np.ndarray, rho: float):
     """Root solve for a spectrum already cleaned by ``psd_spectrum`` and a checked
     radius; returns ``(gamma, iterations, residual)``."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     bracket = _bracket(lam, rho)
-    return _kernels.solve_gamma_bracketed(lam, rho, bracket.gamma_min, bracket.gamma_max, tol)
-
-
-def solve_gamma(eigenvalues, rho: float, tol: float = DEFAULT_GAMMA_TOL) -> float:
-    """Unique positive root of the dual-multiplier equation."""
-    _check_rho(rho)
-    gamma, _, _ = _solve_gamma_info(psd_spectrum(eigenvalues), rho, tol)
-    return gamma
+    return _kernels.solve_gamma_bracketed(lam, rho, bracket.gamma_min, bracket.gamma_max, GAMMA_TOL)
 
 
 def eigenvalue_map(lam, gamma_star: float):
@@ -168,7 +159,7 @@ def reformulation_objective(cov, X, gamma: float, rho: float) -> float:
     return value
 
 
-def wasserstein_shrinkage(cov, rho: float, tol: float = DEFAULT_GAMMA_TOL) -> ShrinkageSolution:
+def wasserstein_shrinkage(cov, rho: float) -> ShrinkageSolution:
     """Robust precision estimator for a PSD sample covariance.
 
     The result is positive definite even when ``cov`` is rank deficient and
@@ -177,21 +168,21 @@ def wasserstein_shrinkage(cov, rho: float, tol: float = DEFAULT_GAMMA_TOL) -> Sh
     the plain inverse should be used explicitly otherwise.
     """
     _check_rho(rho)
-    return _shrink_decomposed(spectral_decompose(cov), rho, tol)
+    return _shrink_decomposed(spectral_decompose(cov), rho)
 
 
-def wasserstein_shrinkage_path(cov, radii, tol: float = DEFAULT_GAMMA_TOL):
+def wasserstein_shrinkage_path(cov, radii):
     """Yield ``wasserstein_shrinkage(cov, rho)`` for each of ``radii``, from one ``eigh``."""
     dec = spectral_decompose(cov)
     for rho in radii:
         _check_rho(rho)
-        yield _shrink_decomposed(dec, rho, tol)
+        yield _shrink_decomposed(dec, rho)
 
 
-def _shrink_decomposed(dec, rho: float, tol: float) -> ShrinkageSolution:
+def _shrink_decomposed(dec, rho: float) -> ShrinkageSolution:
     """The estimator at a checked radius from the decomposition of ``cov``."""
     lam = psd_spectrum(dec.eigenvalues, "cov")
-    gamma, iters, _ = _solve_gamma_info(lam, rho, tol)
+    gamma, iters, _ = _solve_gamma_info(lam, rho)
     x = _kernels.shrink_eigenvalues(lam, gamma)
     W = dec.eigenvectors * np.sqrt(x)
     precision = W @ W.T  # exactly symmetric (see ``gaussian``)

@@ -13,12 +13,17 @@ from .evaluation import SampleMoments, _grid_scores, sample_moments, stein_loss
 from .gaussian import as_symmetric, spectral_decompose
 from .sqa import SolverConfig, SparsityPattern, sqa_solve
 
+#: ridge of the synthetic ground truth ``(C^T C + SYNTHETIC_RIDGE I)^{-1}``
+SYNTHETIC_RIDGE = 1e-3
+#: ``zero_pattern_of`` counts entries below this fraction of the largest as zero
+ZERO_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Ground-truth generator settings for the synthetic benchmark.
 
-    The true covariance is ``(C^T C + ridge I)^{-1}`` where ``C`` has
+    The true covariance is ``(C^T C + SYNTHETIC_RIDGE I)^{-1}`` where ``C`` has
     ``floor(density * p^2)`` entries set to +/-1 at uniformly drawn cells.
     """
 
@@ -26,7 +31,6 @@ class SyntheticSpec:
     density: float
     n_samples: int
     trials: int = 100
-    ridge: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -38,12 +42,10 @@ class SyntheticSpec:
             raise ValueError("density too small: floor(density * p^2) must be >= 1")
         if self.n_samples < 1 or self.trials < 1:
             raise ValueError("n_samples and trials must be >= 1")
-        if self.ridge <= 0.0:
-            raise ValueError("ridge must be positive")
 
 
 def synthetic_sigma0(spec: SyntheticSpec, C=None) -> np.ndarray:
-    """True covariance ``(C^T C + ridge I)^{-1}``; always positive definite.
+    """True covariance ``(C^T C + SYNTHETIC_RIDGE I)^{-1}``; always positive definite.
 
     ``C`` may be injected explicitly (tests force specific cases); otherwise
     it is drawn deterministically from ``spec.seed``.
@@ -60,7 +62,7 @@ def synthetic_sigma0(spec: SyntheticSpec, C=None) -> np.ndarray:
         C = np.asarray(C, dtype=np.float64)
         if C.shape != (p, p):
             raise ValueError(f"C must have shape ({p}, {p})")
-    A = C.T @ C + spec.ridge * np.eye(p)
+    A = C.T @ C + SYNTHETIC_RIDGE * np.eye(p)
     sigma0 = np.linalg.solve(A, np.eye(p))
     return as_symmetric(sigma0, rtol=1.0)
 
@@ -78,13 +80,13 @@ def sample_gaussian(sigma0, n: int, seed) -> np.ndarray:
     return rng.standard_normal((int(n), S.shape[0])) @ factor.T
 
 
-def zero_pattern_of(precision, rel_tol: float = 1e-8) -> SparsityPattern:
+def zero_pattern_of(precision) -> SparsityPattern:
     """Off-diagonal zero pattern of a precision matrix.
 
-    Entries with ``|m_ij| <= rel_tol * max|m|`` count as zero.
+    Entries with ``|m_ij| <= ZERO_RTOL * max|m|`` count as zero.
     """
     M = as_symmetric(precision, name="precision")
-    cut = rel_tol * float(np.abs(M).max())
+    cut = ZERO_RTOL * float(np.abs(M).max())
     mask = np.abs(M) <= cut
     np.fill_diagonal(mask, False)
     iu, ju = np.triu_indices(M.shape[0], k=1)
@@ -276,20 +278,16 @@ def min_variance_weights(precision) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BacktestConfig:
-    """Rolling-horizon settings: estimation window, rebalance stride, and the
-    degrees-of-freedom policy for the window covariance."""
+    """Rolling-horizon settings: estimation window and rebalance stride."""
 
     window: int = 120
     stride: int = 3
-    divisor_policy: str = "n-1"
 
     def __post_init__(self):
         if self.window < 2:
             raise ValueError("window must be >= 2")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if self.divisor_policy not in ("n", "n-1"):
-            raise ValueError("divisor_policy must be 'n' or 'n-1'")
 
 
 @dataclass(frozen=True)
@@ -305,7 +303,8 @@ def rolling_backtest(returns, estimator, config: BacktestConfig) -> BacktestResu
     """Out-of-sample minimum-variance backtest with periodic re-estimation.
 
     Every ``stride`` periods the portfolio is recomputed from
-    ``estimator(moments)`` on the trailing ``window`` observations and held
+    ``estimator(moments)`` on the trailing ``window`` observations (covariance
+    divisor ``window - 1``) and held
     until the next rebalance.  Estimator failures abort with the offending
     window start index.  A constant return series yields ``std = 0`` and
     ``sharpe = nan``.
@@ -318,9 +317,8 @@ def rolling_backtest(returns, estimator, config: BacktestConfig) -> BacktestResu
     n_estimations = 0
     for t0 in range(config.window, T, config.stride):
         train = R[t0 - config.window : t0]
-        div = float(train.shape[0] - 1) if config.divisor_policy == "n-1" else None
         try:
-            precision = estimator(sample_moments(train, divisor=div))
+            precision = estimator(sample_moments(train, divisor=train.shape[0] - 1))
         except Exception as exc:
             raise RuntimeError(f"estimator failed on window starting at row {t0 - config.window}: {exc}") from exc
         w = min_variance_weights(precision)

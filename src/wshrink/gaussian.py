@@ -1,10 +1,10 @@
-"""Symmetric-matrix primitives and the geometry of Gaussian distributions.
+"""Symmetric-matrix primitives and the Wasserstein metric on covariances.
 
 Everything downstream (shrinkage, the sparsity-constrained solver, worst-case
 distributions) is built on the operations here: exact symmetrization, spectral
-decomposition with a deterministic sign convention, PSD square roots, the
-covariance metric induced by the type-2 Wasserstein distance, and the
-Kullback-Leibler divergence with proper handling of degenerate covariances.
+decomposition with a deterministic sign convention, PSD square roots, and the
+covariance metric induced by the type-2 Wasserstein distance between
+zero-mean normal distributions.
 
 It also holds the package's one PSD policy, ``psd_spectrum``: every decision
 that a spectrum is PSD, or that a matrix is rank deficient, goes through it.
@@ -84,10 +84,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.T
-
 
 def spectral_decompose(matrix) -> SpectralDecomposition:
     """Eigendecompose a symmetric matrix with a deterministic sign convention."""
@@ -111,42 +107,6 @@ def sqrtm_psd(matrix, name: str = "matrix") -> np.ndarray:
     return W @ W.T
 
 
-@dataclass(frozen=True)
-class GaussianModel:
-    """Normal distribution with a possibly rank-deficient covariance.
-
-    The covariance must be symmetric and pass ``psd_spectrum``; roundoff
-    negatives are clamped to zero on construction.
-    """
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
-        if not np.isfinite(mean).all():
-            raise ValueError("mean contains non-finite entries")
-        cov = as_symmetric(self.covariance, name="covariance")
-        if cov.shape[0] != mean.size:
-            raise ValueError("mean and covariance dimensions differ")
-        lam, V = np.linalg.eigh(cov)  # cov is validated: no second as_symmetric pass
-        w = psd_spectrum(lam, "covariance")
-        if lam[0] < 0.0:
-            W = V * np.sqrt(w)
-            cov = W @ W.T
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-
-def _check_same_dim(p1: GaussianModel, p2: GaussianModel):
-    if p1.dim != p2.dim:
-        raise ValueError(f"dimension mismatch: {p1.dim} vs {p2.dim}")
-
-
 def induced_metric_V(S1, S2) -> float:
     """Wasserstein-induced metric between PSD matrices.
 
@@ -167,54 +127,3 @@ def induced_metric_V(S1, S2) -> float:
     rb = sqrtm_psd(B, "S2")
     W, _, Zt = np.linalg.svd(rb @ ra)
     return float(np.linalg.norm(ra - rb @ (W @ Zt)))
-
-
-def wasserstein_gaussian(p1: GaussianModel, p2: GaussianModel) -> float:
-    """Type-2 Wasserstein distance between two normal distributions."""
-    _check_same_dim(p1, p2)
-    shift = float(np.sum((p1.mean - p2.mean) ** 2))
-    vsq = induced_metric_V(p1.covariance, p2.covariance) ** 2
-    return float(np.sqrt(max(shift + vsq, 0.0)))
-
-
-def kl_divergence(p1: GaussianModel, p2: GaussianModel) -> float:
-    """Kullback-Leibler divergence D(P1 || P2); ``inf`` when P1 is not
-    absolutely continuous with respect to P2.
-
-    Both covariances nonsingular gives the closed form.  If P2 is degenerate,
-    the divergence is computed on P2's support after checking that P1 puts no
-    mass (covariance or mean shift) outside it; any mass outside, or a P1
-    covariance that is singular on that support, yields ``inf``.
-    """
-    _check_same_dim(p1, p2)
-    S1, S2 = p1.covariance, p2.covariance
-    dmean = p2.mean - p1.mean
-
-    dec2 = spectral_decompose(S2)
-    w2 = psd_spectrum(dec2.eigenvalues, "P2 covariance")
-    keep = w2 > 0.0
-
-    if not keep.all():
-        E0 = dec2.eigenvectors[:, ~keep]
-        leak_tol = 1e-10 * max(float(np.trace(S1)), float(np.trace(S2)))
-        mass_outside = float(np.abs(E0.T @ S1 @ E0).max(initial=0.0))
-        mean_outside = float(np.linalg.norm(E0.T @ dmean))
-        if mass_outside > leak_tol or mean_outside > np.sqrt(leak_tol):
-            return float("inf")
-
-    E = dec2.eigenvectors[:, keep]
-    k = int(keep.sum())
-    if k == 0:
-        return 0.0
-    d2 = w2[keep]
-    A = as_symmetric(E.T @ S1 @ E, rtol=1.0)
-    wA = psd_spectrum(np.linalg.eigvalsh(A), "P1 covariance on the support of P2")
-    if wA[0] == 0.0:
-        return float("inf")
-    dm = E.T @ dmean
-    quad = float(np.sum(dm * dm / d2))
-    trace_term = float(np.sum((A / d2[:, None]).diagonal()))
-    logdet1 = float(np.log(wA).sum())
-    logdet2 = float(np.log(d2).sum())
-    val = 0.5 * (quad + trace_term - k - logdet1 + logdet2)
-    return max(val, 0.0)

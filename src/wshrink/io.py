@@ -99,11 +99,6 @@ def read_pattern_json(path) -> SparsityPattern:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def write_pattern_json(path, pattern: SparsityPattern) -> None:
-    zeros = sorted([i + 1, j + 1] for i, j in pattern.pairs if i < j)
-    write_json(path, {"p": pattern.dim, "zeros": zeros})
-
-
 def write_json(path, payload: dict) -> None:
     doc = {"schema": SCHEMA_VERSION}
     doc.update(payload)

@@ -12,6 +12,10 @@ pattern, plus the multiplier).  Up to a free dimension of
 blocks into one reused buffer and Cholesky-factorized in place, and the
 multiplier is eliminated by its Schur complement.  Above it, the system is
 solved by matrix-free conjugate gradients using Kronecker-product identities.
+
+The line search halves the step from 1 until the iterate stays in the cone and
+the objective falls by at least ``ARMIJO_SIGMA`` times the predicted decrease;
+it gives up with ``LineSearchError`` after ``MAX_HALVINGS`` halvings.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ from .gaussian import as_symmetric, psd_spectrum
 DENSE_THRESHOLD = 2000
 #: relative residual at which conjugate gradients stop
 CG_TOL = 1e-8
+#: Armijo sufficient-decrease fraction of the predicted decrease
+ARMIJO_SIGMA = 1e-4
+#: step halvings the line search tries before it gives up
+MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -81,22 +89,17 @@ class SparsityPattern:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Line search and stopping parameters."""
+    """Stopping parameters, and whether the trace keeps every iterate."""
 
-    sigma: float = 1e-4
     grad_tol: float = 1e-3
     max_iters: int = 100
-    max_halvings: int = 60
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < 0.5:
-            raise ValueError("sigma must lie in (0, 0.5)")
         if self.grad_tol <= 0.0:
             raise ValueError("grad_tol must be positive")
-        for name in ("max_iters", "max_halvings"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -125,24 +128,6 @@ class SolverTrace:
     converged: bool = False
     iterations: int = 0
     message: str = ""
-
-
-def project_pattern(Z, gamma_component: float, pattern: SparsityPattern | None):
-    """Orthogonal projection onto the constraint subspace.
-
-    Symmetrizes the matrix component, zeroes the pattern entries, and passes
-    the scalar component through unchanged.  Idempotent and self-adjoint for
-    the Frobenius inner product.
-    """
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-        raise ValueError("Z must be square")
-    out = 0.5 * (Z + Z.T)
-    if pattern is not None:
-        if pattern.dim != Z.shape[0]:
-            raise ValueError("pattern dimension does not match Z")
-        out[pattern.mask()] = 0.0
-    return out, float(gamma_component)
 
 
 class _Workspace:
@@ -241,8 +226,15 @@ class _FreeCoordinates:
         The pair block ``T`` of ``H`` is assembled (upper triangle only) and
         Cholesky-factorized in place; the multiplier is eliminated through its
         Schur complement ``h_gamma_gamma - c^T T^-1 c``, where ``c`` is the
-        pair-multiplier border.  Raises ``LinearSolveError`` unless ``H`` is
-        positive definite.
+        pair-multiplier border.  Near the cone boundary both terms are huge and
+        the computed difference can lose every digit; when it is not positive,
+        the ray ``(X, gamma)`` takes the multiplier's place as the eliminated
+        coordinate.  The objective is
+        ``-log det X`` plus terms homogeneous of degree 1 in ``(X, gamma)``, so
+        ``H (X, gamma) = (X^-1, 0)``: the ray's border is ``X^-1`` and its corner
+        ``<X, X^-1> = p``, with no cancellation.  This needs ``X`` zero on the
+        pattern, as every ``sqa_solve`` iterate is.  Raises ``LinearSolveError``
+        unless ``H`` is positive definite.
         """
         I, J, f, p = self.I, self.J, self.I.size, ws.p
         if self.T is None:
@@ -274,36 +266,18 @@ class _FreeCoordinates:
         c = self.contract(-ws.W / ws.gamma**2, 0.0)[:-1]
         z = scipy.linalg.cho_solve((L, True), np.column_stack((b[:-1], c)), check_finite=False)
         schur = ws.h_gamma_gamma - float(c @ z[:, 1])
+        if schur > 0.0:
+            w = (b[-1] - float(c @ z[:, 0])) / schur
+            return np.append(z[:, 0] - w * z[:, 1], w)
+        x, c = ws.X[I, J], self.contract(ws.Xinv, 0.0)[:-1]
+        y = scipy.linalg.cho_solve((L, True), c, check_finite=False)
+        schur = float(x @ c) - float(c @ y)
         if not schur > 0.0:
             raise LinearSolveError(
                 f"reduced Newton system is not positive definite: Schur complement of the multiplier {schur:.3e}"
             )
-        w = (b[-1] - float(c @ z[:, 0])) / schur
-        return np.append(z[:, 0] - w * z[:, 1], w)
-
-
-def _solve_direction(ws: _Workspace, g_mat, g_gamma, free: _FreeCoordinates):
-    b = -free.contract(g_mat, g_gamma)
-    n_free = b.size
-    if n_free <= DENSE_THRESHOLD:
-        return free.solve_newton(ws, b)
-    if not np.any(b):
-        return np.zeros_like(b)
-
-    def matvec(u):
-        M, s = ws.hessian_apply(*free.expand(u))
-        return free.contract(M, s)
-
-    op = LinearOperator((n_free, n_free), matvec=matvec, dtype=np.float64)
-    maxiter = 10 * n_free
-    u, info = cg(op, b, rtol=CG_TOL, atol=0.0, maxiter=maxiter)
-    if info != 0:
-        resid = float(np.linalg.norm(matvec(u) - b) / np.linalg.norm(b))
-        raise LinearSolveError(
-            f"conjugate gradients stopped after {maxiter} iterations with relative residual {resid:.3e} "
-            f"(target {CG_TOL:.1e}, free dimension {n_free})"
-        )
-    return u
+        t = (float(x @ b[:-1]) + ws.gamma * b[-1] - float(c @ z[:, 0])) / schur
+        return np.append(z[:, 0] + t * (x - y), t * ws.gamma)
 
 
 def sqa_gradient(cov, X, gamma: float, rho: float):
@@ -316,62 +290,54 @@ def sqa_gradient(cov, X, gamma: float, rho: float):
     return ws.gradient(rho)
 
 
-def sqa_hessian_apply(cov, X, gamma: float, direction):
-    """Apply the quadratic-model Hessian to a ``(symmetric matrix, scalar)``
-    direction, matrix-free via Kronecker-product identities."""
-    V, w = direction
-    ws = _Workspace(as_symmetric(cov, name="cov"), as_symmetric(X, name="X"), gamma)
-    return ws.hessian_apply(as_symmetric(V, name="direction"), float(w))
+def _descent_direction(ws: _Workspace, gradient, free: _FreeCoordinates) -> NewtonStep:
+    """Feasible descent direction at ``ws``'s point from the projected Newton system.
 
-
-def descent_direction(
-    cov,
-    X,
-    gamma: float,
-    rho: float,
-    pattern: SparsityPattern | None = None,
-) -> NewtonStep:
-    """Feasible descent direction from the projected Newton system.
-
-    The predicted decrease is ``<g, step>`` and is negative unless the
-    projected gradient vanishes.
+    ``gradient`` is ``ws.gradient(rho)``.  The predicted decrease is ``<g, step>``
+    and is negative unless the projected gradient vanishes.
     """
-    _check_rho(rho)
-    covs = as_symmetric(cov, name="cov")
-    ws = _Workspace(covs, as_symmetric(X, name="X"), gamma)
-    if pattern is not None and pattern.dim != ws.p:
-        raise ValueError("pattern dimension does not match X")
-    free = _FreeCoordinates(ws.p, pattern)
-    g_mat, g_gamma = ws.gradient(rho)
-    dX, dgamma = free.expand(_solve_direction(ws, g_mat, g_gamma, free))
+    g_mat, g_gamma = gradient
+    b = -free.contract(g_mat, g_gamma)
+    n_free = b.size
+    if n_free <= DENSE_THRESHOLD:
+        u = free.solve_newton(ws, b)
+    elif not np.any(b):
+        u = np.zeros_like(b)
+    else:
+        def matvec(v):
+            M, s = ws.hessian_apply(*free.expand(v))
+            return free.contract(M, s)
+
+        op = LinearOperator((n_free, n_free), matvec=matvec, dtype=np.float64)
+        maxiter = 10 * n_free
+        u, info = cg(op, b, rtol=CG_TOL, atol=0.0, maxiter=maxiter)
+        if info != 0:
+            resid = float(np.linalg.norm(matvec(u) - b) / np.linalg.norm(b))
+            raise LinearSolveError(
+                f"conjugate gradients stopped after {maxiter} iterations with relative residual {resid:.3e} "
+                f"(target {CG_TOL:.1e}, free dimension {n_free})"
+            )
+    dX, dgamma = free.expand(u)
     delta = float(np.sum(g_mat * dX) + g_gamma * dgamma)
     return NewtonStep(delta_X=dX, delta_gamma=dgamma, predicted_decrease=delta)
 
 
-def armijo_step(cov, X, gamma, rho, step: NewtonStep, config: SolverConfig | None = None,
-                f_current: float | None = None) -> tuple[float, float]:
+def armijo_step(cov, X, gamma, rho, step: NewtonStep, f_current: float) -> tuple[float, float]:
     """Largest step size ``1/2^m`` keeping the iterate in the cone (C1) and
-    achieving sufficient decrease (C2).
+    achieving sufficient decrease (C2) from the objective ``f_current`` at ``(X, gamma)``.
 
     Returns ``(alpha, f_new)``, where ``f_new`` is the objective at the accepted point.
     """
-    config = config or SolverConfig()
     if not step.predicted_decrease < 0.0:
         raise ValueError("step is not a descent direction (predicted decrease must be negative)")
-    cov = np.asarray(cov, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if f_current is None:
-        f_current = _objective_at(cov, X, gamma, rho)
-        if f_current is None:
-            raise ValueError("current point is infeasible")
     alpha = 1.0
-    for _ in range(config.max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         f_new = _objective_at(cov, X + alpha * step.delta_X, gamma + alpha * step.delta_gamma, rho)
-        if f_new is not None and f_new <= f_current + config.sigma * alpha * step.predicted_decrease:
+        if f_new is not None and f_new <= f_current + ARMIJO_SIGMA * alpha * step.predicted_decrease:
             return alpha, f_new
         alpha *= 0.5
     raise LineSearchError(
-        f"no admissible step size within {config.max_halvings} halvings "
+        f"no admissible step size within {MAX_HALVINGS} halvings "
         f"(predicted decrease {step.predicted_decrease:.3e})"
     )
 
@@ -429,20 +395,18 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
             trace.converged = True
             trace.message = "projected gradient below tolerance"
             break
-        dX, dgamma = free.expand(_solve_direction(ws, g_mat, g_gamma, free))
-        delta = float(np.sum(g_mat * dX) + g_gamma * dgamma)
-        if delta >= -1e-14:
+        step = _descent_direction(ws, (g_mat, g_gamma), free)
+        if step.predicted_decrease >= -1e-14:
             trace.converged = True
             trace.message = "predicted decrease numerically zero"
             break
-        step = NewtonStep(delta_X=dX, delta_gamma=dgamma, predicted_decrease=delta)
-        alpha, f_new = armijo_step(S, X, gamma, rho, step, config, f_current=f)
+        alpha, f_new = armijo_step(S, X, gamma, rho, step, f)
         if not f_new < f:
             trace.converged = True
             trace.message = "objective stagnated at floating-point resolution"
             break
-        X = X + alpha * dX
-        gamma = gamma + alpha * dgamma
+        X = X + alpha * step.delta_X
+        gamma = gamma + alpha * step.delta_gamma
         f = f_new
         trace.iterations += 1
         trace.objectives.append(f)

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from . import _kernels
 from .analytical import _check_rho, _solve_gamma_info
-from .gaussian import RANK_RTOL, as_symmetric, induced_metric_V, psd_spectrum, spectral_decompose
+from .gaussian import RANK_RTOL, as_symmetric, induced_metric_V, psd_spectrum
 
 
 @dataclass(frozen=True)
@@ -116,24 +116,24 @@ def extremal_for_optimal(cov, rho: float) -> WorstCaseDistribution:
 
     Shares the eigenvectors of ``cov``; eigenvalue-wise it equals
     ``gamma^2 lam / (gamma - x)^2`` on positive sample eigenvalues and
-    ``1 / gamma`` on the null space, so rank deficiency is allowed.
+    ``1 / gamma`` on the null space, so rank deficiency is allowed.  Sharing
+    the eigenvectors also makes the attained distance ``||sqrt(s) - sqrt(lam)||``
+    over the two spectra, so ``cov`` is validated and decomposed once.
     """
     _check_rho(rho)
-    S = as_symmetric(cov, name="cov")
-    dec = spectral_decompose(S)
-    lam = psd_spectrum(dec.eigenvalues, "cov")
+    lam, V = np.linalg.eigh(as_symmetric(cov, name="cov"))  # eigenvector signs cancel in W @ W.T
+    lam = psd_spectrum(lam, "cov")
     gamma, _, _ = _solve_gamma_info(lam, rho)
     x = _kernels.shrink_eigenvalues(lam, gamma)
     s = np.empty_like(lam)
     pos = lam > 0.0
     s[pos] = gamma * gamma * lam[pos] / (gamma - x[pos]) ** 2
     s[~pos] = 1.0 / gamma
-    W = dec.eigenvectors * np.sqrt(s)
-    worst = W @ W.T
+    W = V * np.sqrt(s)
     return WorstCaseDistribution(
-        covariance=worst,
+        covariance=W @ W.T,
         multiplier=float(gamma),
-        attained_distance=induced_metric_V(worst, S),
+        attained_distance=float(np.linalg.norm(np.sqrt(s) - np.sqrt(lam))),
         attained_value=float(np.sum(s * x)),
     )
 

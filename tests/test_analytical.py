@@ -7,16 +7,23 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wshrink.analytical import (
+    GAMMA_TOL,
+    _solve_gamma_info,
     eigenvalue_map,
     gamma_bracket,
     reformulation_objective,
-    solve_gamma,
     wasserstein_shrinkage,
     wasserstein_shrinkage_path,
 )
+from wshrink.gaussian import psd_spectrum
 from wshrink.sqa import sqa_gradient
 
 from conftest import covariances, random_psd_singular, random_rotation, random_spd, tracemalloc_peak
+
+
+def solve_gamma(eigenvalues, rho):
+    """The dual multiplier, through the root solve that the estimators run."""
+    return _solve_gamma_info(psd_spectrum(eigenvalues), rho)[0]
 
 FIG1_EIGENVALUES = 10.0 ** (np.arange(1, 6) - 3.0)  # 1e-2 .. 1e2
 
@@ -111,8 +118,8 @@ class TestSolveGamma:
             lam = rng.uniform(0.0, 5.0, int(rng.integers(1, 15)))
             rho = float(rng.uniform(0.1, 3.0))
             br = gamma_bracket(lam, rho)
-            root = solve_gamma(lam, rho, tol=1e-12)
-            assert abs(br.residual(root)) <= 1e-12
+            root = solve_gamma(lam, rho)
+            assert abs(br.residual(root)) <= GAMMA_TOL
 
     @given(
         lam=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e4)), min_size=1, max_size=40),

@@ -2,24 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wshrink import sqa
 from wshrink.analytical import reformulation_objective, wasserstein_shrinkage
 from wshrink.errors import LinearSolveError, LineSearchError
-from wshrink.sqa import (
-    NewtonStep,
-    SolverConfig,
-    SparsityPattern,
-    armijo_step,
-    descent_direction,
-    project_pattern,
-    sqa_gradient,
-    sqa_hessian_apply,
-    sqa_solve,
-)
+from wshrink.sqa import NewtonStep, SolverConfig, SparsityPattern, armijo_step, sqa_gradient, sqa_solve
 
-from conftest import random_spd
+from conftest import covariances, random_spd
 
 
 def feasible_point(p, rng, margin=1.6):
@@ -31,6 +23,17 @@ def feasible_point(p, rng, margin=1.6):
 def random_direction(p, rng):
     A = rng.standard_normal((p, p))
     return 0.5 * (A + A.T), float(rng.standard_normal())
+
+
+def hessian_apply(cov, X, gamma, direction):
+    """The quadratic-model Hessian applied to a ``(symmetric matrix, scalar)`` direction."""
+    return sqa._Workspace(cov, X, gamma).hessian_apply(*direction)
+
+
+def descent_direction(cov, X, gamma, rho, pattern=None):
+    """The Newton step that ``sqa_solve`` takes at ``(X, gamma)``."""
+    ws = sqa._Workspace(cov, X, gamma)
+    return sqa._descent_direction(ws, ws.gradient(rho), sqa._FreeCoordinates(X.shape[0], pattern))
 
 
 def dense_kkt_oracle(cov, X, gamma, rho, pattern):
@@ -107,40 +110,6 @@ class TestSparsityPattern:
         assert pat.pairs == frozenset({(0, 3), (3, 0)})
 
 
-class TestProjection:
-    def test_noop_on_symmetric_without_pattern(self, rng):
-        Z = random_spd(4, rng)
-        out, gamma = project_pattern(Z, 1.5, None)
-        assert_allclose(out, Z)
-        assert gamma == 1.5
-
-    def test_kills_pattern_entries(self):
-        Z = np.zeros((3, 3))
-        Z[0, 2] = 1.0
-        out, _ = project_pattern(Z, 0.0, SparsityPattern(3, [(0, 2)]))
-        assert_allclose(out, np.zeros((3, 3)))
-
-    def test_symmetrizes_asymmetric_input(self, rng):
-        Z = rng.standard_normal((4, 4))
-        out, _ = project_pattern(Z, 0.0, None)
-        assert_allclose(out, 0.5 * (Z + Z.T))
-
-    def test_idempotent_and_self_adjoint(self, rng):
-        pat = SparsityPattern(5, [(0, 4), (2, 3)])
-        for _ in range(10):
-            Z1 = rng.standard_normal((5, 5))
-            Z2 = rng.standard_normal((5, 5))
-            w1, w2 = rng.standard_normal(2)
-            P1, q1 = project_pattern(Z1, w1, pat)
-            PP1, qq1 = project_pattern(P1, q1, pat)
-            assert np.abs(PP1 - P1).max() <= 1e-12
-            assert qq1 == q1
-            P2, q2 = project_pattern(Z2, w2, pat)
-            lhs = np.sum(P1 * Z2) + q1 * w2
-            rhs = np.sum(Z1 * P2) + w1 * q2
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
 class TestGradient:
     def test_matches_directional_finite_differences(self, rng):
         # reference point X = I/2, gamma = 2, cov = I, rho = 1
@@ -197,7 +166,7 @@ class TestHessianApply:
     def test_zero_direction_maps_to_zero(self, rng):
         cov = random_spd(4, rng)
         X, gamma = feasible_point(4, rng)
-        M, s = sqa_hessian_apply(cov, X, gamma, (np.zeros((4, 4)), 0.0))
+        M, s = hessian_apply(cov, X, gamma, (np.zeros((4, 4)), 0.0))
         assert np.abs(M).max() == 0.0 and s == 0.0
 
     def test_linear_in_direction(self, rng):
@@ -206,9 +175,9 @@ class TestHessianApply:
         D1, w1 = random_direction(4, rng)
         D2, w2 = random_direction(4, rng)
         a, b = 0.7, -1.3
-        M12, s12 = sqa_hessian_apply(cov, X, gamma, (a * D1 + b * D2, a * w1 + b * w2))
-        M1, s1 = sqa_hessian_apply(cov, X, gamma, (D1, w1))
-        M2, s2 = sqa_hessian_apply(cov, X, gamma, (D2, w2))
+        M12, s12 = hessian_apply(cov, X, gamma, (a * D1 + b * D2, a * w1 + b * w2))
+        M1, s1 = hessian_apply(cov, X, gamma, (D1, w1))
+        M2, s2 = hessian_apply(cov, X, gamma, (D2, w2))
         assert np.abs(M12 - a * M1 - b * M2).max() <= 1e-10
         assert abs(s12 - a * s1 - b * s2) <= 1e-10
 
@@ -218,8 +187,8 @@ class TestHessianApply:
         for _ in range(10):
             D1, w1 = random_direction(5, rng)
             D2, w2 = random_direction(5, rng)
-            M1, s1 = sqa_hessian_apply(cov, X, gamma, (D1, w1))
-            M2, s2 = sqa_hessian_apply(cov, X, gamma, (D2, w2))
+            M1, s1 = hessian_apply(cov, X, gamma, (D1, w1))
+            M2, s2 = hessian_apply(cov, X, gamma, (D2, w2))
             lhs = float(np.sum(M1 * D2) + s1 * w2)
             rhs = float(np.sum(D1 * M2) + w1 * s2)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -229,7 +198,7 @@ class TestHessianApply:
         X, gamma = feasible_point(4, rng)
         for _ in range(10):
             D, w = random_direction(4, rng)
-            M, s = sqa_hessian_apply(cov, X, gamma, (D, w))
+            M, s = hessian_apply(cov, X, gamma, (D, w))
             assert float(np.sum(M * D) + s * w) > 0.0
 
     def test_quadratic_form_matches_second_order_fd(self, rng):
@@ -241,7 +210,7 @@ class TestHessianApply:
             D, w = random_direction(p, rng)
             scale = np.sqrt(np.sum(D * D) + w * w)
             D, w = D / scale, w / scale
-            M, s = sqa_hessian_apply(cov, X, gamma, (D, w))
+            M, s = hessian_apply(cov, X, gamma, (D, w))
             quad = float(np.sum(M * D) + s * w)
             h = 1e-4 * max(1.0, gamma)
             f0 = reformulation_objective(cov, X, gamma, rho)
@@ -253,7 +222,7 @@ class TestHessianApply:
     def test_zero_covariance_reduces_to_logdet_block(self, rng):
         X, gamma = feasible_point(4, rng)
         D, w = random_direction(4, rng)
-        M, s = sqa_hessian_apply(np.zeros((4, 4)), X, gamma, (D, w))
+        M, s = hessian_apply(np.zeros((4, 4)), X, gamma, (D, w))
         Xinv = np.linalg.inv(X)
         assert_allclose(M, Xinv @ D @ Xinv, atol=1e-10)
         assert s == 0.0
@@ -311,7 +280,7 @@ class TestDescentDirection:
         X, gamma = feasible_point(p, rng)
         step = descent_direction(cov, X, gamma, 0.9, pattern)
         g_mat, g_gamma = sqa_gradient(cov, X, gamma, 0.9)
-        M, s = sqa_hessian_apply(cov, X, gamma, (step.delta_X, step.delta_gamma))
+        M, s = hessian_apply(cov, X, gamma, (step.delta_X, step.delta_gamma))
         free = sqa._FreeCoordinates(p, pattern)
         residual = free.contract(M + g_mat, s + g_gamma)  # projected Newton equation
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(free.contract(g_mat, g_gamma))
@@ -324,9 +293,29 @@ class TestDescentDirection:
         free = sqa._FreeCoordinates(p, SparsityPattern(p, [(0, 4)]))
         b = -free.contract(*ws.gradient(0.9))
         free.solve_newton(ws, b)
-        ws.h_gamma_gamma = 0.0  # the pair block stays positive definite; H does not
+        # the pair block stays positive definite; H does not, in the multiplier
+        # coordinate (h_gamma_gamma) nor along the ray (X, gamma)
+        ws.h_gamma_gamma = 0.0
+        ws.X = np.zeros((p, p))
         with pytest.raises(LinearSolveError, match="Schur complement"):
             free.solve_newton(ws, b)
+
+    def test_ray_step_matches_dense_kron_oracle(self, rng):
+        # h_gamma_gamma = 0 makes the multiplier's Schur complement negative, as
+        # cancellation does near the cone boundary, so the ray (X, gamma) is eliminated instead
+        p = 5
+        pattern = SparsityPattern(p, [(0, 4), (1, 3)])
+        cov = random_spd(p, rng)
+        X, gamma = feasible_point(p, rng)
+        X[pattern.mask()] = 0.0  # the ray needs X zero on the pattern
+        assert np.linalg.eigvalsh(X)[0] > 0.0
+        dX_ref, dg_ref, _, _ = dense_kkt_oracle(cov, X, gamma, 0.9, pattern)
+        ws = sqa._Workspace(cov, X, gamma)
+        ws.h_gamma_gamma = 0.0
+        free = sqa._FreeCoordinates(p, pattern)
+        dX, dg = free.expand(free.solve_newton(ws, -free.contract(*ws.gradient(0.9))))
+        assert np.linalg.norm(dX - dX_ref) <= 1e-10 * np.linalg.norm(dX_ref)
+        assert abs(dg - dg_ref) <= 1e-10 * abs(dg_ref)
 
     def test_dense_step_memory(self, rng):
         # one dense Newton step holds one f x f buffer, plus row blocks and O(p^2) workspace
@@ -372,27 +361,29 @@ class TestArmijo:
         delta = float(np.sum(g_mat * huge))
         assert delta < 0.0
         step = NewtonStep(delta_X=huge, delta_gamma=0.0, predicted_decrease=delta)
-        alpha, f_new = armijo_step(cov, X, gamma, 1.0, step)
+        f = reformulation_objective(cov, X, gamma, 1.0)
+        alpha, f_new = armijo_step(cov, X, gamma, 1.0, step, f)
         assert alpha < 1.0
         assert np.linalg.eigvalsh(X + alpha * huge)[0] > 0.0
         assert f_new == reformulation_objective(cov, X + alpha * huge, gamma, 1.0)
-        assert f_new < reformulation_objective(cov, X, gamma, 1.0)
+        assert f_new < f
 
     def test_rejects_nondescent_step(self, rng):
         cov = random_spd(3, rng)
+        X = np.eye(3) * 0.5
         step = NewtonStep(delta_X=np.zeros((3, 3)), delta_gamma=0.0, predicted_decrease=0.0)
         with pytest.raises(ValueError, match="descent"):
-            armijo_step(cov, np.eye(3) * 0.5, 2.0, 1.0, step)
+            armijo_step(cov, X, 2.0, 1.0, step, reformulation_objective(cov, X, 2.0, 1.0))
 
-    def test_failure_after_halving_budget(self, rng):
+    def test_failure_after_halving_budget(self, rng, monkeypatch):
         cov = random_spd(3, rng)
         X, gamma = np.eye(3) * 0.5, 2.0
         # a fake "descent" direction that cannot decrease the objective
-        g_mat, g_gamma = sqa_gradient(cov, X, gamma, 1.0)
-        ascent = project_pattern(g_mat, 0.0, None)[0]
-        step = NewtonStep(delta_X=ascent, delta_gamma=0.0, predicted_decrease=-1.0)
-        with pytest.raises(LineSearchError):
-            armijo_step(cov, X, gamma, 1.0, step, SolverConfig(max_halvings=8))
+        g_mat, _ = sqa_gradient(cov, X, gamma, 1.0)
+        step = NewtonStep(delta_X=g_mat, delta_gamma=0.0, predicted_decrease=-1.0)
+        monkeypatch.setattr(sqa, "MAX_HALVINGS", 8)
+        with pytest.raises(LineSearchError, match="within 8 halvings"):
+            armijo_step(cov, X, gamma, 1.0, step, reformulation_objective(cov, X, gamma, 1.0))
 
 
 class TestSolve:
@@ -476,6 +467,19 @@ class TestSolve:
         for e_t, e_next in tail:
             assert e_next <= 10.0 * e_t**2
 
+    def test_rank_one_near_cone_boundary(self):
+        # at this input the multiplier's Schur complement of the dense Newton step
+        # cancels to a negative number (-84 against h_gamma_gamma = 1.9e14) at iteration 10
+        a = np.array([1.397618, 1.204009, 1.302269, 0.622685, -1.44728, 1.601314, -0.943969])
+        cov = np.outer(a, a)
+        pattern = SparsityPattern(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4),
+                                      (1, 6), (3, 4), (3, 6), (4, 5), (4, 6), (5, 6)])
+        rho = 0.8 * np.sqrt(np.trace(cov))
+        sol, trace = sqa_solve(cov, rho, pattern, SolverConfig(grad_tol=1e-9 * np.linalg.norm(cov)))
+        assert trace.converged
+        assert not np.any(sol.precision[pattern.mask()])
+        assert sol.objective >= wasserstein_shrinkage(cov, rho).objective  # the unconstrained optimum
+
     def test_singular_covariance_regularized(self, rng):
         A = rng.standard_normal((3, 6))
         cov = A.T @ A / 3.0  # rank 3 of 6
@@ -496,6 +500,27 @@ class TestSolve:
             assert trace.converged
             gap = np.linalg.norm(c * sol.precision - ref.precision) / np.linalg.norm(ref.precision)
             assert gap <= 1e-6
+
+    @given(cov=covariances(), radius=st.floats(min_value=1e-2, max_value=10.0),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_permutation_equivariance(self, cov, radius, seed):
+        # relabeling the variables of cov and of the pattern together relabels X;
+        # the budget is raised because rank-1 input can take over 100 full Newton steps
+        p = cov.shape[0]
+        rng = np.random.default_rng(seed)
+        I, J = np.triu_indices(p, 1)
+        keep = rng.random(I.size) < 0.5
+        perm = rng.permutation(p)
+        new = np.argsort(perm)  # variable perm[k] becomes variable k
+        rho = np.sqrt(np.trace(cov)) * radius
+        config = SolverConfig(grad_tol=1e-9 * np.linalg.norm(cov), max_iters=500)
+        ref, ref_trace = sqa_solve(cov, rho, SparsityPattern(p, zip(I[keep], J[keep])), config)
+        sol, trace = sqa_solve(cov[np.ix_(perm, perm)], rho,
+                               SparsityPattern(p, zip(new[I[keep]], new[J[keep]])), config)
+        assert ref_trace.converged and trace.converged
+        expected = ref.precision[np.ix_(perm, perm)]
+        assert np.linalg.norm(sol.precision - expected) <= 1e-5 * np.linalg.norm(expected)
 
     def test_budget_exhaustion_flagged(self, rng):
         cov = random_spd(6, rng)

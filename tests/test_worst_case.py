@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
+from wshrink import gaussian, worst_case
 from wshrink.analytical import wasserstein_shrinkage
 from wshrink.gaussian import as_symmetric, induced_metric_V, sqrtm_psd
 from wshrink.worst_case import extremal_covariance, extremal_for_optimal, extremal_gamma
 
-from conftest import random_psd_singular, random_spd
+from conftest import covariances, random_psd_singular, random_spd
 
 
 class TestExtremalGamma:
@@ -129,11 +132,30 @@ class TestExtremalForOptimal:
         comm = worst.covariance @ cov - cov @ worst.covariance
         assert np.linalg.norm(comm) <= 1e-8 * np.linalg.norm(cov) * np.linalg.norm(worst.covariance)
 
-    def test_distance_active_even_rank_deficient(self, rng):
-        cov = random_psd_singular(5, 2, rng)
-        for rho in (0.3, 1.0, 2.5):
-            worst = extremal_for_optimal(cov, rho)
-            assert abs(worst.attained_distance - rho) <= 1e-6
+    @given(cov=covariances(), radius=st.floats(min_value=1e-3, max_value=1e2))
+    @settings(max_examples=100, deadline=None)
+    def test_distance_active_even_rank_deficient(self, cov, radius):
+        # the worst case lies on the boundary of the ball, rank-deficient cov included
+        rho = np.sqrt(np.trace(cov)) * radius
+        worst = extremal_for_optimal(cov, rho)
+        assert abs(worst.attained_distance - rho) <= 1e-9 * rho
+        assert abs(worst.attained_distance - induced_metric_V(worst.covariance, cov)) <= 1e-9 * rho
+
+    def test_validates_and_decomposes_cov_once(self, rng, monkeypatch):
+        calls = {"as_symmetric": 0, "eigh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        as_symmetric_counted = counted("as_symmetric", gaussian.as_symmetric)
+        for module in (gaussian, worst_case):
+            monkeypatch.setattr(module, "as_symmetric", as_symmetric_counted)
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        extremal_for_optimal(random_psd_singular(5, 3, rng), 0.7)
+        assert calls == {"as_symmetric": 1, "eigh": 1}
 
 
 def sample_within_radius(cov, rho: float, count: int, rng: np.random.Generator):
