@@ -98,12 +98,15 @@ def spectral_decompose(matrix) -> SpectralDecomposition:
 def sqrtm_psd(matrix, name: str = "matrix") -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    The spectrum goes through ``psd_spectrum``: indefinite input is rejected,
-    and eigenvalues below the rank cut, roundoff included, count as zero so
-    rank-deficient covariances are handled uniformly.
+    The input goes through ``as_symmetric`` and its spectrum through
+    ``psd_spectrum``, each once, with ``name`` in their errors: indefinite
+    input is rejected, and eigenvalues below the rank cut, roundoff included,
+    count as zero so rank-deficient covariances are handled uniformly.  The
+    root ``W @ W.T`` does not depend on the eigenvector signs, so they are
+    left unnormalized.
     """
-    dec = spectral_decompose(matrix)
-    W = dec.eigenvectors * np.sqrt(np.sqrt(psd_spectrum(dec.eigenvalues, name)))
+    w, V = np.linalg.eigh(as_symmetric(matrix, name=name))
+    W = V * np.sqrt(np.sqrt(psd_spectrum(w, name)))
     return W @ W.T
 
 
@@ -111,19 +114,17 @@ def induced_metric_V(S1, S2) -> float:
     """Wasserstein-induced metric between PSD matrices.
 
     ``V(S1, S2) = sqrt(tr S1 + tr S2 - 2 tr sqrt(sqrt(S2) S1 sqrt(S2)))``;
-    this equals the Gaussian Wasserstein distance at equal means.  Inputs that
-    fail ``psd_spectrum`` are rejected (by ``sqrtm_psd``).
+    this equals the Gaussian Wasserstein distance at equal means.  Each input
+    is validated and decomposed once, by ``sqrtm_psd``.
 
     Evaluated through the equivalent orthogonal-Procrustes form
     ``min_U || sqrt(S1) - sqrt(S2) U ||_F``: computing a norm of a difference
     instead of a difference of traces keeps near-zero distances accurate to
     machine precision instead of its square root.
     """
-    A = as_symmetric(S1, name="S1")
-    B = as_symmetric(S2, name="S2")
-    if A.shape != B.shape:
+    ra = sqrtm_psd(S1, "S1")
+    rb = sqrtm_psd(S2, "S2")
+    if ra.shape != rb.shape:
         raise ValueError("dimension mismatch")
-    ra = sqrtm_psd(A, "S1")
-    rb = sqrtm_psd(B, "S2")
     W, _, Zt = np.linalg.svd(rb @ ra)
     return float(np.linalg.norm(ra - rb @ (W @ Zt)))

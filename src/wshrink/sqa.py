@@ -7,11 +7,10 @@ iteration solves a projected Newton system for a feasible descent direction and
 backtracks with an Armijo rule that also enforces the cone constraints
 ``0 < X < gamma I``.  The Newton system is never materialized at full size:
 it is solved over the free coordinates (upper-triangle entries off the
-pattern, plus the multiplier).  Up to a free dimension of
-``DENSE_THRESHOLD``, the pair block of the reduced matrix is assembled in row
-blocks into one reused buffer and Cholesky-factorized in place, and the
-multiplier is eliminated by its Schur complement.  Above it, the system is
-solved by matrix-free conjugate gradients using Kronecker-product identities.
+pattern, plus the multiplier).  Its pair block is assembled in row blocks into
+one f x f buffer, which is Cholesky-factorized in place, and the multiplier is
+eliminated by its Schur complement.  That buffer takes ``8 f^2`` bytes; when it
+cannot be allocated, the step raises ``LinearSolveError``.
 
 The line search halves the step from 1 until the iterate stays in the cone and
 the objective falls by at least ``ARMIJO_SIGMA`` times the predicted decrease;
@@ -26,17 +25,12 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse.linalg import cg  # noqa: F401  unused; kept because the benchmark tracer wraps ``sqa.cg``
 
 from .analytical import ShrinkageSolution, _check_rho, _objective_at, eigenvalue_map, wasserstein_shrinkage
 from .errors import LinearSolveError, LineSearchError
 from .gaussian import as_symmetric, psd_spectrum
 
-#: the reduced Newton system is assembled and factorized up to this free dimension,
-#: and solved matrix-free by conjugate gradients above it
-DENSE_THRESHOLD = 2000
-#: relative residual at which conjugate gradients stop
-CG_TOL = 1e-8
 #: Armijo sufficient-decrease fraction of the predicted decrease
 ARMIJO_SIGMA = 1e-4
 #: step halvings the line search tries before it gives up
@@ -171,14 +165,6 @@ class _Workspace:
         g_gamma = rho * rho + float(np.trace(self.GinvS)) - inner / self.gamma - float(np.trace(self.cov))
         return g_mat, g_gamma
 
-    def hessian_apply(self, V: np.ndarray, w: float):
-        mat = self.Xinv @ V @ self.Xinv
-        mat += (2.0 / self.gamma) * (self.Ginv @ V @ self.GinvSGinv)
-        mat -= (w / self.gamma**2) * self.W
-        mat = 0.5 * (mat + mat.T)
-        scalar = -float(np.sum(self.W * V)) / self.gamma**2 + w * self.h_gamma_gamma
-        return mat, scalar
-
 
 #: ``_take(A[R], C, out=buf)`` writes ``A[np.ix_(R, C)]`` into ``buf``; the indices are in range
 _take = partial(np.take, axis=1, mode="clip")
@@ -223,22 +209,32 @@ class _FreeCoordinates:
     def solve_newton(self, ws: _Workspace, b: np.ndarray) -> np.ndarray:
         """Solve the reduced Newton system ``H u = b`` over the free coordinates.
 
-        The pair block ``T`` of ``H`` is assembled (upper triangle only) and
+        This is the only Newton direction, at every free dimension ``f``.  The
+        pair block ``T`` of ``H`` is assembled (upper triangle only) into one
+        ``f x f`` buffer, which is kept for later iterations and
         Cholesky-factorized in place; the multiplier is eliminated through its
         Schur complement ``h_gamma_gamma - c^T T^-1 c``, where ``c`` is the
         pair-multiplier border.  Near the cone boundary both terms are huge and
         the computed difference can lose every digit; when it is not positive,
         the ray ``(X, gamma)`` takes the multiplier's place as the eliminated
-        coordinate.  The objective is
-        ``-log det X`` plus terms homogeneous of degree 1 in ``(X, gamma)``, so
-        ``H (X, gamma) = (X^-1, 0)``: the ray's border is ``X^-1`` and its corner
-        ``<X, X^-1> = p``, with no cancellation.  This needs ``X`` zero on the
-        pattern, as every ``sqa_solve`` iterate is.  Raises ``LinearSolveError``
-        unless ``H`` is positive definite.
+        coordinate.  The objective is ``-log det X`` plus terms homogeneous of
+        degree 1 in ``(X, gamma)``, so ``H (X, gamma) = (X^-1, 0)``: the ray's
+        border is ``X^-1`` and its corner ``<X, X^-1> = p``, which stay
+        moderate near the boundary (the ray form cancels instead at large
+        ``gamma``, where the multiplier form serves).  This needs ``X`` zero on
+        the pattern, as every ``sqa_solve`` iterate is.
+
+        Raises ``LinearSolveError`` unless ``H`` is positive definite, and when
+        the ``8 f^2``-byte buffer cannot be allocated: no other method is tried.
         """
         I, J, f, p = self.I, self.J, self.I.size, ws.p
         if self.T is None:
-            self.T = np.empty((f, f))
+            try:
+                self.T = np.empty((f, f))
+            except MemoryError as exc:
+                raise LinearSolveError(
+                    f"cannot allocate the {f} x {f} Newton matrix of the free pairs ({8 * f * f / 2**30:.1f} GiB)"
+                ) from exc
         T = self.T
         # X^-1 (x) X^-1: its four terms are two equal pairs; sqrt(2) X^-1 carries the 2
         A = np.sqrt(2.0) * ws.Xinv
@@ -297,27 +293,7 @@ def _descent_direction(ws: _Workspace, gradient, free: _FreeCoordinates) -> Newt
     and is negative unless the projected gradient vanishes.
     """
     g_mat, g_gamma = gradient
-    b = -free.contract(g_mat, g_gamma)
-    n_free = b.size
-    if n_free <= DENSE_THRESHOLD:
-        u = free.solve_newton(ws, b)
-    elif not np.any(b):
-        u = np.zeros_like(b)
-    else:
-        def matvec(v):
-            M, s = ws.hessian_apply(*free.expand(v))
-            return free.contract(M, s)
-
-        op = LinearOperator((n_free, n_free), matvec=matvec, dtype=np.float64)
-        maxiter = 10 * n_free
-        u, info = cg(op, b, rtol=CG_TOL, atol=0.0, maxiter=maxiter)
-        if info != 0:
-            resid = float(np.linalg.norm(matvec(u) - b) / np.linalg.norm(b))
-            raise LinearSolveError(
-                f"conjugate gradients stopped after {maxiter} iterations with relative residual {resid:.3e} "
-                f"(target {CG_TOL:.1e}, free dimension {n_free})"
-            )
-    dX, dgamma = free.expand(u)
+    dX, dgamma = free.expand(free.solve_newton(ws, -free.contract(g_mat, g_gamma)))
     delta = float(np.sum(g_mat * dX) + g_gamma * dgamma)
     return NewtonStep(delta_X=dX, delta_gamma=dgamma, predicted_decrease=delta)
 

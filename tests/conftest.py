@@ -60,6 +60,18 @@ def tracemalloc_peak(run) -> int:
         tracemalloc.stop()
 
 
+def refuse_allocation(monkeypatch, shape) -> None:
+    """Make ``np.empty(shape)`` raise ``MemoryError``, as it does when the host lacks the memory."""
+    empty = np.empty
+
+    def empty_or_refuse(requested, *args, **kwargs):
+        if requested == shape:
+            raise MemoryError(f"Unable to allocate array with shape {shape}")
+        return empty(requested, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty_or_refuse)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -11,7 +11,7 @@ from wshrink.cli import _estimator_for, main
 from wshrink.evaluation import make_folds
 from wshrink.sqa import SolverConfig, SparsityPattern
 
-from conftest import random_spd
+from conftest import random_spd, refuse_allocation
 
 
 def write_csv(path, M):
@@ -123,6 +123,17 @@ class TestEstimate:
                      "--output", out]) == 0
         P = io.read_matrix_csv(out)
         assert P[0, 3] == 0.0 and P[3, 0] == 0.0
+
+    def test_unallocatable_newton_matrix_is_solver_error(self, tmp_path, rng, monkeypatch, capsys):
+        data = write_csv(tmp_path / "d.csv", sample_gaussian(random_spd(4, rng), 40, 2))
+        pattern = str(tmp_path / "pat.json")
+        write_pattern(pattern, 4, [[1, 4]])
+        f = 4 + 6 - 1  # the free pairs: 4 diagonal and 6 off-diagonal, less the pattern pair
+        refuse_allocation(monkeypatch, (f, f))
+        code = main(["estimate", "--input", data, "--rho", "0.7", "--pattern", pattern,
+                     "--output", str(tmp_path / "prec.csv")])
+        assert code == 2
+        assert f"solver error: cannot allocate the {f} x {f} Newton matrix" in capsys.readouterr().err
 
     def test_rho_and_grid_mutually_exclusive(self, tmp_path, capsys):
         data = write_csv(tmp_path / "d.csv", np.eye(2))

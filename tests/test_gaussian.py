@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wshrink import gaussian
 from wshrink.analytical import wasserstein_shrinkage
 from wshrink.gaussian import (
     PSD_TOL,
@@ -197,3 +198,25 @@ class TestInducedMetric:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="PSD"):
             induced_metric_V(np.diag([1.0, -1e-3]), np.eye(2))
+
+    @pytest.mark.parametrize("S1, S2, name", [
+        (np.ones((2, 3)), np.eye(2), "S1"),
+        (np.eye(2), np.diag([1.0, -1e-3]), "S2"),
+    ], ids=["asymmetric_S1", "indefinite_S2"])
+    def test_errors_name_the_input(self, S1, S2, name):
+        with pytest.raises(ValueError, match=name):
+            induced_metric_V(S1, S2)
+
+    def test_validates_and_decomposes_each_input_once(self, rng, monkeypatch):
+        calls = {"as_symmetric": 0, "eigh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gaussian, "as_symmetric", counted("as_symmetric", gaussian.as_symmetric))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        induced_metric_V(random_spd(5, rng), random_psd_singular(5, 3, rng))
+        assert calls == {"as_symmetric": 2, "eigh": 2}

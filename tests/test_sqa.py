@@ -11,7 +11,7 @@ from wshrink.analytical import reformulation_objective, wasserstein_shrinkage
 from wshrink.errors import LinearSolveError, LineSearchError
 from wshrink.sqa import NewtonStep, SolverConfig, SparsityPattern, armijo_step, sqa_gradient, sqa_solve
 
-from conftest import covariances, random_spd
+from conftest import covariances, random_spd, refuse_allocation
 
 
 def feasible_point(p, rng, margin=1.6):
@@ -26,8 +26,29 @@ def random_direction(p, rng):
 
 
 def hessian_apply(cov, X, gamma, direction):
-    """The quadratic-model Hessian applied to a ``(symmetric matrix, scalar)`` direction."""
-    return sqa._Workspace(cov, X, gamma).hessian_apply(*direction)
+    """The quadratic-model Hessian applied to a ``(symmetric matrix, scalar)`` direction.
+
+    Matrix-free, by the Kronecker identities ``(A (x) B) vec V = vec(A V B)``:
+    the oracle that the assembled Newton step is checked against.
+    """
+    ws = sqa._Workspace(cov, X, gamma)
+    V, w = direction
+    mat = ws.Xinv @ V @ ws.Xinv
+    mat += (2.0 / ws.gamma) * (ws.Ginv @ V @ ws.GinvSGinv)
+    mat -= (w / ws.gamma**2) * ws.W
+    mat = 0.5 * (mat + mat.T)
+    scalar = -float(np.sum(ws.W * V)) / ws.gamma**2 + w * ws.h_gamma_gamma
+    return mat, scalar
+
+
+def assert_projected_newton_equation(cov, X, gamma, rho, pattern):
+    """The step of ``sqa_solve`` solves ``P (H z + g) = 0`` to 1e-10 relative."""
+    step = descent_direction(cov, X, gamma, rho, pattern)
+    g_mat, g_gamma = sqa_gradient(cov, X, gamma, rho)
+    M, s = hessian_apply(cov, X, gamma, (step.delta_X, step.delta_gamma))
+    free = sqa._FreeCoordinates(X.shape[0], pattern)
+    residual = free.contract(M + g_mat, s + g_gamma)
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(free.contract(g_mat, g_gamma))
 
 
 def descent_direction(cov, X, gamma, rho, pattern=None):
@@ -243,21 +264,19 @@ class TestDescentDirection:
         # free dimension 22 >> p: the diagonal-pair scaling of many rows and columns
         pytest.param(7, [(0, 6), (1, 5), (2, 4), (0, 3), (3, 6), (1, 2)], id="p7_six_pairs"),
     ])
-    def test_matches_dense_kron_oracle(self, p, pairs, rng, monkeypatch):
+    def test_matches_dense_kron_oracle(self, p, pairs, rng):
         cov = random_spd(p, rng)
         X, gamma = feasible_point(p, rng)
         rho = 0.9
         pattern = SparsityPattern(p, pairs) if pairs else None
         dX_ref, dg_ref, H, g = dense_kkt_oracle(cov, X, gamma, rho, pattern)
-        for threshold in (sqa.DENSE_THRESHOLD, 0):  # dense assembly, then conjugate gradients
-            monkeypatch.setattr(sqa, "DENSE_THRESHOLD", threshold)
-            step = descent_direction(cov, X, gamma, rho, pattern)
-            assert np.abs(step.delta_X - dX_ref).max() <= 1e-8 * (1.0 + np.abs(dX_ref).max())
-            assert abs(step.delta_gamma - dg_ref) <= 1e-8 * (1.0 + abs(dg_ref))
-            z = np.append(step.delta_X.reshape(-1), step.delta_gamma)
-            P = projection_matrix(pattern, p)
-            kkt = P @ (H @ z + g)
-            assert np.linalg.norm(kkt) <= 1e-8 * max(1.0, np.linalg.norm(P @ g))
+        step = descent_direction(cov, X, gamma, rho, pattern)
+        assert np.abs(step.delta_X - dX_ref).max() <= 1e-8 * (1.0 + np.abs(dX_ref).max())
+        assert abs(step.delta_gamma - dg_ref) <= 1e-8 * (1.0 + abs(dg_ref))
+        z = np.append(step.delta_X.reshape(-1), step.delta_gamma)
+        P = projection_matrix(pattern, p)
+        kkt = P @ (H @ z + g)
+        assert np.linalg.norm(kkt) <= 1e-8 * max(1.0, np.linalg.norm(P @ g))
 
     def test_row_blocks_match_dense_kron_oracle(self, rng):
         # p = 16 with 4 pattern pairs: 132 free pairs, so two full row blocks and a partial one
@@ -278,12 +297,24 @@ class TestDescentDirection:
         pattern = SparsityPattern(p, [(i, j) for i in range(p) for j in range(i + 1, p) if (i, j) not in kept])
         cov = random_spd(p, rng)
         X, gamma = feasible_point(p, rng)
-        step = descent_direction(cov, X, gamma, 0.9, pattern)
-        g_mat, g_gamma = sqa_gradient(cov, X, gamma, 0.9)
-        M, s = hessian_apply(cov, X, gamma, (step.delta_X, step.delta_gamma))
-        free = sqa._FreeCoordinates(p, pattern)
-        residual = free.contract(M + g_mat, s + g_gamma)  # projected Newton equation
-        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(free.contract(g_mat, g_gamma))
+        assert_projected_newton_equation(cov, X, gamma, 0.9, pattern)
+
+    def test_large_free_dimension(self, rng):
+        # p = 64 with one pattern pair: 2,079 free pairs, a 35 MB Newton matrix
+        p = 64
+        pattern = SparsityPattern(p, [(0, 63)])
+        assert sqa._FreeCoordinates(p, pattern).I.size == 2079
+        cov = random_spd(p, rng)
+        X, gamma = feasible_point(p, rng)
+        assert_projected_newton_equation(cov, X, gamma, 0.9, pattern)
+
+    def test_unallocatable_newton_matrix_raises(self, rng, monkeypatch):
+        p = 6
+        pattern = SparsityPattern(p, [(0, 5)])
+        f = sqa._FreeCoordinates(p, pattern).I.size
+        refuse_allocation(monkeypatch, (f, f))
+        with pytest.raises(LinearSolveError, match=f"{f} x {f} Newton matrix"):
+            sqa_solve(random_spd(p, rng), 0.5, pattern)
 
     def test_nonpositive_schur_complement_raises(self, rng):
         p = 5
