@@ -1,8 +1,7 @@
 """Numeric kernels of the analytical estimator: the eigenvalue map, the
-dual-multiplier residual and its root solve.
+dual-multiplier residual and the package's one root solver.
 
-A sweep eigendecomposes each fold once and runs these kernels once per fold
-per grid point.  The eigenvalue map sends a sample eigenvalue ``lam > 0`` to
+The eigenvalue map sends a sample eigenvalue ``lam > 0`` to
 ``x(lam, g) = 4 / (lam * (1 + sqrt(1 + 4/(lam*g)))^2)`` and ``lam = 0`` to ``g``.
 Through the identity ``sqrt(lam^2 g^2 + 4 lam g)/2 - lam g/2 = 1 - x(lam, g)/g``
 the residual whose positive root is the multiplier reads, for ``n0`` zero
@@ -11,24 +10,28 @@ eigenvalues and radius ``rho``::
     phi(g) = rho^2 g - n0 - sum_{lam > 0} x(lam, g) / g
 
 Every term is computed without subtraction, so ``phi`` keeps full relative
-precision even when ``sum(lam)`` dwarfs ``rho^2``.  ``phi`` is strictly
-increasing from ``phi(0+) = -p``, so it has a unique positive root.  The solver
-bisects until the bracket is narrow (1e-2 relative width), then switches to
-Newton steps safeguarded by the bracket.  ``benchmarks/run.py`` times the
-solver and the map under their names here.
+precision even when ``sum(lam)`` dwarfs ``rho^2``.  With ``x/g = h(lam g)`` and
+``h(u) = 1 + u/2 - sqrt(u^2 + 4u)/2`` convex and decreasing, ``phi`` is concave
+and increases from ``phi(0+) = -p``, so Newton started below the root climbs
+to it monotonically (the tangent lies above the graph), and so does the Newton
+step from any point above it.  ``monotone_newton`` needs no bisection and
+solves all radii of a sweep in one call.
+``benchmarks/run.py`` times the solver and the map under their names here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import EstimationError
+
 #: no compiled path exists; kept because benchmark env records read ``wshrink.USING_NUMBA``
 USING_NUMBA = False
 
 _EPS = float(np.finfo(np.float64).eps)
 
-#: relative bracket width below which bisection hands over to Newton
-_NEWTON_SWITCH = 1e-2
+#: residual evaluations after which a multiplier that has not converged is an error
+MAX_ITER = 200
 
 
 def _map_positive(pos, gamma):
@@ -53,45 +56,53 @@ def shrink_eigenvalues(lam, gamma):
 def gamma_residual(gamma, pos, n_zero, rho):
     """phi at scalar or array ``gamma``, given the positive eigenvalues ``pos``
     and the number ``n_zero`` of zero eigenvalues."""
-    g = gamma if np.isscalar(gamma) else np.asarray(gamma, dtype=np.float64)[..., None]
-    return rho * rho * gamma - n_zero - _map_positive(pos, g).sum(axis=-1) / gamma
+    g = np.asarray(gamma, dtype=np.float64)
+    return gamma_residual_slope(g.reshape(-1), pos, n_zero, rho * rho)[0].reshape(g.shape)[()]
 
 
-def solve_gamma_bracketed(lam, rho, lo, hi, tol, max_iter=200):
-    """Bracketed bisection/Newton root solve of phi.
+def gamma_residual_slope(gamma, pos, n_zero, rho2):
+    """``(phi, phi')`` at an array of multipliers, each paired with its squared radius in ``rho2``.
 
-    Requires ``phi(lo) <= 0 <= phi(hi)``.  Returns ``(gamma, iterations, residual)``.
+    With ``u = lam g`` and ``r = sqrt(1 + 4/u)``, ``-h'(u) = h(u) / (u r)``, so
+    the slope ``rho^2 + sum h / (r g)`` is subtraction-free like ``phi``.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    pos = lam[lam > 0.0]
-    n_zero = lam.size - pos.size
-    rho, lo, hi = float(rho), float(lo), float(hi)
+    u = pos * gamma[:, None]
+    r = np.sqrt(1.0 + 4.0 / u)
+    s = 1.0 + r
+    h = 4.0 / (u * s * s)
+    return rho2 * gamma - n_zero - h.sum(axis=1), rho2 + (h / r).sum(axis=1) / gamma
 
-    def dphi(g):
-        root = np.sqrt(pos * pos * g * g + 4.0 * pos * g)
-        return rho * rho + 0.5 * (pos * ((pos * g + 2.0) / root - 1.0)).sum()
 
-    gamma = 0.5 * (lo + hi)
-    best, best_res = gamma, np.inf
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        f = gamma_residual(gamma, pos, n_zero, rho)
-        if abs(f) < best_res:
-            best, best_res = gamma, abs(f)
-        if abs(f) <= tol:
-            return gamma, iters, f
-        if f > 0.0:
-            hi = gamma
-        else:
-            lo = gamma
-        if hi - lo <= 4.0 * _EPS * max(hi, 1e-300):
-            return best, iters, best_res
-        if hi - lo <= _NEWTON_SWITCH * hi:
-            d = dphi(gamma)
-            nxt = gamma - f / d if d > 0.0 else 0.5 * (lo + hi)
-            if not (lo < nxt < hi):
-                nxt = 0.5 * (lo + hi)
-        else:
-            nxt = 0.5 * (lo + hi)
-        gamma = nxt
-    return best, iters, best_res
+def monotone_newton(residual, lower, upper, tol):
+    """Roots of concave, strictly increasing residuals within ``lower <= root <= upper``, one per entry.
+
+    ``residual(g, idx)`` returns ``(f, f')`` at the multipliers ``g`` of the
+    entries ``idx``.  By concavity the Newton step from ``upper`` lands below
+    the root; the iterates climb from the larger of that point and ``lower``.
+    An entry is frozen once ``|f| <= tol`` or its step is below the float
+    resolution of its multiplier, so it ends where a solve of its own would.
+    Returns ``(roots, residual evaluations, residuals at the roots)``; raises
+    ``EstimationError`` after ``MAX_ITER`` evaluations.
+    """
+    hi = np.asarray(upper, dtype=np.float64).reshape(-1)
+    active = np.arange(hi.size)
+    f, slope = residual(hi, active)
+    g = np.maximum(lower, hi - f / slope)
+    iters = np.ones(g.size, dtype=np.int64)
+    for it in range(2, MAX_ITER + 1):
+        ga = g[active]
+        fa, slope = residual(ga, active)
+        step = fa / slope
+        done = (np.abs(fa) <= tol) | (np.abs(step) <= 4.0 * _EPS * ga)
+        if done.any():
+            f[active[done]], iters[active[done]] = fa[done], it
+            active, ga, step = active[~done], ga[~done], step[~done]
+            if not active.size:
+                return g, iters, f
+        g[active] = ga - step
+    raise EstimationError(f"multiplier root solve did not converge in {MAX_ITER} iterations "
+                          f"({active.size} of {g.size} left at {g[active][0]:.6e})")
+
+
+#: the name the benchmark tracer wraps, layer ``kernels.solve_gamma_bracketed``
+solve_gamma_bracketed = monotone_newton

@@ -5,9 +5,10 @@ and an ambiguity radius ``rho > 0``, the robust precision estimator shares the
 sample eigenvectors and has eigenvalues ``x_i = map(lam_i, gamma*)``.  The dual
 multiplier ``gamma*`` is the unique positive root of the strictly increasing
 residual ``phi(g) = rho^2 g - n0 - sum_{lam > 0} map(lam, g) / g``, with ``n0``
-zero eigenvalues (see ``_kernels``).  This module provides the convex
-objective shared with the iterative solver, an a priori root bracket, the root
-solve, the eigenvalue map, the assembled estimator and its radius path.
+zero eigenvalues; it is concave, so Newton climbs to it from within the
+a priori bracket (see ``_kernels``).  This module provides the convex
+objective shared with the iterative solver, the bracket, the root solve, the
+eigenvalue map, the assembled estimator and its radius path.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ import numpy as np
 import scipy.linalg
 
 from . import _kernels
+from .errors import EstimationError
 from .gaussian import RANK_RTOL, as_symmetric, psd_spectrum, spectral_decompose
 
 #: stopping tolerance on the scalar residual phi(gamma)
 GAMMA_TOL = 1e-12
+#: halvings of ``gamma_min`` and doublings of ``gamma_max`` that may repair a rounded bracket
+BRACKET_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -69,42 +73,44 @@ def gamma_bracket(eigenvalues, rho: float) -> BisectionBracket:
     harmonic term dropped whenever some eigenvalue vanishes.
     """
     _check_rho(rho)
-    return _bracket(psd_spectrum(eigenvalues), rho)
+    lam = psd_spectrum(eigenvalues)
+    gmin, gmax = (float(b[0]) for b in _gamma_bounds(lam, np.array([rho])))
+    pos = lam[lam > 0.0]
+    residual = partial(_kernels.gamma_residual, pos=pos, n_zero=lam.size - pos.size, rho=rho)
+
+    for _ in range(BRACKET_STEPS):
+        if residual(gmin) <= 0.0 or gmin <= 0.0:
+            break
+        gmin *= 0.5
+    for _ in range(BRACKET_STEPS):
+        if residual(gmax) >= 0.0:
+            break
+        gmax *= 2.0
+    if residual(gmin) > 0.0 or residual(gmax) < 0.0:
+        raise EstimationError(f"failed to bracket the multiplier root in {BRACKET_STEPS} steps (rho={rho:g})")
+    return BisectionBracket(gamma_min=gmin, gamma_max=gmax, residual=residual)
 
 
-def _bracket(lam: np.ndarray, rho: float) -> BisectionBracket:
-    """``gamma_bracket`` for a spectrum already cleaned by ``psd_spectrum``."""
-    p = lam.size
-    lmax = float(lam.max())
-    rho2 = rho * rho
+def _gamma_bounds(lam: np.ndarray, radii: np.ndarray):
+    """``gamma_bracket``'s endpoints for each radius, before any repair."""
+    p, lmax = lam.size, float(lam.max())
+    rho2 = radii * radii
     # rationalized form of (p^2 lmax + 2 p rho^2 - p sqrt(p^2 lmax^2 + 4 p rho^2 lmax)) / (2 rho^4),
     # immune to cancellation for small rho
     gmin = 2.0 * p / (p * lmax + 2.0 * rho2 + np.sqrt((p * lmax) ** 2 + 4.0 * p * rho2 * lmax))
     gmax = p / rho2
     if lam.min() > 0.0:
-        gmax = min(gmax, float(np.sqrt(np.sum(1.0 / lam))) / rho)
+        gmax = np.minimum(gmax, np.sqrt(np.sum(1.0 / lam)) / radii)
+    return gmin, gmax
 
+
+def _solve_gammas(lam: np.ndarray, radii: np.ndarray):
+    """Multipliers of checked ``radii`` for a spectrum already cleaned by
+    ``psd_spectrum``, in one kernel call; returns ``(gammas, iterations, residuals)``."""
     pos = lam[lam > 0.0]
-    residual = partial(_kernels.gamma_residual, pos=pos, n_zero=p - pos.size, rho=rho)
-
-    for _ in range(64):
-        if residual(gmin) <= 0.0 or gmin <= 0.0:
-            break
-        gmin *= 0.5
-    for _ in range(64):
-        if residual(gmax) >= 0.0:
-            break
-        gmax *= 2.0
-    if residual(gmin) > 0.0 or residual(gmax) < 0.0:
-        raise RuntimeError("internal error: failed to bracket the multiplier root")
-    return BisectionBracket(gamma_min=float(gmin), gamma_max=float(gmax), residual=residual)
-
-
-def _solve_gamma_info(lam: np.ndarray, rho: float):
-    """Root solve for a spectrum already cleaned by ``psd_spectrum`` and a checked
-    radius; returns ``(gamma, iterations, residual)``."""
-    bracket = _bracket(lam, rho)
-    return _kernels.solve_gamma_bracketed(lam, rho, bracket.gamma_min, bracket.gamma_max, GAMMA_TOL)
+    n_zero, rho2 = lam.size - pos.size, radii * radii
+    return _kernels.monotone_newton(lambda g, idx: _kernels.gamma_residual_slope(g, pos, n_zero, rho2[idx]),
+                                    *_gamma_bounds(lam, radii), GAMMA_TOL)
 
 
 def eigenvalue_map(lam, gamma_star: float):
@@ -168,36 +174,40 @@ def wasserstein_shrinkage(cov, rho: float) -> ShrinkageSolution:
     the plain inverse should be used explicitly otherwise.
     """
     _check_rho(rho)
-    return _shrink_decomposed(spectral_decompose(cov), rho)
+    return next(wasserstein_shrinkage_path(cov, [rho]))
 
 
 def wasserstein_shrinkage_path(cov, radii):
-    """Yield ``wasserstein_shrinkage(cov, rho)`` for each of ``radii``, from one ``eigh``."""
+    """Yield ``wasserstein_shrinkage(cov, rho)`` for each of ``radii``, from one
+    ``eigh`` and one multiplier solve; an invalid radius raises when reached."""
+    radii = np.asarray(radii, dtype=np.float64).reshape(-1)
     dec = spectral_decompose(cov)
-    for rho in radii:
-        _check_rho(rho)
-        yield _shrink_decomposed(dec, rho)
-
-
-def _shrink_decomposed(dec, rho: float) -> ShrinkageSolution:
-    """The estimator at a checked radius from the decomposition of ``cov``."""
     lam = psd_spectrum(dec.eigenvalues, "cov")
-    gamma, iters, _ = _solve_gamma_info(lam, rho)
+    valid = np.isfinite(radii) & (radii > 0.0)  # an invalid radius is solved at 1.0 and raises when reached
+    gammas, iters, _ = _solve_gammas(lam, np.where(valid, radii, 1.0))
+    for rho, gamma, it in zip(radii, gammas, iters):
+        _check_rho(rho)
+        yield _solution(dec.eigenvectors, lam, float(gamma), float(rho), int(it))
+
+
+def _solution(V, lam, gamma: float, rho: float, iters: int) -> ShrinkageSolution:
+    """The estimator at a solved radius from the eigenpairs of ``cov`` (its own
+    frame, so a suspended path holds no temporary of the last radius)."""
     x = _kernels.shrink_eigenvalues(lam, gamma)
-    W = dec.eigenvectors * np.sqrt(x)
+    W = V * np.sqrt(x)
     precision = W @ W.T  # exactly symmetric (see ``gaussian``)
 
     # objective evaluated in the shared eigenbasis; zero sample eigenvalues
     # contribute nothing to the trace term (their limit value)
     pos = lam > 0.0
-    trace_term = float(np.sum(lam[pos] / (gamma - x[pos]))) if pos.any() else 0.0
+    trace_term = float(np.sum(lam[pos] / (gamma - x[pos])))
     objective = float(-np.log(x).sum() + gamma * (rho * rho - lam.sum()) + gamma * gamma * trace_term)
 
     return ShrinkageSolution(
         precision=precision,
-        dual_multiplier=float(gamma),
+        dual_multiplier=gamma,
         shrunk_eigenvalues=x,
         objective=objective,
-        radius=float(rho),
+        radius=rho,
         iterations=iters,
     )

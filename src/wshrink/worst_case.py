@@ -5,8 +5,9 @@ worst-case expectation over the covariance ball is attained by a zero-mean
 normal distribution whose covariance has the closed form
 ``S* = gamma^2 (gamma I - X)^{-1} cov (gamma I - X)^{-1}``, with the
 multiplier ``gamma`` solving a scalar stationarity equation on
-``(lambda_max(X), inf)``.  At the optimal shrinkage estimator the extremal
-covariance is available eigenvalue-wise even for rank-deficient input.
+``(lambda_max(X), inf)``, concave and increasing like the shrinkage multiplier's.
+At the optimal shrinkage estimator the extremal covariance is available
+eigenvalue-wise even for rank-deficient input.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _kernels
-from .analytical import _check_rho, _solve_gamma_info
+from .analytical import GAMMA_TOL, _check_rho, _solve_gammas
 from .gaussian import RANK_RTOL, as_symmetric, induced_metric_V, psd_spectrum
 
 
@@ -35,7 +35,8 @@ def extremal_gamma(cov, X, rho: float) -> float:
     """Multiplier of the worst-case covariance for a fixed estimator.
 
     Solves the stationarity equation of the dual objective on
-    ``(lambda_max(X), inf)`` by bracketed root finding with Newton polish.
+    ``(lambda_max(X), inf)`` by monotone Newton within bounds relative to
+    ``lambda_max(X)``; raises ``EstimationError`` when it does not converge.
     Requires ``cov`` positive definite; for a rank-deficient sample
     covariance use ``extremal_for_optimal`` or regularize first.
     """
@@ -44,49 +45,25 @@ def extremal_gamma(cov, X, rho: float) -> float:
     Xs = as_symmetric(X, name="X")
     if S.shape != Xs.shape:
         raise ValueError("cov and X dimensions differ")
-    for M, name in ((S, "cov"), (Xs, "X")):
-        if psd_spectrum(np.linalg.eigvalsh(M), name)[0] == 0.0:
-            raise ValueError(f"{name} must be positive definite, not rank deficient")
-
     d, U = np.linalg.eigh(Xs)
-    m_diag = np.einsum("ia,ij,ja->a", U, S, U)
-    dmax = float(d[-1])
+    for w, name in ((np.linalg.eigvalsh(S), "cov"), (d, "X")):
+        if psd_spectrum(w, name)[0] == 0.0:
+            raise ValueError(f"{name} must be positive definite, not rank deficient")
+    m = np.einsum("ia,ij,ja->a", U, S, U)
 
-    # in the eigenbasis of X the stationarity residual collapses to
-    # rho^2 - sum_a m_a d_a^2 / (gamma - d_a)^2, strictly increasing in gamma
-    def resid(gamma: float) -> float:
-        q = d / (gamma - d)
-        return rho * rho - float(m_diag @ (q * q))
+    # in the eigenbasis of X the stationarity residual over rho^2 is 1 - sum_a m_a d_a^2 /
+    # (rho^2 (gamma - d_a)^2), concave and increasing on (d_max, inf).  Each term alone puts
+    # the root beyond d_a (1 + sqrt(m_a) / rho); every gap at its smallest, gamma - d_max,
+    # puts it below d_max + sqrt(sum m d^2) / rho.
+    def residual(g, _):
+        gap = g[:, None] - d
+        t = m * (d / gap) ** 2 / (rho * rho)
+        return 1.0 - t.sum(axis=1), 2.0 * (t / gap).sum(axis=1)
 
-    def resid_prime(gamma: float) -> float:
-        return 2.0 * float(m_diag @ (d * d / (gamma - d) ** 3))
-
-    lo = dmax * (1.0 + 1e-8) + 1e-12
-    for _ in range(60):
-        if resid(lo) < 0.0:
-            break
-        lo = dmax + (lo - dmax) * 1e-3
-    hi = dmax + 1.0
-    for _ in range(200):
-        if resid(hi) > 0.0:
-            break
-        hi *= 2.0
-    if not (resid(lo) < 0.0 < resid(hi)):
-        raise RuntimeError("failed to bracket the extremal multiplier")
-
-    gamma = float(brentq(resid, lo, hi, xtol=1e-15 * max(1.0, hi), rtol=4.0 * np.finfo(float).eps))
-    for _ in range(8):
-        f = resid(gamma)
-        if abs(f) <= 1e-10:
-            break
-        fp = resid_prime(gamma)
-        if fp <= 0.0:
-            break
-        nxt = gamma - f / fp
-        if nxt <= dmax:
-            break
-        gamma = nxt
-    return gamma
+    m = np.maximum(m, 0.0)  # roundoff negatives of a positive definite cov
+    lower = np.max(d * (1.0 + np.sqrt(m) / rho))
+    gamma, _, _ = _kernels.monotone_newton(residual, lower, d[-1] + np.sqrt(m @ (d * d)) / rho, GAMMA_TOL)
+    return float(gamma[0])
 
 
 def extremal_covariance(cov, X, gamma: float) -> WorstCaseDistribution:
@@ -123,7 +100,7 @@ def extremal_for_optimal(cov, rho: float) -> WorstCaseDistribution:
     _check_rho(rho)
     lam, V = np.linalg.eigh(as_symmetric(cov, name="cov"))  # eigenvector signs cancel in W @ W.T
     lam = psd_spectrum(lam, "cov")
-    gamma, _, _ = _solve_gamma_info(lam, rho)
+    (gamma,), _, _ = _solve_gammas(lam, np.array([rho]))
     x = _kernels.shrink_eigenvalues(lam, gamma)
     s = np.empty_like(lam)
     pos = lam > 0.0

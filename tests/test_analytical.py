@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wshrink import _kernels, analytical
 from wshrink.analytical import (
     GAMMA_TOL,
-    _solve_gamma_info,
+    _solve_gammas,
     eigenvalue_map,
     gamma_bracket,
     reformulation_objective,
     wasserstein_shrinkage,
     wasserstein_shrinkage_path,
 )
-from wshrink.gaussian import psd_spectrum
+from wshrink.errors import EstimationError
+from wshrink.gaussian import psd_spectrum, spectral_decompose
 from wshrink.sqa import sqa_gradient
 
 from conftest import covariances, random_psd_singular, random_rotation, random_spd, tracemalloc_peak
@@ -23,7 +25,7 @@ from conftest import covariances, random_psd_singular, random_rotation, random_s
 
 def solve_gamma(eigenvalues, rho):
     """The dual multiplier, through the root solve that the estimators run."""
-    return _solve_gamma_info(psd_spectrum(eigenvalues), rho)[0]
+    return _solve_gammas(psd_spectrum(eigenvalues), np.array([rho]))[0][0]
 
 FIG1_EIGENVALUES = 10.0 ** (np.arange(1, 6) - 3.0)  # 1e-2 .. 1e2
 
@@ -89,6 +91,13 @@ class TestBracket:
         with pytest.raises(ValueError, match="radius"):
             gamma_bracket([1.0], 0.0)
 
+    def test_unrepaired_bracket_raises(self, monkeypatch):
+        # a lower end above the root that one halving cannot repair
+        monkeypatch.setattr(analytical, "BRACKET_STEPS", 1)
+        monkeypatch.setattr(analytical, "_gamma_bounds", lambda lam, radii: (100.0 / radii**2, 200.0 / radii**2))
+        with pytest.raises(EstimationError, match="failed to bracket the multiplier root in 1 steps"):
+            gamma_bracket([1.0, 2.0], 1.0)
+
     def test_bracket_contains_root_randomized(self, rng):
         for _ in range(200):
             p = int(rng.integers(1, 20))
@@ -112,6 +121,11 @@ class TestSolveGamma:
         lam = FIG1_EIGENVALUES
         gammas = [solve_gamma(lam, rho) for rho in np.geomspace(0.01, 100.0, 30)]
         assert all(b < a for a, b in zip(gammas, gammas[1:]))
+
+    def test_unconverged_multiplier_raises(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "MAX_ITER", 2)
+        with pytest.raises(EstimationError, match="did not converge in 2 iterations"):
+            wasserstein_shrinkage(np.diag(FIG1_EIGENVALUES), 1.0)
 
     def test_residual_below_tolerance(self, rng):
         for _ in range(50):
@@ -306,11 +320,40 @@ class TestShrinkagePath:
             assert path_sol.radius == sol.radius
 
     def test_decomposes_once(self, monkeypatch, rng):
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
+        # one eigh and one root-solver call serve every radius of the path
+        calls = {"eigh": 0, "monotone_newton": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(_kernels, "monotone_newton", counted("monotone_newton", _kernels.monotone_newton))
         solutions = list(wasserstein_shrinkage_path(random_spd(5, rng), np.geomspace(0.1, 10.0, 7)))
-        assert len(solutions) == 7 and len(calls) == 1
+        assert len(solutions) == 7 and calls == {"eigh": 1, "monotone_newton": 1}
+
+    @given(
+        cov=covariances(),
+        radii=st.lists(st.floats(min_value=1e-3, max_value=1e2), min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_multipliers_match_per_radius_bit_for_bit(self, cov, radii):
+        # the one kernel call of a path freezes each radius where a one-radius solve stops
+        radii = np.sqrt(np.trace(cov) + 1e-300) * np.array(radii)
+        lam = psd_spectrum(spectral_decompose(cov).eigenvalues)
+        pos = lam[lam > 0.0]
+        for rho, solution in zip(radii, wasserstein_shrinkage_path(cov, radii)):
+            (gamma,), (iters,), _ = _solve_gammas(lam, np.array([rho]))
+            assert solution.dual_multiplier == gamma and solution.iterations == iters
+            assert abs(_kernels.gamma_residual(gamma, pos, lam.size - pos.size, rho)) <= GAMMA_TOL
+
+    def test_unconverged_multiplier_raises_before_the_first_precision(self, monkeypatch, rng):
+        monkeypatch.setattr(_kernels, "MAX_ITER", 1)
+        path = wasserstein_shrinkage_path(random_spd(4, rng), [0.5, 1.0])
+        with pytest.raises(EstimationError, match="did not converge"):
+            next(path)
 
     def test_invalid_radius_raises_when_reached(self, rng):
         path = wasserstein_shrinkage_path(random_spd(3, rng), [0.5, -1.0])

@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wshrink import cli, io
+import wshrink
+from wshrink import _kernels, cli, io
 from wshrink.applications import LabeledDataset, analytical_estimator, lda_classify, lda_fit, sample_gaussian
 from wshrink.cli import _estimator_for, main
 from wshrink.evaluation import make_folds
@@ -23,6 +28,15 @@ def write_pattern(path, p, zeros):
     """A pattern file: dimension ``p`` and 1-based index pairs ``zeros``."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"p": p, "zeros": zeros}, fh)
+
+
+def test_cold_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize costs about a quarter of a second of every CLI start
+    src = str(Path(wshrink.__file__).resolve().parents[1])
+    code = "import sys, wshrink, wshrink.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestIO:
@@ -134,6 +148,13 @@ class TestEstimate:
                      "--output", str(tmp_path / "prec.csv")])
         assert code == 2
         assert f"solver error: cannot allocate the {f} x {f} Newton matrix" in capsys.readouterr().err
+
+    def test_unconverged_multiplier_is_solver_error(self, tmp_path, rng, monkeypatch, capsys):
+        data = write_csv(tmp_path / "d.csv", sample_gaussian(random_spd(4, rng), 40, 2))
+        monkeypatch.setattr(_kernels, "MAX_ITER", 1)
+        code = main(["estimate", "--input", data, "--rho", "0.7", "--output", str(tmp_path / "prec.csv")])
+        assert code == 2
+        assert "solver error: multiplier root solve did not converge in 1 iterations" in capsys.readouterr().err
 
     def test_rho_and_grid_mutually_exclusive(self, tmp_path, capsys):
         data = write_csv(tmp_path / "d.csv", np.eye(2))

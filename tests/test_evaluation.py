@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wshrink import _kernels
 from wshrink.applications import analytical_estimator, analytical_path_estimator
 from wshrink.cli import _oos_square
 from wshrink.errors import SingularMatrixError
@@ -272,6 +273,15 @@ class TestCrossValidate:
         assert np.isfinite(report.fold_scores[:, :2]).all()
         assert report.failed_folds.tolist() == [0, 0, 2]
         assert report.first_errors[2].startswith("ValueError")
+
+    def test_unconverged_multiplier_fails_its_cells(self, rng, monkeypatch):
+        monkeypatch.setattr(_kernels, "MAX_ITER", 1)
+        grid = TuningGrid("rho", [0.5, 1.0])
+        for estimator in (analytical_estimator, analytical_path_estimator):
+            report = cross_validate(rng.standard_normal((10, 3)), estimator, grid, scheme="kfold:2")
+            assert np.isinf(report.fold_scores).all()
+            assert report.failed_folds.tolist() == [2, 2]
+            assert all(e.startswith("EstimationError: multiplier root solve") for e in report.first_errors)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),

@@ -5,15 +5,63 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
-from wshrink import gaussian, worst_case
+from wshrink import _kernels, gaussian, worst_case
 from wshrink.analytical import wasserstein_shrinkage
+from wshrink.errors import EstimationError
 from wshrink.gaussian import as_symmetric, induced_metric_V, sqrtm_psd
 from wshrink.worst_case import extremal_covariance, extremal_for_optimal, extremal_gamma
 
 from conftest import covariances, random_psd_singular, random_spd
 
 
+@st.composite
+def extremal_problems(draw):
+    """``(cov, X, rho)`` with the root ``gamma`` at relative distance about
+    ``delta`` from ``lambda_max(X)``, for ``delta`` between 1e-7 and 10."""
+    p = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    cov = random_spd(p, rng, cond=10.0 ** draw(st.floats(min_value=0.0, max_value=4.0)))
+    X = random_spd(p, rng, cond=10.0 ** draw(st.floats(min_value=0.0, max_value=4.0)))
+    delta = 10.0 ** draw(st.floats(min_value=-7.0, max_value=1.0))
+    d, U = np.linalg.eigh(X)
+    m = np.einsum("ia,ij,ja->a", U, cov, U)
+    # the gap gamma - lambda_max lies between sqrt(m_max) lambda_max / rho and sqrt(sum m d^2) / rho
+    rho = float(np.sqrt(m @ d**2)) / (delta * d[-1])
+    return cov, X, rho
+
+
+def brentq_extremal_gamma(cov, X, rho):
+    """Independent oracle: brentq on the stationarity residual in the eigenbasis of ``X``."""
+    d, U = np.linalg.eigh(X)
+    m = np.einsum("ia,ij,ja->a", U, cov, U)
+    residual = lambda g: rho**2 - float(m @ (d / (g - d)) ** 2)  # noqa: E731
+    lo = d[-1] * (1.0 + 0.5 * np.sqrt(m[-1]) / rho)
+    hi = d[-1] + 2.0 * float(np.sqrt(m @ d**2)) / rho
+    return brentq(residual, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500)
+
+
 class TestExtremalGamma:
+    @given(problem=extremal_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brentq_oracle(self, problem):
+        cov, X, rho = problem
+        assert_allclose(extremal_gamma(cov, X, rho), brentq_extremal_gamma(cov, X, rho), rtol=1e-12)
+
+    @given(problem=extremal_problems(), k=st.integers(min_value=-8, max_value=8))
+    @settings(max_examples=200, deadline=None)
+    def test_scale_equivariance(self, problem, k):
+        # cov -> c cov, X -> X / c, rho -> sqrt(c) rho gives gamma -> gamma / c, also
+        # when the root lies within 1e-6 relative of lambda_max(X)
+        cov, X, rho = problem
+        c = 10.0**k
+        gamma = extremal_gamma(cov, X, rho)
+        assert_allclose(c * extremal_gamma(c * cov, X / c, np.sqrt(c) * rho), gamma, rtol=1e-12)
+
+    def test_unconverged_multiplier_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(_kernels, "MAX_ITER", 1)
+        with pytest.raises(EstimationError, match="did not converge"):
+            extremal_gamma(random_spd(4, rng), random_spd(4, rng, scale=0.5), 0.8)
+
     def test_scalar_chain(self):
         gamma = extremal_gamma([[1.0]], [[0.25]], 1.0)
         assert_allclose(gamma, 0.5, atol=1e-10)
