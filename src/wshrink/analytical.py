@@ -119,8 +119,8 @@ def eigenvalue_map(lam, gamma_star: float):
     Scalar in, scalar out; array in, array out.  ``lam = 0`` maps to
     ``gamma_star`` exactly (explicit branch, no division by zero).
     """
-    if gamma_star <= 0.0:
-        raise ValueError("gamma_star must be positive")
+    if not np.isfinite(gamma_star) or gamma_star <= 0.0:
+        raise ValueError(f"gamma_star must be finite and positive, got {gamma_star!r}")
     arr = np.asarray(lam, dtype=np.float64)
     out = _kernels.shrink_eigenvalues(np.atleast_1d(arr).ravel(), gamma_star)
     if arr.ndim == 0:

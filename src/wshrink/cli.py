@@ -1,8 +1,19 @@
 """Command line front end.
 
-Subcommands: estimate, tune, worstcase, synthetic, lda, portfolio.  Exit
-codes: 0 success, 1 user error (bad arguments or input files), 2 solver
-error.  Every command is deterministic given its arguments and ``--seed``.
+Each subcommand takes only the flags it reads (``[a | b]``: at most one of
+them, ``(a | b)``: exactly one)::
+
+    estimate   --input --rho [--labels | --divisor] --pattern --tol --max-iters --output
+    tune       --input --grid --pattern --tol --max-iters --divisor --cv --seed --output
+    worstcase  --input --rho --output
+    synthetic  --p --density --n --trials [--grid | --grid-points] --known-zeros
+               --tol --max-iters --seed --output
+    lda        --input --labels (--rho | --grid) --cv --seed --test-input --test-labels --output
+    portfolio  --input (--rho | --grid) --cv --seed --window --stride --output
+
+Exit codes: 0 success; 1 user error (usage errors, bad arguments or input
+files); 2 solver error.  Every command is deterministic given its arguments
+and ``--seed``.
 """
 
 from __future__ import annotations
@@ -43,19 +54,19 @@ from .worst_case import extremal_for_optimal
 EXIT_OK = 0
 EXIT_USER = 1
 EXIT_SOLVER = 2
+EXIT_CODES = "exit codes: 0 success; 1 user error (usage, arguments or input files); 2 solver error"
 
 
 class UserError(Exception):
     pass
 
 
-def _solver_config(args) -> SolverConfig:
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["grad_tol"] = args.tol
-    if args.max_iters is not None:
-        kwargs["max_iters"] = args.max_iters
-    return SolverConfig(**kwargs)
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UserError`` on a usage error, so that it exits 1 like any other user error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UserError(message)
 
 
 def _load_grid(spec: str) -> TuningGrid:
@@ -76,21 +87,13 @@ def _load_grid(spec: str) -> TuningGrid:
         raise UserError(f"invalid grid specification: {exc}") from None
 
 
-def _moments_from_args(args):
-    data = io.read_matrix_csv(args.input)
-    if args.divisor == "pooled":
-        if not args.labels:
-            raise UserError("--divisor pooled requires --labels")
-        labels = io.read_labels_csv(args.labels)
-        return pooled_moments(LabeledDataset(data, labels)), data
-    n = data.shape[0]
-    divisor = float(n) if args.divisor == "n" else float(n - 1)
-    if divisor < 1:
-        raise UserError("need at least 2 observations for divisor n-1")
-    return sample_moments(data, divisor=divisor), data
+def _derived_path(output: str, extension: str, tail: str) -> str:
+    """``output`` less its ``extension``, if it has it, followed by ``tail``."""
+    return (output[: -len(extension)] if output.endswith(extension) else output) + tail
 
 
-def _estimator_for(param: str, pattern: SparsityPattern | None, config: SolverConfig):
+def _estimator_for(param: str, pattern: SparsityPattern | None = None, config: SolverConfig | None = None):
+    """The ``(moments, value)`` estimator of a grid parameter, for a sweep and for the final fit."""
     if param == "alpha":
         if pattern is not None:
             raise UserError("--pattern cannot be combined with an alpha grid")
@@ -101,11 +104,14 @@ def _estimator_for(param: str, pattern: SparsityPattern | None, config: SolverCo
 
 
 def cmd_estimate(args) -> int:
-    if args.rho is None:
-        raise UserError("estimate requires --rho")
-    moments, _ = _moments_from_args(args)
+    data = io.read_matrix_csv(args.input)
+    if args.labels:
+        moments = pooled_moments(LabeledDataset(data, io.read_labels_csv(args.labels)))
+    else:
+        n = data.shape[0]
+        moments = sample_moments(data, divisor=float(n - 1) if args.divisor == "n-1" else float(n))
     pattern = io.read_pattern_json(args.pattern) if args.pattern else None
-    config = _solver_config(args)
+    config = SolverConfig(grad_tol=args.tol, max_iters=args.max_iters)
     start = time.perf_counter()
     if pattern is None:
         solution = wasserstein_shrinkage(moments.covariance, args.rho)
@@ -124,7 +130,7 @@ def cmd_estimate(args) -> int:
             print(f"warning: {trace.message}", file=sys.stderr)
     wall_ms = (time.perf_counter() - start) * 1e3
     io.write_matrix_csv(args.output, solution.precision)
-    io.write_json(_diagnostics_path(args.output), {
+    io.write_json(_derived_path(args.output, ".csv", ".json"), {
         "command": "estimate",
         "rho": args.rho,
         "p": int(moments.covariance.shape[0]),
@@ -139,20 +145,11 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _diagnostics_path(output: str) -> str:
-    return output[: -len(".csv")] + ".json" if output.endswith(".csv") else output + ".json"
-
-
 def cmd_tune(args) -> int:
-    if args.grid is None:
-        raise UserError("tune requires --grid")
     grid = _load_grid(args.grid)
-    if args.divisor == "pooled":
-        raise UserError("tune works on unlabeled data; use --divisor n or n-1")
     data = io.read_matrix_csv(args.input)
     pattern = io.read_pattern_json(args.pattern) if args.pattern else None
-    config = _solver_config(args)
-    estimator = _estimator_for(grid.name, pattern, config)
+    estimator = _estimator_for(grid.name, pattern, SolverConfig(grad_tol=args.tol, max_iters=args.max_iters))
     report = cross_validate(
         data, estimator, grid, scheme=args.cv, seed=args.seed,
         divisor_policy="n-1" if args.divisor == "n-1" else "n",
@@ -174,13 +171,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_worstcase(args) -> int:
-    if args.rho is None:
-        raise UserError("worstcase requires --rho")
-    cov = io.read_matrix_csv(args.input)
-    try:
-        cov = as_symmetric(cov, name="input covariance")
-    except ValueError as exc:
-        raise UserError(str(exc)) from None
+    cov = as_symmetric(io.read_matrix_csv(args.input), name="input covariance")
     result = extremal_for_optimal(cov, args.rho)
     if abs(result.attained_distance - args.rho) > 1e-6 * args.rho:  # relative: scale free
         print(
@@ -189,7 +180,7 @@ def cmd_worstcase(args) -> int:
         )
         return EXIT_SOLVER
     io.write_matrix_csv(args.output, result.covariance)
-    io.write_json(_diagnostics_path(args.output), {
+    io.write_json(_derived_path(args.output, ".csv", ".json"), {
         "command": "worstcase",
         "rho": args.rho,
         "multiplier": result.multiplier,
@@ -202,8 +193,11 @@ def cmd_worstcase(args) -> int:
 def cmd_synthetic(args) -> int:
     spec = SyntheticSpec(dim=args.p, density=args.density, n_samples=args.n,
                          trials=args.trials, seed=args.seed)
-    grid = _load_grid(args.grid) if args.grid else TuningGrid.from_log10("rho", -2.0, 1.0, args.grid_points)
-    config = _solver_config(args)
+    if args.grid:
+        grid = _load_grid(args.grid)
+    else:
+        grid = TuningGrid.from_log10("rho", -2.0, 1.0, 25 if args.grid_points is None else args.grid_points)
+    config = SolverConfig(grad_tol=args.tol, max_iters=args.max_iters)
     estimators = {"wasserstein": analytical_path_estimator}
     grids = {"wasserstein": grid}
     if args.known_zeros:
@@ -218,9 +212,7 @@ def cmd_synthetic(args) -> int:
         fh.write("trial,estimator,param,loss\n")
         for trial, name, value, loss in result.long_rows():
             fh.write(f"{trial},{name},{value:.17g},{loss:.17g}\n")
-    summary_path = args.output[: -len(".csv")] + "_summary.csv" if args.output.endswith(".csv") \
-        else args.output + "_summary.csv"
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(_derived_path(args.output, ".csv", "_summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("estimator,param,mean,q20,q80\n")
         for name in estimators:
             s = result.summary(name)
@@ -230,11 +222,15 @@ def cmd_synthetic(args) -> int:
 
 
 def cmd_lda(args) -> int:
+    if args.test_labels and not args.test_input:
+        raise UserError("--test-labels needs --test-input")
     data = io.read_matrix_csv(args.input)
-    if not args.labels:
-        raise UserError("lda requires --labels")
     labels = io.read_labels_csv(args.labels)
     dataset = LabeledDataset(data, labels)
+    test = io.read_matrix_csv(args.test_input) if args.test_input else None
+    test_labels = io.read_labels_csv(args.test_labels) if args.test_labels else None
+    if test_labels is not None and test_labels.shape[0] != test.shape[0]:
+        raise UserError(f"--test-labels holds {test_labels.shape[0]} labels for {test.shape[0]} test rows")
     report_doc = {"command": "lda", "n": int(data.shape[0]), "p": int(data.shape[1])}
     if args.grid:
         grid = _load_grid(args.grid)
@@ -262,27 +258,21 @@ def cmd_lda(args) -> int:
             "scheme": args.cv,
             "seed": args.seed,
         })
-    elif args.rho is not None:
+    else:
         rho = args.rho
         report_doc["selected_rho"] = rho
-    else:
-        raise UserError("lda requires --rho or --grid")
 
     model = lda_fit(dataset, lambda moments: analytical_estimator(moments, rho))
     train_acc = float(np.mean(lda_classify(model, data) == labels))
     report_doc["train_accuracy"] = train_acc
-    if args.test_input:
-        test = io.read_matrix_csv(args.test_input)
+    if test is not None:
         predictions = lda_classify(model, test)
-        stem = args.output[: -len(".json")] if args.output.endswith(".json") else args.output
-        pred_path = stem + "_predictions.csv"
+        pred_path = _derived_path(args.output, ".json", "_predictions.csv")
         with open(pred_path, "w", encoding="utf-8", newline="\n") as fh:
-            for label in np.atleast_1d(predictions):
-                fh.write(f"{label}\n")
+            fh.writelines(f"{label}\n" for label in predictions)
         report_doc["predictions"] = pred_path
-        if args.test_labels:
-            test_labels = io.read_labels_csv(args.test_labels)
-            report_doc["test_accuracy"] = float(np.mean(np.atleast_1d(predictions) == test_labels))
+        if test_labels is not None:
+            report_doc["test_accuracy"] = float(np.mean(predictions == test_labels))
     io.write_json(args.output, report_doc)
     return EXIT_OK
 
@@ -302,27 +292,19 @@ def cmd_portfolio(args) -> int:
         grid = _load_grid(args.grid)
         if returns.shape[0] <= args.window:
             raise UserError("not enough observations for the training window")
-        train = returns[: args.window]
-        estimator = _estimator_for(grid.name, None, _solver_config(args))
-        report = cross_validate(train, estimator, grid, scheme=args.cv, score=_oos_square,
+        estimator = _estimator_for(grid.name)
+        report = cross_validate(returns[: args.window], estimator, grid, scheme=args.cv, score=_oos_square,
                                 seed=args.seed, divisor_policy="n-1")
         value = report.selected
         report_doc.update({"values": report.values.tolist(),
                            "mean_scores": report.mean_scores.tolist(),
                            "failed_folds": report.failed_folds.tolist(),
                            "selected": value, "param": grid.name, "scheme": args.cv})
-        param_name = grid.name
-    elif args.rho is not None:
-        value, param_name = args.rho, "rho"
+    else:
+        estimator, value = _estimator_for("rho"), args.rho
         report_doc.update({"selected": value, "param": "rho"})
-    else:
-        raise UserError("portfolio requires --rho or --grid")
 
-    if param_name == "rho":
-        estimator = lambda moments: analytical_estimator(moments, value)  # noqa: E731
-    else:
-        estimator = lambda moments: linear_shrinkage(moments, value)  # noqa: E731
-    result = rolling_backtest(returns, estimator, config)
+    result = rolling_backtest(returns, lambda moments: estimator(moments, value), config)
     report_doc.update({
         "mean": result.mean,
         "std": result.std,
@@ -335,73 +317,87 @@ def cmd_portfolio(args) -> int:
     return EXIT_OK
 
 
+#: every flag's declaration; each subcommand adds the ones it reads.  A flag in an
+#: exclusive group has no default: argparse lets a flag given its default value pass.
+FLAGS = {
+    "--input": dict(required=True, help="input CSV (rows = observations)"),
+    "--output": dict(required=True, help="output path"),
+    "--rho": dict(type=float, help="ambiguity radius (> 0)"),
+    "--grid": dict(help="grid JSON file or inline JSON"),
+    "--labels": dict(help="label CSV aligned with --input rows"),
+    "--divisor": dict(choices=["n", "n-1"], help="covariance degrees-of-freedom divisor (default n)"),
+    "--pattern": dict(help="sparsity pattern JSON file"),
+    "--tol": dict(type=float, default=SolverConfig.grad_tol, help="solver tolerance (default %(default)g)"),
+    "--max-iters": dict(type=int, default=SolverConfig.max_iters, help="iteration cap (default %(default)d)"),
+    "--cv": dict(default="loo", help="cross-validation scheme: loo or kfold:K"),
+    "--seed": dict(type=int, default=0),
+    "--p": dict(type=int, required=True, help="dimension"),
+    "--density": dict(type=float, required=True, help="ground-truth density in (0, 1]"),
+    "--n": dict(type=int, required=True, help="samples per trial"),
+    "--trials": dict(type=int, default=100),
+    "--grid-points": dict(type=int, help="radii log-spaced over [1e-2, 1e1] (default 25)"),
+    "--known-zeros": dict(type=float, nargs="*", help="fractions of true zeros imposed, e.g. 0.5 1.0"),
+    "--test-input": dict(help="features to classify after fitting"),
+    "--test-labels": dict(help="labels for --test-input accuracy"),
+    "--window": dict(type=int, default=120),
+    "--stride": dict(type=int, default=3),
+}
+
+
+def _add(target, *flags, **overrides):
+    for flag in flags:
+        target.add_argument(flag, **{**FLAGS[flag], **overrides})
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wshrink",
-        description="Wasserstein-robust precision matrix estimation and evaluation pipelines",
-    )
+    parser = _Parser(prog="wshrink", epilog=EXIT_CODES,
+                     description="Wasserstein-robust precision matrix estimation and evaluation pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, input_required=True):
-        if input_required:
-            p.add_argument("--input", required=True, help="input CSV (rows = observations)")
-        p.add_argument("--labels", help="label CSV aligned with --input rows")
-        p.add_argument("--rho", type=float, help="ambiguity radius (> 0)")
-        p.add_argument("--grid", help="grid JSON file or inline JSON")
-        p.add_argument("--pattern", help="sparsity pattern JSON file")
-        p.add_argument("--divisor", choices=["n", "n-1", "pooled"], default="n",
-                       help="covariance degrees-of-freedom divisor")
-        p.add_argument("--cv", default="loo", help="cross-validation scheme: loo or kfold:K")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", required=True, help="output path")
-        p.add_argument("--tol", type=float, help="solver gradient tolerance override")
-        p.add_argument("--max-iters", type=int, dest="max_iters", help="solver iteration cap override")
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary, description=summary, epilog=EXIT_CODES)
+        p.set_defaults(func=func)
+        return p
 
-    p_est = sub.add_parser("estimate", help="estimate a precision matrix at a fixed radius")
-    common(p_est)
-    p_est.set_defaults(func=cmd_estimate)
+    p = command("estimate", cmd_estimate, "estimate a precision matrix at a fixed radius "
+                "(with --labels, from the pooled within-class moments)")
+    _add(p, "--input")
+    _add(p, "--rho", required=True)
+    _add(p.add_mutually_exclusive_group(), "--labels", "--divisor")
+    _add(p, "--pattern", "--tol", "--max-iters", "--output")
 
-    p_tune = sub.add_parser("tune", help="cross-validate a tuning grid")
-    common(p_tune)
-    p_tune.set_defaults(func=cmd_tune)
+    p = command("tune", cmd_tune, "cross-validate a tuning grid")
+    _add(p, "--input")
+    _add(p, "--grid", required=True)
+    _add(p, "--pattern", "--tol", "--max-iters", "--divisor", "--cv", "--seed", "--output")
 
-    p_wc = sub.add_parser("worstcase", help="extremal covariance at the optimal estimator")
-    common(p_wc)
-    p_wc.set_defaults(func=cmd_worstcase)
+    p = command("worstcase", cmd_worstcase, "extremal covariance at the optimal estimator")
+    _add(p, "--input")
+    _add(p, "--rho", required=True)
+    _add(p, "--output")
 
-    p_syn = sub.add_parser("synthetic", help="synthetic Stein-loss benchmark")
-    common(p_syn, input_required=False)
-    p_syn.add_argument("--p", type=int, required=True, help="dimension")
-    p_syn.add_argument("--density", type=float, required=True, help="ground-truth density in (0, 1]")
-    p_syn.add_argument("--n", type=int, required=True, help="samples per trial")
-    p_syn.add_argument("--trials", type=int, default=100)
-    p_syn.add_argument("--grid-points", type=int, default=25, dest="grid_points")
-    p_syn.add_argument("--known-zeros", type=float, nargs="*", dest="known_zeros",
-                       help="fractions of true zeros supplied as constraints, e.g. 0.5 1.0")
-    p_syn.set_defaults(func=cmd_synthetic)
+    p = command("synthetic", cmd_synthetic, "synthetic Stein-loss benchmark")
+    _add(p, "--p", "--density", "--n", "--trials")
+    _add(p.add_mutually_exclusive_group(), "--grid", "--grid-points")
+    _add(p, "--known-zeros", "--tol", "--max-iters", "--seed", "--output")
 
-    p_lda = sub.add_parser("lda", help="linear discriminant classification")
-    common(p_lda)
-    p_lda.add_argument("--test-input", dest="test_input", help="features to classify after fitting")
-    p_lda.add_argument("--test-labels", dest="test_labels", help="labels for --test-input accuracy")
-    p_lda.set_defaults(func=cmd_lda)
+    p = command("lda", cmd_lda, "linear discriminant classification")
+    _add(p, "--input")
+    _add(p, "--labels", required=True)
+    _add(p.add_mutually_exclusive_group(required=True), "--rho", "--grid")
+    _add(p, "--cv", "--seed", "--test-input", "--test-labels", "--output")
 
-    p_pf = sub.add_parser("portfolio", help="rolling minimum-variance backtest")
-    common(p_pf)
-    p_pf.add_argument("--window", type=int, default=120)
-    p_pf.add_argument("--stride", type=int, default=3)
-    p_pf.set_defaults(func=cmd_portfolio)
+    p = command("portfolio", cmd_portfolio, "rolling minimum-variance backtest")
+    _add(p, "--input")
+    _add(p.add_mutually_exclusive_group(required=True), "--rho", "--grid")
+    _add(p, "--cv", "--seed", "--window", "--stride", "--output")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.rho is not None and args.grid is not None:
-        print("error: --rho and --grid are mutually exclusive", file=sys.stderr)
-        return EXIT_USER
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (UserError, ValueError, FileNotFoundError) as exc:  # io.ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

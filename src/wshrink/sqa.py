@@ -90,8 +90,8 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be positive")
+        if not np.isfinite(self.grad_tol) or self.grad_tol <= 0.0:
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
 
@@ -127,11 +127,13 @@ class SolverTrace:
 class _Workspace:
     """Factorizations and matrix products reused within one iteration.
 
-    Requires a strictly feasible point ``0 < X < gamma I``; raises
-    ``ValueError`` otherwise.
+    Requires a finite ``gamma`` and a strictly feasible point ``0 < X < gamma I``;
+    raises ``ValueError`` otherwise.
     """
 
     def __init__(self, cov: np.ndarray, X: np.ndarray, gamma: float):
+        if not np.isfinite(gamma) or gamma <= 0.0:
+            raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
         p = X.shape[0]
         try:
             LX = np.linalg.cholesky(X)

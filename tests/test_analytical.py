@@ -196,6 +196,12 @@ class TestEigenvalueMap:
         assert out.shape == (2, 2)
         assert out[0, 0] == 0.5
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_nonfinite_or_nonpositive_multiplier(self, gamma):
+        # nan used to map to [nan, nan] and inf to [1, inf]
+        with pytest.raises(ValueError, match="gamma_star must be finite and positive"):
+            eigenvalue_map(np.array([1.0, 0.0]), gamma)
+
 
 class TestShrinkage:
     def test_scalar_chain(self):

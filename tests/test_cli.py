@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -11,7 +12,9 @@ from numpy.testing import assert_allclose
 
 import wshrink
 from wshrink import _kernels, cli, io
-from wshrink.applications import LabeledDataset, analytical_estimator, lda_classify, lda_fit, sample_gaussian
+from wshrink.analytical import wasserstein_shrinkage
+from wshrink.applications import (LabeledDataset, analytical_estimator, lda_classify, lda_fit, pooled_moments,
+                                  sample_gaussian)
 from wshrink.cli import _estimator_for, main
 from wshrink.evaluation import make_folds
 from wshrink.sqa import SolverConfig, SparsityPattern
@@ -37,6 +40,108 @@ def test_cold_import_leaves_scipy_optimize_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+GRID = '{"param":"rho","log10_from":-1,"log10_to":0,"points":2}'
+
+
+@pytest.fixture
+def files(tmp_path, rng):
+    """Small valid inputs for every subcommand: a feature matrix, its labels, a pattern."""
+    X = rng.standard_normal((12, 3))
+    X[6:] += 2.0
+    write_csv(tmp_path / "X.csv", X)
+    write_csv(tmp_path / "C.csv", np.cov(X.T, bias=True))
+    (tmp_path / "y.csv").write_text("0\n" * 6 + "1\n" * 6)
+    write_pattern(tmp_path / "p.json", 3, [[1, 3]])
+    return tmp_path
+
+
+#: a valid invocation of each subcommand, given the ``files`` directory
+BASE = {
+    "estimate": "estimate --input {d}/X.csv --rho 0.5 --output {d}/o.csv",
+    "tune": "tune --input {d}/X.csv --grid {grid} --cv kfold:3 --output {d}/o.json",
+    "worstcase": "worstcase --input {d}/C.csv --rho 0.5 --output {d}/o.csv",
+    "synthetic": "synthetic --p 3 --density 0.5 --n 8 --trials 1 --grid-points 2 --output {d}/o.csv",
+    "lda": "lda --input {d}/X.csv --labels {d}/y.csv --rho 0.5 --output {d}/o.json",
+    "portfolio": "portfolio --input {d}/X.csv --rho 0.5 --window 6 --stride 3 --output {d}/o.json",
+}
+
+#: a valid value for every flag that some subcommand does not read
+VALUE = {"--labels": "{d}/y.csv", "--rho": "0.5", "--grid": "{grid}", "--pattern": "{d}/p.json",
+         "--divisor": "n", "--cv": "loo", "--seed": "1", "--tol": "1e-6", "--max-iters": "5"}
+
+#: the flags each subcommand does not read, and so rejects
+UNREAD = {
+    "estimate": ["--grid", "--cv", "--seed"],
+    "tune": ["--labels", "--rho"],
+    "worstcase": ["--labels", "--grid", "--pattern", "--divisor", "--cv", "--seed", "--tol", "--max-iters"],
+    "synthetic": ["--labels", "--rho", "--pattern", "--divisor", "--cv"],
+    "lda": ["--pattern", "--divisor", "--tol", "--max-iters"],
+    "portfolio": ["--labels", "--pattern", "--divisor", "--tol", "--max-iters"],
+}
+
+
+def argv(line, d):
+    return [word.format(d=d, grid=GRID) for word in line.split()]
+
+
+class TestFlagSurface:
+    def test_each_subcommand_declares_the_flags_it_reads(self):
+        read = {
+            "estimate": "--input --rho --labels --divisor --pattern --tol --max-iters --output",
+            "tune": "--input --grid --pattern --tol --max-iters --divisor --cv --seed --output",
+            "worstcase": "--input --rho --output",
+            "synthetic": "--p --density --n --trials --grid --grid-points --known-zeros --tol --max-iters "
+                         "--seed --output",
+            "lda": "--input --labels --rho --grid --cv --seed --test-input --test-labels --output",
+            "portfolio": "--input --rho --grid --cv --seed --window --stride --output",
+        }
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for name, parser in sub.choices.items():
+            flags = {s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")}
+            assert flags == set(read[name].split())
+            assert flags.isdisjoint(UNREAD[name])
+        assert sum(len(flags.split()) for flags in read.values()) == 48
+        assert sum(map(len, UNREAD.values())) == 27
+
+    @pytest.mark.parametrize("name", sorted(BASE))
+    def test_base_invocations_run(self, name, files):
+        assert main(argv(BASE[name], files)) == 0
+
+    @pytest.mark.parametrize("name,flag", [(n, f) for n, fs in UNREAD.items() for f in fs])
+    def test_unread_flag_is_usage_error(self, name, flag, files, capsys):
+        assert main(argv(BASE[name], files) + [flag, VALUE[flag].format(d=files, grid=GRID)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("line,message", [
+        ("estimate --input {d}/X.csv --output {d}/o.csv", "required: --rho"),
+        ("estimate --input {d}/X.csv --rho abc --output {d}/o.csv", "invalid float value: 'abc'"),
+        ("estimate --input {d}/X.csv --rho 1 --labels {d}/y.csv --divisor n --output {d}/o.csv", "not allowed"),
+        ("estimate --input {d}/X.csv --rho 1 --divisor pooled --output {d}/o.csv", "invalid choice: 'pooled'"),
+        ("tune --input {d}/X.csv --divisor pooled --grid {grid} --output {d}/o.json", "invalid choice"),
+        ("tune --input {d}/X.csv --output {d}/o.json", "required: --grid"),
+        ("worstcase --output {d}/w.csv", "required: --input, --rho"),
+        ("synthetic --p 3 --density 0.5 --n 8 --grid {grid} --grid-points 25 --output {d}/o.csv", "not allowed"),
+        ("lda --input {d}/X.csv --rho 1 --output {d}/o.json", "required: --labels"),
+        ("lda --input {d}/X.csv --labels {d}/y.csv --output {d}/o.json", "one of the arguments --rho --grid"),
+        ("portfolio --input {d}/X.csv --rho 1 --grid {grid} --output {d}/o.json", "not allowed"),
+        ("portfolio --input {d}/X.csv --output {d}/o.json", "one of the arguments --rho --grid"),
+        ("frobnicate", "invalid choice"),
+        ("", "required: command"),
+    ])
+    def test_usage_errors_exit_1(self, line, message, files, capsys):
+        assert main(argv(line, files)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wshrink")
+        assert "error: " in err and message in err
+
+    def test_help_exits_0_and_states_exit_codes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--help"])
+        assert exc.value.code == 0
+        assert cli.EXIT_CODES in " ".join(capsys.readouterr().out.split())
 
 
 class TestIO:
@@ -155,6 +260,22 @@ class TestEstimate:
         code = main(["estimate", "--input", data, "--rho", "0.7", "--output", str(tmp_path / "prec.csv")])
         assert code == 2
         assert "solver error: multiplier root solve did not converge in 1 iterations" in capsys.readouterr().err
+
+    def test_labels_select_pooled_within_class_moments(self, files):
+        out = files / "pooled.csv"
+        assert main(["estimate", "--input", str(files / "X.csv"), "--labels", str(files / "y.csv"),
+                     "--rho", "0.4", "--output", str(out)]) == 0
+        dataset = LabeledDataset(io.read_matrix_csv(files / "X.csv"), io.read_labels_csv(files / "y.csv"))
+        expected = wasserstein_shrinkage(pooled_moments(dataset).covariance, 0.4).precision
+        assert (io.read_matrix_csv(out) == expected).all()
+
+    def test_infinite_tolerance_is_user_error(self, files, capsys):
+        # it would stop the solver at its warm start and report that point as converged
+        code = main(["estimate", "--input", str(files / "X.csv"), "--rho", "0.5", "--pattern",
+                     str(files / "p.json"), "--tol", "inf", "--output", str(files / "o.csv")])
+        assert code == 1
+        assert "grad_tol must be finite and positive" in capsys.readouterr().err
+        assert not (files / "o.csv").exists()
 
     def test_rho_and_grid_mutually_exclusive(self, tmp_path, capsys):
         data = write_csv(tmp_path / "d.csv", np.eye(2))
@@ -349,6 +470,37 @@ class TestLdaCommand:
                 scores[k, g] = np.mean(lda_classify(model, X[fold]) == y[fold])
         assert doc["mean_accuracy"] == scores.mean(axis=0).tolist()
         assert doc["selected_rho"] == float(rhos[np.argmax(scores.mean(axis=0))])
+
+
+    def test_test_labels_must_match_test_rows(self, tmp_path, rng, capsys):
+        # one test row scored against four labels used to broadcast to an accuracy of 0.25
+        data, labels = self._toy(tmp_path, rng)
+        test = write_csv(tmp_path / "test.csv", [[0.0, 0.0, 0.0]])
+        test_labels = tmp_path / "ty.csv"
+        test_labels.write_text("0\n1\n1\n1\n")
+        out = tmp_path / "report.json"
+        assert main(["lda", "--input", data, "--labels", labels, "--rho", "0.5", "--test-input", test,
+                     "--test-labels", str(test_labels), "--output", str(out)]) == 1
+        assert "4 labels for 1 test rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_test_labels_need_test_input(self, tmp_path, rng, capsys):
+        data, labels = self._toy(tmp_path, rng)
+        out = tmp_path / "report.json"
+        assert main(["lda", "--input", data, "--labels", labels, "--rho", "0.5",
+                     "--test-labels", labels, "--output", str(out)]) == 1
+        assert "--test-labels needs --test-input" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_test_accuracy_against_matching_labels(self, tmp_path, rng):
+        data, labels = self._toy(tmp_path, rng)
+        test = write_csv(tmp_path / "test.csv", [[0.0, 0.0, 0.0], [2.5, -1.0, 1.0]])
+        test_labels = tmp_path / "ty.csv"
+        test_labels.write_text("0\n0\n")
+        out = tmp_path / "report.json"
+        assert main(["lda", "--input", data, "--labels", labels, "--rho", "0.5", "--test-input", test,
+                     "--test-labels", str(test_labels), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["test_accuracy"] == 0.5
 
 
 class TestPortfolioCommand:

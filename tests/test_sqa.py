@@ -182,6 +182,12 @@ class TestGradient:
         with pytest.raises(ValueError, match="positive definite"):
             sqa_gradient(cov, np.eye(3), 0.5, 1.0)
 
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_nonfinite_or_nonpositive_multiplier(self, gamma, rng):
+        # at gamma = inf the cone test passes and the gradient comes out finite
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            sqa_gradient(random_spd(3, rng), 0.5 * np.eye(3), gamma, 1.0)
+
 
 class TestHessianApply:
     def test_zero_direction_maps_to_zero(self, rng):
@@ -563,3 +569,9 @@ class TestSolve:
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(ValueError, match="PSD"):
             sqa_solve(np.diag([1.0, -0.5]), 1.0)
+
+    @pytest.mark.parametrize("grad_tol", [np.inf, np.nan, 0.0, -1e-3])
+    def test_config_rejects_nonfinite_or_nonpositive_tolerance(self, grad_tol):
+        # an infinite tolerance would report the warm start as converged after 0 iterations
+        with pytest.raises(ValueError, match="grad_tol must be finite and positive"):
+            SolverConfig(grad_tol=grad_tol)
