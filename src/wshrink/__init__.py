@@ -16,6 +16,7 @@ SQA step internals (Newton direction, Armijo line search) stay in ``sqa``.
 from ._kernels import USING_NUMBA
 from .analytical import (
     BisectionBracket,
+    FactoredPrecision,
     ShrinkageSolution,
     eigenvalue_map,
     gamma_bracket,
@@ -85,6 +86,7 @@ __version__ = "0.1.0"
 __all__ = [
     "USING_NUMBA",
     "BisectionBracket",
+    "FactoredPrecision",
     "ShrinkageSolution",
     "eigenvalue_map",
     "gamma_bracket",

@@ -9,12 +9,18 @@ zero eigenvalues; it is concave, so Newton climbs to it from within the
 a priori bracket (see ``_kernels``).  This module provides the convex
 objective shared with the iterative solver, the bracket, the root solve, the
 eigenvalue map, the assembled estimator and its radius path.
+
+The estimator is held in factored form, a ``FactoredPrecision`` of the
+sample eigenvectors ``V`` and the map ``x``, so that ``X = V diag(x) V^T``.
+A consumer that needs only ``X 1`` or another product gets it in O(p^2) from
+the factors; ``np.asarray`` of the factors, or a solution's ``.precision``,
+forms the dense matrix on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -44,20 +50,46 @@ class BisectionBracket:
 
 
 @dataclass(frozen=True)
+class FactoredPrecision:
+    """The precision matrix ``V diag(x) V^T`` held as its eigenpairs.
+
+    ``np.asarray`` of it forms the dense matrix as ``W @ W.T`` with
+    ``W = V diag(sqrt(x))``, exactly symmetric (see ``gaussian``); a consumer
+    that needs only a product, such as ``X 1 = V (x * V^T 1)``, forms it from
+    the factors without the p x p matrix.
+    """
+
+    eigenvectors: np.ndarray
+    eigenvalues: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        W = self.eigenvectors * np.sqrt(self.eigenvalues)
+        dense = W @ W.T
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+@dataclass(frozen=True)
 class ShrinkageSolution:
     """Estimator, dual multiplier, and solve metadata.
 
-    ``shrunk_eigenvalues`` aligns with the ascending eigenvalues of the input
-    covariance (for the analytical path) or of the returned precision matrix
-    (for the iterative solver).
+    ``estimate`` is the precision as its solver produces it: a
+    ``FactoredPrecision`` from the analytical path, a dense matrix from the
+    iterative solver.  ``precision`` is the dense matrix, formed from the
+    factors on first request.  ``shrunk_eigenvalues`` aligns with the
+    ascending eigenvalues of the input covariance (for the analytical path)
+    or of the returned precision matrix (for the iterative solver).
     """
 
-    precision: np.ndarray
+    estimate: np.ndarray | FactoredPrecision
     dual_multiplier: float
     shrunk_eigenvalues: np.ndarray
     objective: float
     radius: float
     iterations: int
+
+    @cached_property
+    def precision(self) -> np.ndarray:
+        return np.asarray(self.estimate)
 
 
 def _check_rho(rho: float):
@@ -179,7 +211,12 @@ def wasserstein_shrinkage(cov, rho: float) -> ShrinkageSolution:
 
 def wasserstein_shrinkage_path(cov, radii):
     """Yield ``wasserstein_shrinkage(cov, rho)`` for each of ``radii``, from one
-    ``eigh`` and one multiplier solve; an invalid radius raises when reached."""
+    ``eigh`` and one multiplier solve; an invalid radius raises when reached.
+
+    Each solution's ``estimate`` is a ``FactoredPrecision`` that shares the
+    eigenvectors of ``cov``: no radius forms a p x p matrix until its
+    ``.precision`` (or ``np.asarray(solution.estimate)``) is requested.
+    """
     radii = np.asarray(radii, dtype=np.float64).reshape(-1)
     dec = spectral_decompose(cov)
     lam = psd_spectrum(dec.eigenvalues, "cov")
@@ -191,11 +228,8 @@ def wasserstein_shrinkage_path(cov, radii):
 
 
 def _solution(V, lam, gamma: float, rho: float, iters: int) -> ShrinkageSolution:
-    """The estimator at a solved radius from the eigenpairs of ``cov`` (its own
-    frame, so a suspended path holds no temporary of the last radius)."""
+    """The estimator at a solved radius from the eigenpairs of ``cov``, in factored form."""
     x = _kernels.shrink_eigenvalues(lam, gamma)
-    W = V * np.sqrt(x)
-    precision = W @ W.T  # exactly symmetric (see ``gaussian``)
 
     # objective evaluated in the shared eigenbasis; zero sample eigenvalues
     # contribute nothing to the trace term (their limit value)
@@ -204,7 +238,7 @@ def _solution(V, lam, gamma: float, rho: float, iters: int) -> ShrinkageSolution
     objective = float(-np.log(x).sum() + gamma * (rho * rho - lam.sum()) + gamma * gamma * trace_term)
 
     return ShrinkageSolution(
-        precision=precision,
+        estimate=FactoredPrecision(eigenvectors=V, eigenvalues=x),
         dual_multiplier=gamma,
         shrunk_eigenvalues=x,
         objective=objective,

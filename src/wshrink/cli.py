@@ -11,6 +11,11 @@ them, ``(a | b)``: exactly one)::
     lda        --input --labels (--rho | --grid) --cv --seed --test-input --test-labels --output
     portfolio  --input (--rho | --grid) --cv --seed --window --stride --output
 
+Some flags are read only with another, and are a usage error without it:
+``--cv`` and ``--seed`` need ``--grid`` (``lda``, ``portfolio``); ``--tol``
+and ``--max-iters`` need ``--pattern`` (``estimate``, ``tune``) or
+``--known-zeros`` (``synthetic``).
+
 Exit codes: 0 success; 1 user error (usage errors, bad arguments or input
 files); 2 solver error.  Every command is deterministic given its arguments
 and ``--seed``.
@@ -278,7 +283,8 @@ def cmd_lda(args) -> int:
 
 
 def _oos_square(precision, train_moments, val_rows) -> float:
-    """CV score: mean squared held-out return of the minimum-variance portfolio."""
+    """CV score: mean squared held-out return of the minimum-variance portfolio;
+    a factored precision is scored without forming its matrix."""
     w = min_variance_weights(precision)
     r = np.atleast_2d(val_rows) @ w
     return float(np.mean(r * r))
@@ -319,6 +325,8 @@ def cmd_portfolio(args) -> int:
 
 #: every flag's declaration; each subcommand adds the ones it reads.  A flag in an
 #: exclusive group has no default: argparse lets a flag given its default value pass.
+#: A flag that needs another is declared without a default too, so that a given one
+#: shows; ``LATE_DEFAULTS`` fills it in once the dependencies are checked.
 FLAGS = {
     "--input": dict(required=True, help="input CSV (rows = observations)"),
     "--output": dict(required=True, help="output path"),
@@ -327,10 +335,10 @@ FLAGS = {
     "--labels": dict(help="label CSV aligned with --input rows"),
     "--divisor": dict(choices=["n", "n-1"], help="covariance degrees-of-freedom divisor (default n)"),
     "--pattern": dict(help="sparsity pattern JSON file"),
-    "--tol": dict(type=float, default=SolverConfig.grad_tol, help="solver tolerance (default %(default)g)"),
-    "--max-iters": dict(type=int, default=SolverConfig.max_iters, help="iteration cap (default %(default)d)"),
-    "--cv": dict(default="loo", help="cross-validation scheme: loo or kfold:K"),
-    "--seed": dict(type=int, default=0),
+    "--tol": dict(type=float, help=f"solver tolerance (default {SolverConfig.grad_tol:g})"),
+    "--max-iters": dict(type=int, help=f"iteration cap (default {SolverConfig.max_iters:d})"),
+    "--cv": dict(help="cross-validation scheme: loo or kfold:K (default loo)"),
+    "--seed": dict(type=int, help="random seed (default 0)"),
     "--p": dict(type=int, required=True, help="dimension"),
     "--density": dict(type=float, required=True, help="ground-truth density in (0, 1]"),
     "--n": dict(type=int, required=True, help="samples per trial"),
@@ -344,9 +352,27 @@ FLAGS = {
 }
 
 
+LATE_DEFAULTS = {"tol": SolverConfig.grad_tol, "max_iters": SolverConfig.max_iters, "cv": "loo", "seed": 0}
+
+
 def _add(target, *flags, **overrides):
     for flag in flags:
         target.add_argument(flag, **{**FLAGS[flag], **overrides})
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _resolve(args) -> None:
+    """Reject a flag given without the flag it needs (it would be ignored), then
+    fill in the defaults of ``LATE_DEFAULTS``; runs before any file is read."""
+    for flag, needed in args.needs.items():
+        if getattr(args, _dest(flag)) is not None and not getattr(args, _dest(needed)):
+            args.parser.error(f"{flag} needs {needed}")
+    for dest, value in LATE_DEFAULTS.items():
+        if getattr(args, dest, value) is None:
+            setattr(args, dest, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,19 +380,23 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Wasserstein-robust precision matrix estimation and evaluation pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary):
+    def command(name, func, summary, needs=()):
+        """A subcommand; ``needs`` lists the flags that are read only with another, as pairs."""
         p = sub.add_parser(name, help=summary, description=summary, epilog=EXIT_CODES)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p, needs=dict(needs))
         return p
 
+    needs_grid = [("--cv", "--grid"), ("--seed", "--grid")]
+    needs_pattern = [("--tol", "--pattern"), ("--max-iters", "--pattern")]
+
     p = command("estimate", cmd_estimate, "estimate a precision matrix at a fixed radius "
-                "(with --labels, from the pooled within-class moments)")
+                "(with --labels, from the pooled within-class moments)", needs_pattern)
     _add(p, "--input")
     _add(p, "--rho", required=True)
     _add(p.add_mutually_exclusive_group(), "--labels", "--divisor")
     _add(p, "--pattern", "--tol", "--max-iters", "--output")
 
-    p = command("tune", cmd_tune, "cross-validate a tuning grid")
+    p = command("tune", cmd_tune, "cross-validate a tuning grid", needs_pattern)
     _add(p, "--input")
     _add(p, "--grid", required=True)
     _add(p, "--pattern", "--tol", "--max-iters", "--divisor", "--cv", "--seed", "--output")
@@ -376,18 +406,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--rho", required=True)
     _add(p, "--output")
 
-    p = command("synthetic", cmd_synthetic, "synthetic Stein-loss benchmark")
+    p = command("synthetic", cmd_synthetic, "synthetic Stein-loss benchmark",
+                [("--tol", "--known-zeros"), ("--max-iters", "--known-zeros")])
     _add(p, "--p", "--density", "--n", "--trials")
     _add(p.add_mutually_exclusive_group(), "--grid", "--grid-points")
     _add(p, "--known-zeros", "--tol", "--max-iters", "--seed", "--output")
 
-    p = command("lda", cmd_lda, "linear discriminant classification")
+    p = command("lda", cmd_lda, "linear discriminant classification", needs_grid)
     _add(p, "--input")
     _add(p, "--labels", required=True)
     _add(p.add_mutually_exclusive_group(required=True), "--rho", "--grid")
     _add(p, "--cv", "--seed", "--test-input", "--test-labels", "--output")
 
-    p = command("portfolio", cmd_portfolio, "rolling minimum-variance backtest")
+    p = command("portfolio", cmd_portfolio, "rolling minimum-variance backtest", needs_grid)
     _add(p, "--input")
     _add(p.add_mutually_exclusive_group(required=True), "--rho", "--grid")
     _add(p, "--cv", "--seed", "--window", "--stride", "--output")
@@ -398,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _resolve(args)
         return args.func(args)
     except (UserError, ValueError, FileNotFoundError) as exc:  # io.ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
@@ -405,6 +437,11 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except RuntimeError as exc:  # a failed backtest window: the exit code of its cause
+        if not isinstance(exc.__cause__, (ValueError, EstimationError)):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER if isinstance(exc.__cause__, EstimationError) else EXIT_USER
 
 
 if __name__ == "__main__":

@@ -219,7 +219,11 @@ def cross_validate(
     defaults to the held-out Gaussian negative log-likelihood.  ``mode`` is
     ``"min"`` (losses) or ``"max"`` (e.g. classification accuracy).
     An estimator with a path, ``estimator.path(moments, values)`` yielding
-    the fold's precisions in grid order, is fitted through it instead.
+    the fold's estimates in grid order, is fitted through it instead.  An
+    estimate reaches ``score`` as the estimator returns it: a dense matrix,
+    or a ``FactoredPrecision`` that a score needing the matrix turns into one
+    with ``np.asarray`` (the default score does), and that
+    ``min_variance_weights`` reads without forming it.
 
     A ``ValueError``, ``LinAlgError`` or ``EstimationError`` scores ``inf``
     (``-inf`` when maximizing) and is counted in the report.  An estimator

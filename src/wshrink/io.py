@@ -25,10 +25,11 @@ def read_matrix_csv(path) -> np.ndarray:
     """Read a numeric CSV (rows = observations or matrix rows).
 
     An optional single header line is skipped.  Raises ``ParseError`` with
-    the offending line number on malformed input.
+    the offending line number on malformed input, a non-finite cell
+    (``nan``, ``inf``, or a number out of range such as ``1e999``) included.
     """
     path = Path(path)
-    rows = []
+    rows, linenos = [], []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -47,9 +48,15 @@ def read_matrix_csv(path) -> np.ndarray:
             elif len(row) != width:
                 raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
             rows.append(row)
+            linenos.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no numeric rows found")
-    return np.asarray(rows, dtype=np.float64)
+    matrix = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ParseError(f"{path}:{linenos[row]}: non-finite value in column {col + 1}")
+    return matrix
 
 
 def write_matrix_csv(path, matrix) -> None:

@@ -396,7 +396,7 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
         trace.message = f"iteration budget ({config.max_iters}) exhausted"
 
     solution = ShrinkageSolution(
-        precision=X,
+        estimate=X,
         dual_multiplier=float(gamma),
         shrunk_eigenvalues=np.linalg.eigvalsh(X),
         objective=float(f),

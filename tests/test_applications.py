@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wshrink.analytical import FactoredPrecision, wasserstein_shrinkage, wasserstein_shrinkage_path
 from wshrink.applications import (
     BacktestConfig,
     LabeledDataset,
@@ -19,7 +22,8 @@ from wshrink.applications import (
     synthetic_sigma0,
     zero_pattern_of,
 )
-from wshrink.evaluation import TuningGrid, sample_moments, stein_loss
+from wshrink.cli import _oos_square
+from wshrink.evaluation import TuningGrid, cross_validate, sample_moments, stein_loss
 
 from conftest import random_spd
 
@@ -239,6 +243,66 @@ class TestPortfolio:
 
         with pytest.raises(RuntimeError, match="window starting at row 0"):
             rolling_backtest(R, broken, BacktestConfig(window=25, stride=5))
+
+    def test_weights_failure_reports_window(self):
+        R = np.random.default_rng(0).standard_normal((30, 2))
+        unit_sum_near_zero = np.array([[1.0, -1.0], [-1.0, 1.0]]) + 1e-14 * np.eye(2)
+        with pytest.raises(RuntimeError, match="window starting at row 0") as info:
+            rolling_backtest(R, lambda m: unit_sum_near_zero, BacktestConfig(window=25, stride=5))
+        assert isinstance(info.value.__cause__, ValueError)
+
+
+class TestFactoredPath:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        p=st.integers(min_value=1, max_value=60),
+        n_per_p=st.floats(min_value=0.0, max_value=1.0),
+        log10_scale=st.integers(min_value=-8, max_value=8),
+        radii=st.lists(st.floats(min_value=1e-3, max_value=1e2), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_factored_solutions_match_dense(self, seed, p, n_per_p, log10_scale, radii):
+        # n from 2 to 2p: n <= p gives a rank-deficient covariance
+        n = 2 + int(n_per_p * (2 * p - 2))
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** (0.5 * log10_scale)
+        cov = sample_moments(scale * rng.standard_normal((n, p)), divisor=n - 1).covariance
+        rows = scale * rng.standard_normal((3, p))
+        radii = np.sqrt(np.trace(cov)) * np.array(radii)
+        for rho, solution in zip(radii, wasserstein_shrinkage_path(cov, radii)):
+            dense = wasserstein_shrinkage(cov, rho).precision
+            assert isinstance(solution.estimate, FactoredPrecision)
+            assert np.array_equal(np.asarray(solution.estimate), dense)
+            assert np.array_equal(solution.precision, dense)
+            w = min_variance_weights(dense)
+            assert np.abs(min_variance_weights(solution.estimate) - w).max() <= 1e-12 * np.abs(w).max()
+            oos = _oos_square(dense, None, rows)
+            assert abs(_oos_square(solution.estimate, None, rows) - oos) <= 1e-12 * oos
+
+    def test_factored_guard_at_least_as_strict(self):
+        # sum |X_ij| <= p tr X bounds the dense guard's scale: a matrix it rejects is rejected factored too
+        V = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+        factored = FactoredPrecision(eigenvectors=V, eigenvalues=np.array([2.0, 1e-14]))
+        with pytest.raises(ValueError, match="zero"):
+            min_variance_weights(np.asarray(factored))
+        with pytest.raises(ValueError, match="zero"):
+            min_variance_weights(factored)
+
+    def test_sweep_and_backtest_never_form_the_matrix(self, monkeypatch, rng):
+        def refuse(self, dtype=None, copy=None):
+            raise AssertionError("a p x p precision was formed")
+
+        monkeypatch.setattr(FactoredPrecision, "__array__", refuse)
+        R = 0.01 * rng.standard_normal((60, 8)) + 0.01 * rng.standard_normal((60, 1))
+        grid = TuningGrid.from_log10("rho", -3.0, 0.0, 7)
+        report = cross_validate(R[:30], analytical_path_estimator, grid, scheme="kfold:3",
+                                score=_oos_square, divisor_policy="n-1")
+        assert np.isfinite(report.fold_scores).all()
+        result = rolling_backtest(R, lambda m: analytical_path_estimator(m, report.selected),
+                                  BacktestConfig(window=30, stride=5))
+        assert result.n_estimations == 6
+        with pytest.raises(AssertionError, match="formed"):
+            np.asarray(analytical_path_estimator(sample_moments(R), 0.1))
 
 
 class TestBenchmark:

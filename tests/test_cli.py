@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import wshrink
-from wshrink import _kernels, cli, io
+from wshrink import _kernels, applications, cli, io
 from wshrink.analytical import wasserstein_shrinkage
 from wshrink.applications import (LabeledDataset, analytical_estimator, lda_classify, lda_fit, pooled_moments,
                                   sample_gaussian)
@@ -86,6 +86,14 @@ def argv(line, d):
     return [word.format(d=d, grid=GRID) for word in line.split()]
 
 
+#: ``(subcommand, flag, the flag it needs)``: without the second, the first would be ignored
+NEEDS = [("lda", "--cv", "--grid"), ("lda", "--seed", "--grid"),
+         ("portfolio", "--cv", "--grid"), ("portfolio", "--seed", "--grid"),
+         ("estimate", "--tol", "--pattern"), ("estimate", "--max-iters", "--pattern"),
+         ("tune", "--tol", "--pattern"), ("tune", "--max-iters", "--pattern"),
+         ("synthetic", "--tol", "--known-zeros"), ("synthetic", "--max-iters", "--known-zeros")]
+
+
 class TestFlagSurface:
     def test_each_subcommand_declares_the_flags_it_reads(self):
         read = {
@@ -137,6 +145,30 @@ class TestFlagSurface:
         assert err.startswith("usage: wshrink")
         assert "error: " in err and message in err
 
+    @pytest.mark.parametrize("name,flag,needed", NEEDS)
+    def test_flag_without_the_flag_it_needs_is_usage_error(self, name, flag, needed, tmp_path, capsys):
+        # tmp_path holds no input file: the usage error comes before any file is read
+        assert main(argv(BASE[name], tmp_path) + [flag, VALUE[flag]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: wshrink {name}")
+        assert f"error: {flag} needs {needed}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name,flag,needed", NEEDS)
+    def test_flag_with_the_flag_it_needs_runs(self, name, flag, needed, files):
+        given = {"--grid": "--grid {grid} --cv kfold:3", "--pattern": "--pattern {d}/p.json",
+                 "--known-zeros": "--known-zeros 0.5"}[needed]
+        line = BASE[name].replace("--rho 0.5", "") if needed == "--grid" else BASE[name]
+        assert main(argv(f"{line} {given}", files) + [flag, VALUE[flag]]) == 0
+
+    def test_help_states_the_defaults_of_dependent_flags(self, capsys):
+        for name, flags in (("tune", ["--tol", "--max-iters", "--cv", "--seed"]), ("lda", ["--cv", "--seed"])):
+            with pytest.raises(SystemExit):
+                main([name, "--help"])
+            out = " ".join(capsys.readouterr().out.split())
+            for flag, default in (("--tol", "0.001"), ("--max-iters", "100"), ("--cv", "loo"), ("--seed", "0")):
+                assert (flag in flags) == (f"(default {default})" in out)
+
     def test_help_exits_0_and_states_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--help"])
@@ -161,6 +193,13 @@ class TestIO:
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0,oops\n")
         with pytest.raises(io.ParseError, match="bad.csv:2"):
+            io.read_matrix_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n1.0,2.0\n\n3.0,{cell}\n")
+        with pytest.raises(io.ParseError, match="bad.csv:4: non-finite value in column 2"):
             io.read_matrix_csv(path)
 
     def test_ragged_rows_rejected(self, tmp_path):
@@ -512,6 +551,42 @@ class TestPortfolioCommand:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["std"] > 0.0
         assert doc["n_oos_returns"] == 36
+
+    def test_non_finite_input_is_user_error(self, tmp_path, rng, capsys):
+        R = (0.02 * rng.standard_normal((40, 3))).astype(str)
+        R[17, 1] = "nan"
+        path = tmp_path / "returns.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in R))
+        assert main(["portfolio", "--input", str(path), "--rho", "0.1", "--window", "20", "--stride", "5",
+                     "--output", str(tmp_path / "report.json")]) == 1
+        assert capsys.readouterr().err == f"error: {path}:18: non-finite value in column 2\n"
+
+    def test_backtest_failure_exits_with_the_code_of_its_cause(self, tmp_path, rng, monkeypatch, capsys):
+        R = write_csv(tmp_path / "returns.csv", 0.02 * rng.standard_normal((40, 3)))
+        args = ["portfolio", "--input", R, "--rho", "0.1", "--window", "20", "--stride", "5",
+                "--output", str(tmp_path / "report.json")]
+
+        def refuse(precision):
+            raise ValueError("1' X 1 is too close to zero")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(applications, "min_variance_weights", refuse)
+            assert main(args) == 1
+        assert capsys.readouterr().err == ("error: rebalance failed on window starting at row 0: "
+                                           "1' X 1 is too close to zero\n")
+        monkeypatch.setattr(_kernels, "MAX_ITER", 1)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rebalance failed on window starting at row 0: multiplier root solve")
+
+    def test_other_runtime_error_propagates(self, tmp_path, rng, monkeypatch):
+        def bug(*args):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "rolling_backtest", bug)
+        R = write_csv(tmp_path / "returns.csv", 0.02 * rng.standard_normal((40, 3)))
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["portfolio", "--input", R, "--rho", "0.1", "--window", "20", "--output", str(tmp_path / "r.json")])
 
     def test_grid_tuning_runs(self, tmp_path, rng):
         R = write_csv(tmp_path / "returns.csv", 0.02 * rng.standard_normal((50, 3)))
