@@ -10,11 +10,18 @@ a priori bracket (see ``_kernels``).  This module provides the convex
 objective shared with the iterative solver, the bracket, the root solve, the
 eigenvalue map, the assembled estimator and its radius path.
 
-The estimator is held in factored form, a ``FactoredPrecision`` of the
-sample eigenvectors ``V`` and the map ``x``, so that ``X = V diag(x) V^T``.
-A consumer that needs only ``X 1`` or another product gets it in O(p^2) from
-the factors; ``np.asarray`` of the factors, or a solution's ``.precision``,
-forms the dense matrix on request.
+The estimator is held in factored form, a ``FactoredPrecision`` of
+orthonormal eigenvectors ``V``, their eigenvalues ``x`` and a complement
+``c``, so that ``X = V diag(x) V^T + c (I - V V^T)``.  From a covariance,
+``V`` holds all p sample eigenvectors and ``c = 0``.  From a residual factor
+``R`` (``cov = R^T R``) with fewer rows than columns,
+``wasserstein_shrinkage_gram_path`` decomposes the small Gram matrix
+``R R^T`` instead: ``V`` is the p x r range of the data and every zero
+sample eigenvalue maps to ``c = gamma*``, so
+``X = gamma* I - V diag(gamma* - x) V^T``.
+A consumer that needs only ``X 1`` or another product gets it from the
+factors without the p x p matrix; ``np.asarray`` of the factors, or a
+solution's ``.precision``, forms the dense matrix on request.
 """
 
 from __future__ import annotations
@@ -51,20 +58,32 @@ class BisectionBracket:
 
 @dataclass(frozen=True)
 class FactoredPrecision:
-    """The precision matrix ``V diag(x) V^T`` held as its eigenpairs.
+    """The precision matrix ``V diag(x) V^T + c (I - V V^T)`` held as its eigenpairs.
 
-    ``np.asarray`` of it forms the dense matrix as ``W @ W.T`` with
-    ``W = V diag(sqrt(x))``, exactly symmetric (see ``gaussian``); a consumer
-    that needs only a product, such as ``X 1 = V (x * V^T 1)``, forms it from
-    the factors without the p x p matrix.
+    ``eigenvectors`` ``V`` is p x r with orthonormal columns and
+    ``eigenvalues`` ``x`` their r eigenvalues; ``complement`` ``c`` is the
+    eigenvalue on the orthogonal complement of ``V``'s columns, 0 when ``V``
+    is square.  ``np.asarray`` forms the dense matrix, exactly symmetric (see
+    ``gaussian``): ``W @ W.T`` with ``W = V diag(sqrt(x))`` when ``c = 0``,
+    else ``c I - W @ W.T`` with ``W = V diag(sqrt(c - x))``, for ``x <= c``
+    (an excess of a few ulps, from rounding, counts as equal).  A consumer
+    that needs only a product, such as ``X 1 = c 1 + V ((x - c) * V^T 1)``,
+    forms it from the factors without the p x p matrix.
     """
 
     eigenvectors: np.ndarray
     eigenvalues: np.ndarray
+    complement: float = 0.0
 
     def __array__(self, dtype=None, copy=None):
-        W = self.eigenvectors * np.sqrt(self.eigenvalues)
-        dense = W @ W.T
+        c = self.complement
+        if not c:
+            W = self.eigenvectors * np.sqrt(self.eigenvalues)
+            dense = W @ W.T
+        else:
+            W = self.eigenvectors * np.sqrt(np.maximum(c - self.eigenvalues, 0.0))
+            dense = np.negative(W @ W.T)
+            dense.flat[:: dense.shape[0] + 1] += c
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
@@ -217,18 +236,48 @@ def wasserstein_shrinkage_path(cov, radii):
     eigenvectors of ``cov``: no radius forms a p x p matrix until its
     ``.precision`` (or ``np.asarray(solution.estimate)``) is requested.
     """
-    radii = np.asarray(radii, dtype=np.float64).reshape(-1)
     dec = spectral_decompose(cov)
-    lam = psd_spectrum(dec.eigenvalues, "cov")
+    yield from _path(dec.eigenvectors, psd_spectrum(dec.eigenvalues, "cov"), radii)
+
+
+def wasserstein_shrinkage_gram_path(R, radii):
+    """``wasserstein_shrinkage_path(R.T @ R, radii)`` for a factor ``R`` with
+    fewer rows than columns, from the eigenpairs of the n x n Gram matrix.
+
+    ``R R^T = V diag(mu) V^T`` shares its nonzero eigenvalues with
+    ``R^T R``, whose eigenvectors for them are ``U = R^T V / sqrt(mu)``.  The
+    cleaning and the multiplier solve run on the length-p spectrum
+    ``[0] * (p - n) + mu``, as for the covariance; the eigenpairs that
+    ``psd_spectrum`` leaves positive span the range, and each estimate is
+    ``gamma I - U diag(gamma - x) U^T`` in factored form.  Only ``R R^T`` is
+    validated (by ``spectral_decompose``): data whose products overflow raise
+    ``ValueError`` there.
+    """
+    R = np.asarray(R, dtype=np.float64)
+    if R.ndim != 2 or not 0 < R.shape[0] < R.shape[1]:
+        raise ValueError(f"R must have fewer rows than columns, got shape {R.shape}")
+    n, p = R.shape
+    dec = spectral_decompose(R @ R.T)
+    lam = psd_spectrum(np.concatenate([np.zeros(p - n), dec.eigenvalues]), "cov")
+    r = int(np.count_nonzero(lam))
+    U = (R.T @ dec.eigenvectors[:, n - r :]) / np.sqrt(lam[p - r :])
+    yield from _path(U, lam, radii)
+
+
+def _path(V, lam, radii):
+    """Solutions at ``radii`` from a cleaned spectrum ``lam`` whose last ``V.shape[1]``
+    entries are the eigenvalues of ``V``'s columns (all p of them, or the nonzero ones)."""
+    radii = np.asarray(radii, dtype=np.float64).reshape(-1)
     valid = np.isfinite(radii) & (radii > 0.0)  # an invalid radius is solved at 1.0 and raises when reached
     gammas, iters, _ = _solve_gammas(lam, np.where(valid, radii, 1.0))
     for rho, gamma, it in zip(radii, gammas, iters):
         _check_rho(rho)
-        yield _solution(dec.eigenvectors, lam, float(gamma), float(rho), int(it))
+        yield _solution(V, lam, float(gamma), float(rho), int(it))
 
 
 def _solution(V, lam, gamma: float, rho: float, iters: int) -> ShrinkageSolution:
-    """The estimator at a solved radius from the eigenpairs of ``cov``, in factored form."""
+    """The estimator at a solved radius, in factored form: ``V`` spans all of R^p
+    (complement 0) or only the range of ``cov`` (complement ``gamma``)."""
     x = _kernels.shrink_eigenvalues(lam, gamma)
 
     # objective evaluated in the shared eigenbasis; zero sample eigenvalues
@@ -237,8 +286,10 @@ def _solution(V, lam, gamma: float, rho: float, iters: int) -> ShrinkageSolution
     trace_term = float(np.sum(lam[pos] / (gamma - x[pos])))
     objective = float(-np.log(x).sum() + gamma * (rho * rho - lam.sum()) + gamma * gamma * trace_term)
 
+    r = V.shape[1]
+    complement = 0.0 if r == lam.size else gamma
     return ShrinkageSolution(
-        estimate=FactoredPrecision(eigenvectors=V, eigenvalues=x),
+        estimate=FactoredPrecision(eigenvectors=V, eigenvalues=x[lam.size - r :], complement=complement),
         dual_multiplier=gamma,
         shrunk_eigenvalues=x,
         objective=objective,

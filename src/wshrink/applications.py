@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytical import FactoredPrecision, wasserstein_shrinkage, wasserstein_shrinkage_path
+from .analytical import (FactoredPrecision, wasserstein_shrinkage, wasserstein_shrinkage_gram_path,
+                         wasserstein_shrinkage_path)
 from .evaluation import SampleMoments, _grid_scores, sample_moments, stein_loss
 from .gaussian import as_symmetric, spectral_decompose
 from .sqa import SolverConfig, SparsityPattern, sqa_solve
@@ -116,12 +117,23 @@ def analytical_estimator(moments: SampleMoments, rho: float) -> np.ndarray:
 # apart from analytical_estimator while benchmarks/tests pins its eigh count per (fold, radius)
 def analytical_path_estimator(moments: SampleMoments, rho: float) -> FactoredPrecision:
     """``analytical_estimator`` in factored form, with a radius path: one ``eigh``
-    per fold of a sweep.  ``np.asarray`` of an estimate forms its matrix."""
-    return wasserstein_shrinkage(moments.covariance, rho).estimate
+    per fold of a sweep, of the n x n Gram matrix when the fold has fewer rows
+    than columns.  ``np.asarray`` of an estimate forms its matrix."""
+    return next(_analytical_path(moments, [rho]))
 
 
-analytical_path_estimator.path = lambda moments, radii: (
-    solution.estimate for solution in wasserstein_shrinkage_path(moments.covariance, radii))
+def _analytical_path(moments: SampleMoments, radii):
+    """Estimates at ``radii``.  Residuals with fewer rows than columns decompose
+    their n x n Gram matrix and never form the covariance; others decompose it."""
+    R = moments.residuals
+    if R.shape[0] < R.shape[1]:
+        path = wasserstein_shrinkage_gram_path(R / np.sqrt(moments.divisor), radii)
+    else:
+        path = wasserstein_shrinkage_path(moments.covariance, radii)
+    return (solution.estimate for solution in path)
+
+
+analytical_path_estimator.path = _analytical_path
 
 
 def sparse_estimator(pattern: SparsityPattern, config: SolverConfig | None = None):
@@ -224,10 +236,8 @@ def pooled_moments(dataset: LabeledDataset) -> SampleMoments:
     for cls in classes:
         idx = y == cls
         resid[idx] = X[idx] - X[idx].mean(axis=0)
-    div = float(X.shape[0] - classes.size)
-    cov = as_symmetric(resid.T @ resid / div, rtol=1.0)
-    return SampleMoments(mean=np.zeros(X.shape[1]), covariance=cov,
-                         sample_count=X.shape[0], divisor=div)
+    return SampleMoments(mean=np.zeros(X.shape[1]), residuals=resid,
+                         sample_count=X.shape[0], divisor=float(X.shape[0] - classes.size))
 
 
 def lda_fit(dataset: LabeledDataset, estimator) -> LdaModel:
@@ -269,13 +279,15 @@ def lda_classify(model: LdaModel, z):
 def min_variance_weights(precision) -> np.ndarray:
     """Weights of the minimum-variance portfolio, ``X 1 / (1^T X 1)``.
 
-    A ``FactoredPrecision`` gives ``X 1 = V (x * V^T 1)`` in O(p^2) without
-    forming ``X``; any other precision is read as a dense symmetric matrix.
+    A ``FactoredPrecision`` gives ``X 1 = c 1 + V ((x - c) * V^T 1)`` in
+    O(pr) without forming ``X``; any other precision is read as a dense
+    symmetric matrix.
     """
     if isinstance(precision, FactoredPrecision):
-        V, x = precision.eigenvectors, precision.eigenvalues
-        t = V @ (x * V.sum(axis=0))
-        scale = x.size * float(x.sum())  # p tr X >= sum |X_ij| for PSD X
+        V, x, c = precision.eigenvectors, precision.eigenvalues, precision.complement
+        p = V.shape[0]
+        t = c + V @ ((x - c) * V.sum(axis=0))
+        scale = p * (float(x.sum()) + c * (p - x.size))  # p tr X >= sum |X_ij| for PSD X
     else:
         X = as_symmetric(precision, name="precision")
         t = X.sum(axis=1)

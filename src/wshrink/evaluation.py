@@ -4,6 +4,7 @@ cross-validation machinery for tuning the ambiguity radius or mixing weight."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -14,7 +15,14 @@ from .gaussian import as_symmetric, psd_spectrum
 
 @dataclass(frozen=True)
 class SampleMoments:
-    """Sample mean and covariance with an explicit degrees-of-freedom divisor.
+    """Sample mean and centred residuals with an explicit degrees-of-freedom divisor.
+
+    The covariance ``residuals^T residuals / divisor`` is formed on first
+    request and cached: a consumer that needs only the residual factor, such
+    as the analytical path on fewer rows than columns, never pays for the
+    p x p matrix.  It is exactly symmetric by construction (a product of a
+    factor with its own transpose), so it is checked only for overflow; a
+    consumer that decomposes it validates it once more.
 
     The default divisor is ``n`` (the biased maximum-likelihood convention);
     pass ``n - 1`` for the Bessel-corrected version or ``n - n_classes`` for
@@ -23,13 +31,20 @@ class SampleMoments:
     """
 
     mean: np.ndarray
-    covariance: np.ndarray
+    residuals: np.ndarray
     sample_count: int
     divisor: float
 
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        cov = self.residuals.T @ self.residuals / self.divisor
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance overflows: the data are too large to square")
+        return cov
+
 
 def sample_moments(data, divisor: float | None = None) -> SampleMoments:
-    """Mean and covariance of rows of ``data`` (n observations x p variables)."""
+    """Mean and centred residuals of rows of ``data`` (n observations x p variables)."""
     X = np.asarray(data, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
@@ -42,9 +57,7 @@ def sample_moments(data, divisor: float | None = None) -> SampleMoments:
     if div < 1.0:
         raise ValueError("divisor must be >= 1")
     mean = X.mean(axis=0)
-    resid = X - mean
-    cov = as_symmetric(resid.T @ resid / div, rtol=1.0)
-    return SampleMoments(mean=mean, covariance=cov, sample_count=n, divisor=div)
+    return SampleMoments(mean=mean, residuals=X - mean, sample_count=n, divisor=div)
 
 
 def _covariance_of(moments_or_matrix) -> np.ndarray:

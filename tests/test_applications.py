@@ -23,9 +23,9 @@ from wshrink.applications import (
     zero_pattern_of,
 )
 from wshrink.cli import _oos_square
-from wshrink.evaluation import TuningGrid, cross_validate, sample_moments, stein_loss
+from wshrink.evaluation import SampleMoments, TuningGrid, cross_validate, sample_moments, stein_loss
 
-from conftest import random_spd
+from conftest import random_rotation, random_spd
 
 
 class TestSyntheticGroundTruth:
@@ -292,17 +292,99 @@ class TestFactoredPath:
         def refuse(self, dtype=None, copy=None):
             raise AssertionError("a p x p precision was formed")
 
+        covariance = SampleMoments.__dict__["covariance"].func
+        formed, eigh_sizes, eigh = [], [], np.linalg.eigh
         monkeypatch.setattr(FactoredPrecision, "__array__", refuse)
-        R = 0.01 * rng.standard_normal((60, 8)) + 0.01 * rng.standard_normal((60, 1))
-        grid = TuningGrid.from_log10("rho", -3.0, 0.0, 7)
-        report = cross_validate(R[:30], analytical_path_estimator, grid, scheme="kfold:3",
-                                score=_oos_square, divisor_policy="n-1")
-        assert np.isfinite(report.fold_scores).all()
-        result = rolling_backtest(R, lambda m: analytical_path_estimator(m, report.selected),
-                                  BacktestConfig(window=30, stride=5))
-        assert result.n_estimations == 6
-        with pytest.raises(AssertionError, match="formed"):
-            np.asarray(analytical_path_estimator(sample_moments(R), 0.1))
+        monkeypatch.setattr(SampleMoments, "covariance", property(lambda m: formed.append(m) or covariance(m)))
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: eigh_sizes.append(len(M)) or eigh(M))
+        # 8 columns: folds of 20 rows and windows of 30 decompose the covariance; 40 columns:
+        # every fold and window decomposes its Gram matrix and forms no p x p matrix at all
+        for p in (8, 40):
+            formed.clear()
+            eigh_sizes.clear()
+            R = 0.01 * rng.standard_normal((60, p)) + 0.01 * rng.standard_normal((60, 1))
+            grid = TuningGrid.from_log10("rho", -3.0, 0.0, 7)
+            report = cross_validate(R[:30], analytical_path_estimator, grid, scheme="kfold:3",
+                                    score=_oos_square, divisor_policy="n-1")
+            assert np.isfinite(report.fold_scores).all()
+            result = rolling_backtest(R, lambda m: analytical_path_estimator(m, report.selected),
+                                      BacktestConfig(window=30, stride=5))
+            assert result.n_estimations == 6
+            with pytest.raises(AssertionError, match="formed"):
+                np.asarray(analytical_path_estimator(sample_moments(R[:30]), 0.1))
+            assert len(eigh_sizes) == 3 + 6 + 1
+            if p == 40:
+                assert not formed and max(eigh_sizes) == 30
+            else:
+                assert len(formed) == 3 + 6 + 1 and set(eigh_sizes) == {8}
+
+
+class TestGramPath:
+    """Fewer rows than columns: the path estimator decomposes the n x n Gram matrix."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        p=st.integers(min_value=1, max_value=80),
+        n_per_p=st.floats(min_value=0.0, max_value=1.0),
+        log10_scale=st.integers(min_value=-8, max_value=8),
+        log10_cond=st.floats(min_value=0.0, max_value=6.0),
+        radii=st.lists(st.floats(min_value=1e-3, max_value=1e2), min_size=1, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_covariance_path(self, seed, p, n_per_p, log10_scale, log10_cond, radii):
+        # n from 1 to p; column variances spread by at most 1e6, so each spectrum keeps clear of
+        # the 1e-12 rank cut: an eigenvalue near it can be cut on one path and kept on the other,
+        # which moves X by far more than rounding.  Over 400 such draws the largest gap was 1.8e-10.
+        n = 1 + int(n_per_p * (p - 1))
+        rng = np.random.default_rng(seed)
+        variances = 10.0 ** (log10_scale + rng.uniform(0.0, log10_cond, p))
+        moments = sample_moments(np.sqrt(variances) * rng.standard_normal((n, p)), divisor=max(n - 1, 1))
+        cov = moments.covariance
+        radii = np.sqrt(np.trace(cov) + 10.0 ** log10_scale) * np.array(radii)
+        for rho, estimate in zip(radii, analytical_path_estimator.path(moments, radii)):
+            dense = wasserstein_shrinkage(cov, rho).precision
+            X = np.asarray(estimate)
+            assert np.array_equal(X, X.T)
+            assert np.abs(X - dense).max() <= 1e-9 * np.abs(dense).max()
+            w = min_variance_weights(dense)
+            assert np.abs(min_variance_weights(estimate) - w).max() <= 1e-9 * np.abs(w).max()
+
+    @pytest.mark.parametrize("data", [np.full((1, 6), 3.0), np.tile([1.0, -2.0, 5.0, 0.0, 7.0, 1e8], (4, 1))])
+    def test_rank_zero_gives_scaled_identity(self, data):
+        # one row, or constant rows: every sample eigenvalue is zero and maps to gamma = p / rho^2
+        rho = 0.7
+        estimate = analytical_path_estimator(sample_moments(data), rho)
+        assert estimate.eigenvectors.shape == (6, 0) and estimate.complement == pytest.approx(6 / rho**2, rel=1e-15)
+        X = np.asarray(estimate)
+        assert_allclose(X, (6 / rho**2) * np.eye(6), rtol=1e-15, atol=0.0)
+        assert_allclose(min_variance_weights(estimate), np.full(6, 1 / 6), rtol=1e-15)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), p=st.integers(min_value=2, max_value=40),
+           n_per_p=st.floats(min_value=0.0, max_value=1.0), k=st.integers(min_value=-8, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_and_rotation(self, seed, p, n_per_p, k):
+        # data -> sqrt(c) data with rho -> sqrt(c) rho gives X -> X / c; data -> data Q^T gives Q X Q^T
+        n = 1 + int(n_per_p * (p - 2))
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((n, p)) * rng.uniform(0.5, 2.0, p)
+        rho, c = 0.3 * np.sqrt(np.sum(data**2) / n + 1.0), 10.0**k
+        X = np.asarray(analytical_path_estimator(sample_moments(data), rho))
+        scaled = np.asarray(analytical_path_estimator(sample_moments(np.sqrt(c) * data), np.sqrt(c) * rho))
+        assert np.abs(c * scaled - X).max() <= 1e-9 * np.abs(X).max()
+        Q = random_rotation(p, rng)
+        rotated = np.asarray(analytical_path_estimator(sample_moments(data @ Q.T), rho))
+        assert np.abs(rotated - Q @ X @ Q.T).max() <= 1e-9 * np.abs(X).max()
+
+    @pytest.mark.parametrize("shape", [(5, 8), (8, 5)])
+    def test_products_that_overflow_raise(self, shape):
+        # finite data whose squares overflow: the Gram path (5 x 8) and the covariance path (8 x 5)
+        data = 1e200 * np.random.default_rng(0).standard_normal(shape)
+        moments = sample_moments(data)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite|overflow"):
+                analytical_path_estimator(moments, 1.0)
+            with pytest.raises(ValueError, match="overflow"):
+                moments.covariance
 
 
 class TestBenchmark:

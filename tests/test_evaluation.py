@@ -41,6 +41,15 @@ class TestSampleMoments:
         corrected = sample_moments(X, divisor=9.0)
         assert_allclose(biased.covariance * (10.0 / 9.0), corrected.covariance, rtol=1e-15)
 
+    def test_covariance_formed_on_request_and_cached(self, rng):
+        X = rng.standard_normal((6, 4))
+        m = sample_moments(X, divisor=5.0)
+        assert "covariance" not in vars(m)
+        resid = X - X.mean(axis=0)
+        assert np.array_equal(m.residuals, resid)
+        assert np.array_equal(m.covariance, resid.T @ resid / 5.0)
+        assert m.covariance is m.covariance
+
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
             sample_moments(np.empty((0, 2)))
