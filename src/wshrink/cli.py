@@ -127,10 +127,12 @@ def cmd_estimate(args) -> int:
         except ValueError:
             grad_norm = None  # rank-deficient covariance: multiplier sits on the cone boundary
         iterations = solution.iterations
+        solver = {}
     else:
         solution, trace = sqa_solve(moments.covariance, args.rho, pattern, config)
         grad_norm = trace.grad_norms[-1] if trace.grad_norms else None
         iterations = trace.iterations
+        solver = {"converged": trace.converged, "termination": trace.message}
         if not trace.converged:
             print(f"warning: {trace.message}", file=sys.stderr)
     wall_ms = (time.perf_counter() - start) * 1e3
@@ -146,6 +148,7 @@ def cmd_estimate(args) -> int:
         "iterations": iterations,
         "projected_grad_norm": grad_norm,
         "wall_ms": wall_ms,
+        **solver,
     })
     return EXIT_OK
 

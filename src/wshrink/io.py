@@ -36,9 +36,8 @@ def read_matrix_csv(path) -> np.ndarray:
             line = raw.strip()
             if not line:
                 continue
-            cells = [c.strip() for c in line.split(",")]
             try:
-                row = [float(c) for c in cells]
+                row = [float(c) for c in line.split(",")]  # float() skips surrounding whitespace
             except ValueError:
                 if lineno == 1:
                     continue  # header line

@@ -4,7 +4,7 @@ Minimizes the convex reformulation objective over matrices with a prescribed
 symmetric zero pattern (conditional-independence structure).  It starts from
 a strictly feasible point built from the analytical solution, and each
 iteration solves a projected Newton system for a feasible descent direction and
-backtracks with an Armijo rule that also enforces the cone constraints
+searches along it with an Armijo rule that also enforces the cone constraints
 ``0 < X < gamma I``.  The Newton system is never materialized at full size:
 it is solved over the free coordinates (upper-triangle entries off the
 pattern, plus the multiplier).  Its pair block is assembled in row blocks into
@@ -14,7 +14,18 @@ cannot be allocated, the step raises ``LinearSolveError``.
 
 The line search halves the step from 1 until the iterate stays in the cone and
 the objective falls by at least ``ARMIJO_SIGMA`` times the predicted decrease;
-it gives up with ``LineSearchError`` after ``MAX_HALVINGS`` halvings.
+it gives up with ``LineSearchError`` after ``MAX_HALVINGS`` halvings.  When the
+full step passes, it expands instead: it doubles the step, at most
+``MAX_HALVINGS`` times, while the doubled iterate stays in the cone and strictly
+lowers the objective (the bracketing phase of Nocedal and Wright, *Numerical
+Optimization*, Alg. 3.5).  Far from the optimum a full Newton step of this
+objective often cuts the gradient only 2-3x, and the expansion saves those steps.
+
+Near the optimum the objective stops ranking points at floating-point
+resolution before the gradient does.  So where the predicted decrease is
+numerically zero, or the accepted step does not lower the objective, the solver
+takes the full Newton step if it stays in the cone and lowers the projected
+gradient norm, and stops only when it does not.
 """
 
 from __future__ import annotations
@@ -111,7 +122,8 @@ class SolverTrace:
 
     ``objectives`` starts with the initial point, so it has one more entry
     than the number of accepted steps; ``grad_norms`` holds the projected
-    gradient norm at each visited iterate.
+    gradient norm at each visited iterate.  ``step_sizes`` holds the accepted
+    step sizes, powers of two that exceed 1 where the line search expanded.
     """
 
     objectives: list = field(default_factory=list)
@@ -301,23 +313,66 @@ def _descent_direction(ws: _Workspace, gradient, free: _FreeCoordinates) -> Newt
 
 
 def armijo_step(cov, X, gamma, rho, step: NewtonStep, f_current: float) -> tuple[float, float]:
-    """Largest step size ``1/2^m`` keeping the iterate in the cone (C1) and
-    achieving sufficient decrease (C2) from the objective ``f_current`` at ``(X, gamma)``.
+    """Step size ``2^m`` keeping the iterate in the cone (C1) and achieving
+    sufficient decrease (C2) from the objective ``f_current`` at ``(X, gamma)``.
 
-    Returns ``(alpha, f_new)``, where ``f_new`` is the objective at the accepted point.
+    Backtracks from ``alpha = 1`` by halving until both conditions hold.  When the
+    full step passes, expands instead: doubles ``alpha``, at most ``MAX_HALVINGS``
+    times, while the doubled iterate stays in the cone and its objective is
+    strictly below the objective at ``alpha``; an expanded step thus lowers the
+    objective at least as far as C2 asks of the full step.  Returns
+    ``(alpha, f_new)``, where ``f_new`` is the objective at the accepted point.
     """
     if not step.predicted_decrease < 0.0:
         raise ValueError("step is not a descent direction (predicted decrease must be negative)")
+
+    def objective(alpha):
+        return _objective_at(cov, X + alpha * step.delta_X, gamma + alpha * step.delta_gamma, rho)
+
     alpha = 1.0
     for _ in range(MAX_HALVINGS + 1):
-        f_new = _objective_at(cov, X + alpha * step.delta_X, gamma + alpha * step.delta_gamma, rho)
+        f_new = objective(alpha)
         if f_new is not None and f_new <= f_current + ARMIJO_SIGMA * alpha * step.predicted_decrease:
-            return alpha, f_new
+            break
         alpha *= 0.5
-    raise LineSearchError(
-        f"no admissible step size within {MAX_HALVINGS} halvings "
-        f"(predicted decrease {step.predicted_decrease:.3e})"
-    )
+    else:
+        raise LineSearchError(
+            f"no admissible step size within {MAX_HALVINGS} halvings "
+            f"(predicted decrease {step.predicted_decrease:.3e})"
+        )
+    if alpha == 1.0:
+        for _ in range(MAX_HALVINGS):
+            f_next = objective(2.0 * alpha)
+            if f_next is None or not f_next < f_new:
+                break
+            alpha, f_new = 2.0 * alpha, f_next
+    return alpha, f_new
+
+
+def _projected_gradient(ws: _Workspace, rho: float, mask: np.ndarray):
+    """``(gradient, projected gradient norm)`` at ``ws``'s point; the norm is
+    taken over the free coordinates and the multiplier."""
+    g_mat, g_gamma = ws.gradient(rho)
+    pg = np.where(mask, 0.0, g_mat)
+    return (g_mat, g_gamma), float(np.sqrt(np.sum(pg * pg) + g_gamma * g_gamma))
+
+
+def _gradient_checked_full_step(cov, X, gamma, rho, step: NewtonStep, mask, pg_norm: float):
+    """Objective at the full Newton step from ``(X, gamma)`` if that point is in
+    the cone and its projected gradient norm is below ``pg_norm``, else None.
+
+    The acceptance test of the rounding-level exits of ``sqa_solve``: there the
+    objective's rounding hides a decrease that the gradient still shows.
+    """
+    X_full, gamma_full = X + step.delta_X, gamma + step.delta_gamma
+    f_full = _objective_at(cov, X_full, gamma_full, rho)
+    if f_full is None:
+        return None
+    try:
+        ws = _Workspace(cov, X_full, gamma_full)
+    except ValueError:
+        return None
+    return f_full if _projected_gradient(ws, rho, mask)[1] < pg_norm else None
 
 
 def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
@@ -328,9 +383,12 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
     ``X`` starts halfway from ``D = diag(eigenvalue_map(diag(cov), gamma*))``, the
     best diagonal matrix for ``gamma*``, to ``X*`` with the pattern entries zeroed,
     and halves back toward ``D`` until it is strictly feasible and no worse than
-    ``D``.  Iterates projected Newton steps with Armijo backtracking until the
-    projected gradient norm drops below ``config.grad_tol`` or the iteration
-    budget is exhausted (the result is still returned, flagged in the trace).
+    ``D``.  Iterates projected Newton steps with the Armijo search (``armijo_step``)
+    until the projected gradient norm drops below ``config.grad_tol`` or the
+    iteration budget is exhausted (the result is still returned, flagged in the
+    trace).  Where the objective stops falling at floating-point resolution, it
+    takes the full Newton step while that lowers the projected gradient norm, and
+    otherwise stops with ``converged`` set.
     A singular input covariance is replaced by ``cov + eps I`` with
     ``eps = 1e-8 * lambda_max``, or ``eps = 1e-8 * rho^2`` when ``cov = 0``;
     both scale with the data.
@@ -365,24 +423,26 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
 
     for _ in range(config.max_iters):
         ws = _Workspace(S, X, gamma)
-        g_mat, g_gamma = ws.gradient(rho)
-        pg = np.where(mask, 0.0, g_mat)
-        pg_norm = float(np.sqrt(np.sum(pg * pg) + g_gamma * g_gamma))
+        gradient, pg_norm = _projected_gradient(ws, rho, mask)
         trace.grad_norms.append(pg_norm)
         if pg_norm <= config.grad_tol:
             trace.converged = True
             trace.message = "projected gradient below tolerance"
             break
-        step = _descent_direction(ws, (g_mat, g_gamma), free)
+        step = _descent_direction(ws, gradient, free)
         if step.predicted_decrease >= -1e-14:
-            trace.converged = True
-            trace.message = "predicted decrease numerically zero"
-            break
-        alpha, f_new = armijo_step(S, X, gamma, rho, step, f)
+            f_new, reason = f, "predicted decrease numerically zero"
+        else:
+            alpha, f_new = armijo_step(S, X, gamma, rho, step, f)
+            reason = "objective stagnated at floating-point resolution"
         if not f_new < f:
-            trace.converged = True
-            trace.message = "objective stagnated at floating-point resolution"
-            break
+            # rounding level: the objective may rise here, by its rounding, on a full step
+            f_new = _gradient_checked_full_step(S, X, gamma, rho, step, mask, pg_norm)
+            if f_new is None:
+                trace.converged = True
+                trace.message = reason
+                break
+            alpha = 1.0
         X = X + alpha * step.delta_X
         gamma = gamma + alpha * step.delta_gamma
         f = f_new

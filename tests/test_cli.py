@@ -189,6 +189,11 @@ class TestIO:
         path.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
         assert_allclose(io.read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_whitespace_around_cells(self, tmp_path):
+        path = tmp_path / "ws.csv"
+        path.write_text(" a , b\n 1.0 ,\t2.0\n3.0\t, 4.0 \t\n")
+        assert (io.read_matrix_csv(path) == [[1.0, 2.0], [3.0, 4.0]]).all()
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0,oops\n")
@@ -281,6 +286,24 @@ class TestEstimate:
                      "--output", out]) == 0
         P = io.read_matrix_csv(out)
         assert P[0, 3] == 0.0 and P[3, 0] == 0.0
+
+    def test_pattern_diagnostics_report_termination(self, tmp_path, rng, capsys):
+        data = write_csv(tmp_path / "d.csv", sample_gaussian(random_spd(4, rng), 40, 2))
+        pattern = str(tmp_path / "pat.json")
+        write_pattern(pattern, 4, [[1, 4]])
+        out = str(tmp_path / "prec.csv")
+        assert main(["estimate", "--input", data, "--rho", "0.7", "--pattern", pattern, "--output", out]) == 0
+        diag = json.loads((tmp_path / "prec.json").read_text())
+        assert diag["converged"] is True
+        assert diag["termination"] == "projected gradient below tolerance"
+        assert diag["projected_grad_norm"] <= 1e-3
+        # an exhausted budget still writes the estimate, flagged in the diagnostics
+        assert main(["estimate", "--input", data, "--rho", "0.7", "--pattern", pattern,
+                     "--tol", "1e-14", "--max-iters", "1", "--output", out]) == 0
+        diag = json.loads((tmp_path / "prec.json").read_text())
+        assert diag["converged"] is False
+        assert diag["termination"] == "iteration budget (1) exhausted"
+        assert "warning: iteration budget (1) exhausted" in capsys.readouterr().err
 
     def test_unallocatable_newton_matrix_is_solver_error(self, tmp_path, rng, monkeypatch, capsys):
         data = write_csv(tmp_path / "d.csv", sample_gaussian(random_spd(4, rng), 40, 2))

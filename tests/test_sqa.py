@@ -8,6 +8,9 @@ from numpy.testing import assert_allclose
 
 from wshrink import sqa
 from wshrink.analytical import reformulation_objective, wasserstein_shrinkage
+from wshrink.applications import (SyntheticSpec, known_zero_pattern, synthetic_benchmark, synthetic_sigma0,
+                                  zero_pattern_of)
+from wshrink.evaluation import TuningGrid
 from wshrink.errors import LinearSolveError, LineSearchError
 from wshrink.sqa import NewtonStep, SolverConfig, SparsityPattern, armijo_step, sqa_gradient, sqa_solve
 
@@ -405,6 +408,40 @@ class TestArmijo:
         assert f_new == reformulation_objective(cov, X + alpha * huge, gamma, 1.0)
         assert f_new < f
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_expands_short_step_near_optimum(self, seed):
+        # a quarter of the Newton step: doubling twice reaches the Newton point, a third overshoots
+        cov = random_spd(5, np.random.default_rng(seed))
+        sol, _ = sqa_solve(cov, 0.6, config=SolverConfig(grad_tol=1e-2))
+        X, gamma = sol.precision, sol.dual_multiplier
+        step = descent_direction(cov, X, gamma, 0.6)
+        f = reformulation_objective(cov, X, gamma, 0.6)
+        assert armijo_step(cov, X, gamma, 0.6, step, f)[0] == 1.0
+        quarter = NewtonStep(delta_X=0.25 * step.delta_X, delta_gamma=0.25 * step.delta_gamma,
+                             predicted_decrease=0.25 * step.predicted_decrease)
+        alpha, f_new = armijo_step(cov, X, gamma, 0.6, quarter, f)
+        assert alpha == 4.0
+
+        def at(a):
+            return reformulation_objective(cov, X + a * quarter.delta_X, gamma + a * quarter.delta_gamma, 0.6)
+
+        assert f_new == at(4.0) < at(2.0)
+        w = np.linalg.eigvalsh(X + 4.0 * quarter.delta_X)
+        assert 0.0 < w[0] and w[-1] < gamma + 4.0 * quarter.delta_gamma
+
+    def test_expansion_stops_at_cone_boundary(self):
+        # X + step = 1.3 I passes, X + 2 step = 2.1 I lies outside the cone X < 2 I
+        cov, X, gamma = 0.01 * np.eye(3), 0.5 * np.eye(3), 2.0
+        direction = 0.8 * np.eye(3)
+        g_mat, _ = sqa_gradient(cov, X, gamma, 1.0)
+        step = NewtonStep(delta_X=direction, delta_gamma=0.0, predicted_decrease=float(np.sum(g_mat * direction)))
+        f = reformulation_objective(cov, X, gamma, 1.0)
+        alpha, f_new = armijo_step(cov, X, gamma, 1.0, step, f)
+        assert alpha == 1.0
+        assert f_new == reformulation_objective(cov, X + direction, gamma, 1.0) < f
+        # the objective still falls toward the boundary, so the cone ends the expansion
+        assert reformulation_objective(cov, X + 1.75 * direction, gamma, 1.0) < f_new
+
     def test_rejects_nondescent_step(self, rng):
         cov = random_spd(3, rng)
         X = np.eye(3) * 0.5
@@ -558,6 +595,52 @@ class TestSolve:
         assert ref_trace.converged and trace.converged
         expected = ref.precision[np.ix_(perm, perm)]
         assert np.linalg.norm(sol.precision - expected) <= 1e-5 * np.linalg.norm(expected)
+
+    @staticmethod
+    def assert_ends_below_tolerance(trace, grad_tol):
+        """Converged at the gradient test; the objective rises only by rounding,
+        at a full step that lowered the projected gradient."""
+        assert trace.converged
+        assert trace.grad_norms[-1] <= grad_tol
+        objs = trace.objectives
+        for k, (before, after) in enumerate(zip(objs, objs[1:])):
+            if not after < before:
+                assert trace.step_sizes[k] == 1.0
+                assert trace.grad_norms[k + 1] < trace.grad_norms[k]
+                assert after - before <= 1e-10 * abs(before)
+
+    @pytest.mark.parametrize("spec_seed", [119253154, 1763574599, 1636813174])
+    def test_synthetic_items_end_below_tolerance(self, spec_seed):
+        # synthetic-benchmark items on which the objective stops falling at rounding
+        # level while the projected gradient is still up to 1.9x above grad_tol
+        spec = SyntheticSpec(dim=30, density=0.05, n_samples=30, trials=1, seed=spec_seed)
+        truth = zero_pattern_of(np.linalg.inv(synthetic_sigma0(spec)))
+        pattern = known_zero_pattern(truth, 0.5, spec_seed)
+        config = SolverConfig()
+        traces = []
+
+        def estimate(moments, rho):
+            solution, trace = sqa_solve(moments.covariance, rho, pattern, config)
+            traces.append(trace)
+            return solution.precision
+
+        synthetic_benchmark(spec, {"sqa": estimate}, {"sqa": TuningGrid.from_log10("rho", -1.0, 1.0, 5)})
+        assert len(traces) == 5
+        for trace in traces:
+            self.assert_ends_below_tolerance(trace, config.grad_tol)
+
+    def test_tight_tolerance_ends_below_tolerance(self):
+        # small well-sampled problems solved to 1e-9, where the predicted decrease
+        # and the objective's rounding both vanish before the gradient does
+        rng = np.random.default_rng(2024)
+        config = SolverConfig(grad_tol=1e-9)
+        for k in range(40):
+            p = 3 + k % 5
+            A = rng.standard_normal((30, p)) @ rng.standard_normal((p, p))
+            rho = float(10 ** rng.uniform(-2.0, 0.5))
+            pattern = SparsityPattern(p, [(0, 1)]) if k % 2 else None
+            _, trace = sqa_solve(A.T @ A / 30.0, rho, pattern, config)
+            self.assert_ends_below_tolerance(trace, config.grad_tol)
 
     def test_budget_exhaustion_flagged(self, rng):
         cov = random_spd(6, rng)
