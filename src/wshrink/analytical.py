@@ -155,15 +155,6 @@ def _gamma_bounds(lam: np.ndarray, radii: np.ndarray):
     return gmin, gmax
 
 
-def _solve_gammas(lam: np.ndarray, radii: np.ndarray):
-    """Multipliers of checked ``radii`` for a spectrum already cleaned by
-    ``psd_spectrum``, in one kernel call; returns ``(gammas, iterations, residuals)``."""
-    pos = lam[lam > 0.0]
-    n_zero, rho2 = lam.size - pos.size, radii * radii
-    return _kernels.monotone_newton(lambda g, idx: _kernels.gamma_residual_slope(g, pos, n_zero, rho2[idx]),
-                                    *_gamma_bounds(lam, radii), GAMMA_TOL)
-
-
 def eigenvalue_map(lam, gamma_star: float):
     """Shrunk precision eigenvalue(s) for sample eigenvalue(s) ``lam``.
 
@@ -266,10 +257,16 @@ def wasserstein_shrinkage_gram_path(R, radii):
 
 def _path(V, lam, radii):
     """Solutions at ``radii`` from a cleaned spectrum ``lam`` whose last ``V.shape[1]``
-    entries are the eigenvalues of ``V``'s columns (all p of them, or the nonzero ones)."""
+    entries are the eigenvalues of ``V``'s columns (all p of them, or the nonzero ones),
+    from one multiplier solve for all radii.  The one route from a decomposition to the
+    shrinkage solution: the radius paths, ``extremal_for_optimal`` and the SQA warm start."""
     radii = np.asarray(radii, dtype=np.float64).reshape(-1)
-    valid = np.isfinite(radii) & (radii > 0.0)  # an invalid radius is solved at 1.0 and raises when reached
-    gammas, iters, _ = _solve_gammas(lam, np.where(valid, radii, 1.0))
+    # an invalid radius is solved at 1.0 and raises when reached
+    checked = np.where(np.isfinite(radii) & (radii > 0.0), radii, 1.0)
+    pos, rho2 = lam[lam > 0.0], checked * checked
+    gammas, iters, _ = _kernels.monotone_newton(
+        lambda g, idx: _kernels.gamma_residual_slope(g, pos, lam.size - pos.size, rho2[idx]),
+        *_gamma_bounds(lam, checked), GAMMA_TOL)
     for rho, gamma, it in zip(radii, gammas, iters):
         _check_rho(rho)
         yield _solution(V, lam, float(gamma), float(rho), int(it))

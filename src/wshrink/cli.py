@@ -14,7 +14,9 @@ them, ``(a | b)``: exactly one)::
 Some flags are read only with another, and are a usage error without it:
 ``--cv`` and ``--seed`` need ``--grid`` (``lda``, ``portfolio``); ``--tol``
 and ``--max-iters`` need ``--pattern`` (``estimate``, ``tune``) or
-``--known-zeros`` (``synthetic``).
+``--known-zeros`` (``synthetic``).  A ``--grid`` sweeps a parameter the
+command reads, else it is a user error: ``rho`` or ``alpha`` (``tune``,
+``portfolio``), ``rho`` (``synthetic``, ``lda``).
 
 Exit codes: 0 success; 1 user error (usage errors, bad arguments or input
 files); 2 solver error.  Every command is deterministic given its arguments
@@ -36,7 +38,6 @@ from .applications import (
     BacktestConfig,
     LabeledDataset,
     SyntheticSpec,
-    analytical_estimator,
     analytical_path_estimator,
     known_zero_pattern,
     lda_classify,
@@ -74,9 +75,10 @@ class _Parser(argparse.ArgumentParser):
         raise UserError(message)
 
 
-def _load_grid(spec: str) -> TuningGrid:
+def _load_grid(spec: str, params) -> TuningGrid:
     """Grid from inline JSON or a JSON file:
-    ``{"param": "rho", "log10_from": -1, "log10_to": 2, "points": 61}``."""
+    ``{"param": "rho", "log10_from": -1, "log10_to": 2, "points": 61}``;
+    a ``param`` outside ``params``, the ones the command reads, is a user error."""
     text = spec.strip()
     if not text.startswith("{"):
         try:
@@ -86,10 +88,13 @@ def _load_grid(spec: str) -> TuningGrid:
             raise UserError(f"cannot read grid file {spec!r}: {exc}") from None
     try:
         doc = json.loads(text)
-        return TuningGrid.from_log10(doc["param"], float(doc["log10_from"]),
+        grid = TuningGrid.from_log10(doc["param"], float(doc["log10_from"]),
                                      float(doc["log10_to"]), int(doc["points"]))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UserError(f"invalid grid specification: {exc}") from None
+    if grid.name not in params:
+        raise UserError(f"grid param {grid.name!r} is not one of {', '.join(params)}")
+    return grid
 
 
 def _derived_path(output: str, extension: str, tail: str) -> str:
@@ -154,7 +159,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    grid = _load_grid(args.grid)
+    grid = _load_grid(args.grid, ("rho", "alpha"))
     data = io.read_matrix_csv(args.input)
     pattern = io.read_pattern_json(args.pattern) if args.pattern else None
     estimator = _estimator_for(grid.name, pattern, SolverConfig(grad_tol=args.tol, max_iters=args.max_iters))
@@ -202,7 +207,7 @@ def cmd_synthetic(args) -> int:
     spec = SyntheticSpec(dim=args.p, density=args.density, n_samples=args.n,
                          trials=args.trials, seed=args.seed)
     if args.grid:
-        grid = _load_grid(args.grid)
+        grid = _load_grid(args.grid, ("rho",))
     else:
         grid = TuningGrid.from_log10("rho", -2.0, 1.0, 25 if args.grid_points is None else args.grid_points)
     config = SolverConfig(grad_tol=args.tol, max_iters=args.max_iters)
@@ -241,9 +246,7 @@ def cmd_lda(args) -> int:
         raise UserError(f"--test-labels holds {test_labels.shape[0]} labels for {test.shape[0]} test rows")
     report_doc = {"command": "lda", "n": int(data.shape[0]), "p": int(data.shape[1])}
     if args.grid:
-        grid = _load_grid(args.grid)
-        if grid.name != "rho":
-            raise UserError("lda tunes the rho grid")
+        grid = _load_grid(args.grid, ("rho",))
         # classification CV scores whole folds against their labels, so it
         # runs its own sweep instead of going through cross_validate
         folds = make_folds(data.shape[0], args.cv, args.seed)
@@ -270,7 +273,7 @@ def cmd_lda(args) -> int:
         rho = args.rho
         report_doc["selected_rho"] = rho
 
-    model = lda_fit(dataset, lambda moments: analytical_estimator(moments, rho))
+    model = lda_fit(dataset, lambda moments: analytical_path_estimator(moments, rho))
     train_acc = float(np.mean(lda_classify(model, data) == labels))
     report_doc["train_accuracy"] = train_acc
     if test is not None:
@@ -298,7 +301,7 @@ def cmd_portfolio(args) -> int:
     config = BacktestConfig(window=args.window, stride=args.stride)
     report_doc = {"command": "portfolio", "window": args.window, "stride": args.stride}
     if args.grid:
-        grid = _load_grid(args.grid)
+        grid = _load_grid(args.grid, ("rho", "alpha"))
         if returns.shape[0] <= args.window:
             raise UserError("not enough observations for the training window")
         estimator = _estimator_for(grid.name)

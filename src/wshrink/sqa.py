@@ -38,9 +38,9 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import cg  # noqa: F401  unused; kept because the benchmark tracer wraps ``sqa.cg``
 
-from .analytical import ShrinkageSolution, _check_rho, _objective_at, eigenvalue_map, wasserstein_shrinkage
+from .analytical import ShrinkageSolution, _check_rho, _objective_at, _path, eigenvalue_map
 from .errors import LinearSolveError, LineSearchError
-from .gaussian import as_symmetric, psd_spectrum
+from .gaussian import as_symmetric, psd_spectrum, spectral_decompose
 
 #: Armijo sufficient-decrease fraction of the predicted decrease
 ARMIJO_SIGMA = 1e-4
@@ -94,11 +94,10 @@ class SparsityPattern:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping parameters, and whether the trace keeps every iterate."""
+    """Stopping parameters."""
 
     grad_tol: float = 1e-3
     max_iters: int = 100
-    keep_iterates: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.grad_tol) or self.grad_tol <= 0.0:
@@ -130,7 +129,6 @@ class SolverTrace:
     grad_norms: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
-    iterates: list | None = None
     converged: bool = False
     iterations: int = 0
     message: str = ""
@@ -391,7 +389,9 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
     otherwise stops with ``converged`` set.
     A singular input covariance is replaced by ``cov + eps I`` with
     ``eps = 1e-8 * lambda_max``, or ``eps = 1e-8 * rho^2`` when ``cov = 0``;
-    both scale with the data.
+    both scale with the data.  This ridge shifts the spectrum to ``lam + eps``
+    and keeps the eigenvectors, so one decomposition of ``cov`` serves the rank
+    check, the ridge and the warm start, which reads the analytical radius path.
 
     Returns ``(ShrinkageSolution, SolverTrace)``.
     """
@@ -399,15 +399,17 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
     _check_rho(rho)
     S = as_symmetric(cov, name="cov")
     p = S.shape[0]
-    lam = psd_spectrum(np.linalg.eigvalsh(S), "cov")
-    if lam[0] == 0.0:
-        S = S + 1e-8 * (lam[-1] if lam[-1] > 0.0 else rho * rho) * np.eye(p)
     if pattern is not None and pattern.dim != p:
         raise ValueError("pattern dimension does not match cov")
+    dec = spectral_decompose(S)
+    lam = psd_spectrum(dec.eigenvalues, "cov")
+    if lam[0] == 0.0:
+        eps = 1e-8 * (lam[-1] if lam[-1] > 0.0 else rho * rho)
+        S, lam = S + eps * np.eye(p), lam + eps
 
     free = _FreeCoordinates(p, pattern)
     mask = free.mask
-    warm = wasserstein_shrinkage(S, rho)
+    warm = next(_path(dec.eigenvectors, lam, [rho]))
     gamma = warm.dual_multiplier
     D = np.diag(eigenvalue_map(np.diag(S), gamma))  # each S_ii > 0 maps into (0, gamma)
     X, f = D, _objective_at(S, D, gamma, rho)
@@ -418,7 +420,7 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
         if f_t is not None and f_t <= f:
             X, f = D + t * toward, f_t
             break
-    trace = SolverTrace(objectives=[f], iterates=[(X.copy(), gamma)] if config.keep_iterates else None)
+    trace = SolverTrace(objectives=[f])
     start = time.perf_counter()
 
     for _ in range(config.max_iters):
@@ -450,8 +452,6 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
         trace.objectives.append(f)
         trace.step_sizes.append(alpha)
         trace.wall_times.append(time.perf_counter() - start)
-        if trace.iterates is not None:
-            trace.iterates.append((X.copy(), gamma))
     else:
         trace.message = f"iteration budget ({config.max_iters}) exhausted"
 

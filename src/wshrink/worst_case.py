@@ -6,8 +6,12 @@ normal distribution whose covariance has the closed form
 ``S* = gamma^2 (gamma I - X)^{-1} cov (gamma I - X)^{-1}``, with the
 multiplier ``gamma`` solving a scalar stationarity equation on
 ``(lambda_max(X), inf)``, concave and increasing like the shrinkage multiplier's.
-At the optimal shrinkage estimator the extremal covariance is available
-eigenvalue-wise even for rank-deficient input.
+
+At the optimal shrinkage estimator ``X*`` the worst case is ``S* = X*^{-1}``:
+``X*`` shares the eigenvectors of ``cov``, and each of its eigenvalues ``x``
+minimizes ``-log x + gamma^2 lam / (gamma - x)``, whose stationarity condition
+``1 / x = gamma^2 lam / (gamma - x)^2`` makes ``1 / x`` the eigenvalue of ``S*``;
+a zero sample eigenvalue maps to ``x = gamma`` and ``1 / gamma``.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .analytical import GAMMA_TOL, _check_rho, _solve_gammas
-from .gaussian import RANK_RTOL, as_symmetric, induced_metric_V, psd_spectrum
+from .analytical import GAMMA_TOL, _check_rho, _path
+from .gaussian import RANK_RTOL, as_symmetric, induced_metric_V, psd_spectrum, spectral_decompose
 
 
 @dataclass(frozen=True)
@@ -89,28 +93,20 @@ def extremal_covariance(cov, X, gamma: float) -> WorstCaseDistribution:
 
 
 def extremal_for_optimal(cov, rho: float) -> WorstCaseDistribution:
-    """Worst-case covariance at the optimal shrinkage estimator.
+    """Worst-case covariance ``X*^{-1}`` at the optimal shrinkage estimator ``X*``.
 
-    Shares the eigenvectors of ``cov``; eigenvalue-wise it equals
-    ``gamma^2 lam / (gamma - x)^2`` on positive sample eigenvalues and
-    ``1 / gamma`` on the null space, so rank deficiency is allowed.  Sharing
-    the eigenvectors also makes the attained distance ``||sqrt(s) - sqrt(lam)||``
-    over the two spectra, so ``cov`` is validated and decomposed once.
+    Each shrunk eigenvalue ``x`` satisfies ``1 / x = gamma^2 lam / (gamma - x)^2``
+    (see the module docstring), and ``x = gamma`` on the null space of ``cov``, so
+    rank deficiency is allowed.  ``X*`` comes from the radius path, from one validated
+    decomposition of ``cov``; sharing its eigenvectors, ``S*`` attains the distance
+    ``||x^{-1/2} - sqrt(lam)||`` and the value ``<S*, X*> = p``.
     """
     _check_rho(rho)
-    lam, V = np.linalg.eigh(as_symmetric(cov, name="cov"))  # eigenvector signs cancel in W @ W.T
-    lam = psd_spectrum(lam, "cov")
-    (gamma,), _, _ = _solve_gammas(lam, np.array([rho]))
-    x = _kernels.shrink_eigenvalues(lam, gamma)
-    s = np.empty_like(lam)
-    pos = lam > 0.0
-    s[pos] = gamma * gamma * lam[pos] / (gamma - x[pos]) ** 2
-    s[~pos] = 1.0 / gamma
-    W = V * np.sqrt(s)
-    return WorstCaseDistribution(
-        covariance=W @ W.T,
-        multiplier=float(gamma),
-        attained_distance=float(np.linalg.norm(np.sqrt(s) - np.sqrt(lam))),
-        attained_value=float(np.sum(s * x)),
-    )
-
+    dec = spectral_decompose(cov)
+    lam = psd_spectrum(dec.eigenvalues, "cov")
+    solution = next(_path(dec.eigenvectors, lam, [rho]))
+    root = np.sqrt(solution.shrunk_eigenvalues)
+    W = dec.eigenvectors / root
+    return WorstCaseDistribution(covariance=W @ W.T, multiplier=solution.dual_multiplier,
+                                 attained_distance=float(np.linalg.norm(1.0 / root - np.sqrt(lam))),
+                                 attained_value=float(lam.size))

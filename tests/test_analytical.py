@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from wshrink import _kernels, analytical
 from wshrink.analytical import (
     GAMMA_TOL,
-    _solve_gammas,
+    _path,
     eigenvalue_map,
     gamma_bracket,
     reformulation_objective,
@@ -24,8 +24,9 @@ from conftest import covariances, random_psd_singular, random_rotation, random_s
 
 
 def solve_gamma(eigenvalues, rho):
-    """The dual multiplier, through the root solve that the estimators run."""
-    return _solve_gammas(psd_spectrum(eigenvalues), np.array([rho]))[0][0]
+    """The dual multiplier, through the radius path that the estimators run."""
+    lam = psd_spectrum(eigenvalues)
+    return next(_path(np.eye(lam.size), lam, [rho])).dual_multiplier
 
 FIG1_EIGENVALUES = 10.0 ** (np.arange(1, 6) - 3.0)  # 1e-2 .. 1e2
 
@@ -351,8 +352,9 @@ class TestShrinkagePath:
         lam = psd_spectrum(spectral_decompose(cov).eigenvalues)
         pos = lam[lam > 0.0]
         for rho, solution in zip(radii, wasserstein_shrinkage_path(cov, radii)):
-            (gamma,), (iters,), _ = _solve_gammas(lam, np.array([rho]))
-            assert solution.dual_multiplier == gamma and solution.iterations == iters
+            single = wasserstein_shrinkage(cov, rho)
+            gamma = single.dual_multiplier
+            assert solution.dual_multiplier == gamma and solution.iterations == single.iterations
             assert abs(_kernels.gamma_residual(gamma, pos, lam.size - pos.size, rho)) <= GAMMA_TOL
 
     def test_unconverged_multiplier_raises_before_the_first_precision(self, monkeypatch, rng):

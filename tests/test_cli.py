@@ -145,6 +145,19 @@ class TestFlagSurface:
         assert err.startswith("usage: wshrink")
         assert "error: " in err and message in err
 
+    @pytest.mark.parametrize("name,param,code", [
+        ("tune", "rh0", 1), ("tune", "alpha", 0), ("portfolio", "rh0", 1), ("portfolio", "alpha", 0),
+        ("synthetic", "alpha", 1), ("lda", "alpha", 1),
+    ])
+    def test_grid_param_must_be_one_the_command_reads(self, name, param, code, files, capsys):
+        # tune and portfolio read rho and alpha grids; synthetic and lda read rho only
+        line = BASE[name].replace("--rho 0.5", "--grid {grid}").replace("--grid-points 2", "--grid {grid}")
+        words = [w.replace('"rho"', f'"{param}"') for w in argv(line, files)]
+        assert main(words) == code
+        if code:
+            assert f"error: grid param '{param}' is not one of" in capsys.readouterr().err
+            assert not any(f.name.startswith("o.") for f in files.iterdir())
+
     @pytest.mark.parametrize("name,flag,needed", NEEDS)
     def test_flag_without_the_flag_it_needs_is_usage_error(self, name, flag, needed, tmp_path, capsys):
         # tmp_path holds no input file: the usage error comes before any file is read

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 from wshrink import sqa
 from wshrink.analytical import reformulation_objective, wasserstein_shrinkage
@@ -12,6 +13,7 @@ from wshrink.applications import (SyntheticSpec, known_zero_pattern, synthetic_b
                                   zero_pattern_of)
 from wshrink.evaluation import TuningGrid
 from wshrink.errors import LinearSolveError, LineSearchError
+from wshrink.gaussian import RANK_RTOL
 from wshrink.sqa import NewtonStep, SolverConfig, SparsityPattern, armijo_step, sqa_gradient, sqa_solve
 
 from conftest import covariances, random_spd, refuse_allocation
@@ -26,6 +28,27 @@ def feasible_point(p, rng, margin=1.6):
 def random_direction(p, rng):
     A = rng.standard_normal((p, p))
     return 0.5 * (A + A.T), float(rng.standard_normal())
+
+
+def robust_objective(cov, X, rho):
+    """Worst-case log-loss of ``X`` over the ball, the objective minimized over the
+    multiplier alone: ``-log det X + min_g g (rho^2 - tr S) + g^2 <(g I - X)^-1, S>``,
+    in the eigenbasis of ``X``.  The inner function is convex on ``(lambda_max(X), inf)``."""
+    x, U = np.linalg.eigh(X)
+    s = np.einsum("ij,ik,kj->j", U, cov, U)
+    s = np.where(s < RANK_RTOL * s.max(), 0.0, s)  # cov is PSD: roundoff below the rank cut is zero
+    base = rho * rho - np.trace(cov)
+
+    def slope(g):
+        return base + np.sum(s * g * (g - 2.0 * x) / (g - x) ** 2)
+
+    g = x[-1] * (1.0 + 1e-12)
+    if slope(g) < 0.0:
+        hi = 2.0 * g
+        while slope(hi) <= 0.0:
+            hi *= 2.0
+        g = brentq(slope, g, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    return float(-np.log(x).sum() + g * base + g * g * np.sum(s / (g - x)))
 
 
 def hessian_apply(cov, X, gamma, direction):
@@ -485,10 +508,26 @@ class TestSolve:
         assert (np.diff(objs) < 0.0).all()
 
     @staticmethod
-    def assert_iterates_strictly_feasible(trace, pattern):
+    def iterates(cov, rho, pattern, config):
+        """The solve's trace and every iterate ``(X, gamma)``, the warm start first.
+
+        The solver is deterministic, so iterate k is the result of the same solve
+        capped at k iterations; the last one is checked against the full solve.
+        """
+        solution, trace = sqa_solve(cov, rho, pattern, config)
+        iterates = []
+        for k in range(trace.iterations + 1):
+            capped, _ = sqa_solve(cov, rho, pattern, SolverConfig(grad_tol=config.grad_tol, max_iters=k))
+            iterates.append((capped.precision, capped.dual_multiplier))
+        assert np.array_equal(iterates[-1][0], solution.precision)
+        assert iterates[-1][1] == solution.dual_multiplier
+        return trace, iterates
+
+    @staticmethod
+    def assert_iterates_strictly_feasible(trace, iterates, pattern):
         assert trace.converged
-        assert len(trace.iterates) == trace.iterations + 1  # the warm start comes first
-        for X, gamma in trace.iterates:
+        assert len(iterates) == trace.iterations + 1  # the warm start comes first
+        for X, gamma in iterates:
             w = np.linalg.eigvalsh(X)
             assert w[0] > 0.0
             assert w[-1] < gamma
@@ -497,8 +536,8 @@ class TestSolve:
 
     def test_iterates_strictly_feasible(self, rng):
         cov = random_spd(6, rng)
-        _, trace = sqa_solve(cov, 0.4, config=SolverConfig(keep_iterates=True, grad_tol=1e-9))
-        self.assert_iterates_strictly_feasible(trace, None)
+        trace, iterates = self.iterates(cov, 0.4, None, SolverConfig(grad_tol=1e-9))
+        self.assert_iterates_strictly_feasible(trace, iterates, None)
 
     @pytest.mark.parametrize("kind", ["rank_deficient", "scaled_1e-4"])
     def test_iterates_strictly_feasible_with_pattern(self, kind, rng):
@@ -509,8 +548,8 @@ class TestSolve:
             cov = A.T @ A / 3.0  # n = 3 < p
         else:
             cov, rho = 1e-4 * random_spd(p, rng), 1e-2 * rho
-        _, trace = sqa_solve(cov, rho, pattern, SolverConfig(keep_iterates=True, grad_tol=1e-9))
-        self.assert_iterates_strictly_feasible(trace, pattern)
+        trace, iterates = self.iterates(cov, rho, pattern, SolverConfig(grad_tol=1e-9))
+        self.assert_iterates_strictly_feasible(trace, iterates, pattern)
 
     def test_few_samples_with_pattern_converge(self, rng):
         # n = 3 < p = 8: the optimum hugs the cone boundary on the null space of
@@ -533,9 +572,9 @@ class TestSolve:
 
     def test_local_quadratic_convergence(self, rng):
         cov = random_spd(5, rng)
-        _, trace = sqa_solve(cov, 0.5, config=SolverConfig(grad_tol=1e-12, keep_iterates=True))
-        Xf, gf = trace.iterates[-1]
-        errors = [np.linalg.norm(X - Xf) + abs(g - gf) for X, g in trace.iterates[:-1]]
+        _, iterates = self.iterates(cov, 0.5, None, SolverConfig(grad_tol=1e-12))
+        Xf, gf = iterates[-1]
+        errors = [np.linalg.norm(X - Xf) + abs(g - gf) for X, g in iterates[:-1]]
         tail = [(a, b) for a, b in zip(errors[-4:], errors[-3:]) if a > 0.0]
         assert len(tail) >= 3
         for e_t, e_next in tail:
@@ -560,6 +599,19 @@ class TestSolve:
         sol, trace = sqa_solve(cov, 0.8)
         assert trace.converged
         assert np.linalg.eigvalsh(sol.precision)[0] > 0.0
+
+    def test_decomposes_cov_once(self, rng, monkeypatch):
+        # one eigh of cov serves the rank check, the ridge and the warm start;
+        # the other decomposition is the final eigvalsh of the returned X
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        A = rng.standard_normal((3, 6))
+        sqa_solve(A.T @ A / 3.0, 0.8, SparsityPattern(6, [(0, 5), (1, 4)]))  # rank 3 of 6: ridged
+        assert calls == {"eigh": 1, "eigvalsh": 1}
 
     @pytest.mark.parametrize("pairs", [[], [(0, 7), (1, 6), (2, 5)]], ids=["empty", "pattern"])
     def test_scale_equivariance_rank_deficient(self, pairs, rng):
@@ -595,6 +647,41 @@ class TestSolve:
         assert ref_trace.converged and trace.converged
         expected = ref.precision[np.ix_(perm, perm)]
         assert np.linalg.norm(sol.precision - expected) <= 1e-5 * np.linalg.norm(expected)
+
+    @given(cov=covariances(), radius=st.floats(min_value=1e-2, max_value=1e2))
+    @settings(max_examples=100, deadline=None)
+    def test_empty_pattern_matches_analytical(self, cov, radius):
+        # on singular cov the solver solves with the ridge cov + eps I; the gap that
+        # leaves is bounded as in the benchmark's empty-pattern check
+        rho = np.sqrt(np.trace(cov)) * radius
+        sol, trace = sqa_solve(cov, rho, config=SolverConfig(grad_tol=1e-9 * np.linalg.norm(cov), max_iters=500))
+        ref = wasserstein_shrinkage(cov, rho)
+        assert trace.converged
+        gap = (robust_objective(cov, sol.precision, rho) - ref.objective) / max(1.0, abs(ref.objective))
+        if ref.shrunk_eigenvalues[0] < ref.dual_multiplier:  # no zero sample eigenvalue maps to gamma
+            assert abs(gap) <= 1e-9
+            assert np.abs(sol.precision - ref.precision).max() <= 1e-5 * np.abs(ref.precision).max()
+        else:
+            assert -1e-9 <= gap <= 1e-2
+
+    @given(cov=covariances(), radii=st.lists(st.floats(min_value=1e-2, max_value=1e2), min_size=2, max_size=4),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_optimal_objective_nondecreasing_in_rho(self, cov, radii, seed):
+        # each (X, gamma) is feasible for every radius and the objective grows with
+        # rho at a fixed point, so the optimum cannot fall as rho grows
+        p = cov.shape[0]
+        I, J = np.triu_indices(p, 1)
+        keep = np.random.default_rng(seed).random(I.size) < 0.5
+        pattern = SparsityPattern(p, zip(I[keep], J[keep]))
+        config = SolverConfig(grad_tol=1e-9 * np.linalg.norm(cov), max_iters=500)
+        objectives = []
+        for rho in np.sqrt(np.trace(cov)) * np.sort(radii):
+            sol, trace = sqa_solve(cov, rho, pattern, config)
+            assert trace.converged
+            objectives.append(sol.objective)
+        for low, high in zip(objectives, objectives[1:]):
+            assert high >= low - 1e-9 * max(1.0, abs(low))
 
     @staticmethod
     def assert_ends_below_tolerance(trace, grad_tol):

@@ -189,6 +189,18 @@ class TestExtremalForOptimal:
         assert abs(worst.attained_distance - rho) <= 1e-9 * rho
         assert abs(worst.attained_distance - induced_metric_V(worst.covariance, cov)) <= 1e-9 * rho
 
+    @given(cov=covariances(), radius=st.floats(min_value=1e-2, max_value=1e2))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_inverse_of_the_optimal_estimator(self, cov, radius):
+        # S* = X*^-1, rank-deficient cov included.  The product's rounding grows with
+        # cond(X*), about 1/radius^2 here: radius 1e-3 can exceed 1e-9 on that alone
+        rho = np.sqrt(np.trace(cov)) * radius
+        worst = extremal_for_optimal(cov, rho)
+        p = cov.shape[0]
+        assert np.abs(worst.covariance @ wasserstein_shrinkage(cov, rho).precision - np.eye(p)).max() <= 1e-9
+        assert worst.attained_value == p
+        assert abs(worst.attained_distance - rho) <= 1e-9 * rho
+
     def test_validates_and_decomposes_cov_once(self, rng, monkeypatch):
         calls = {"as_symmetric": 0, "eigh": 0}
 
