@@ -10,18 +10,16 @@ a priori bracket (see ``_kernels``).  This module provides the convex
 objective shared with the iterative solver, the bracket, the root solve, the
 eigenvalue map, the assembled estimator and its radius path.
 
-The estimator is held in factored form, a ``FactoredPrecision`` of
-orthonormal eigenvectors ``V``, their eigenvalues ``x`` and a complement
-``c``, so that ``X = V diag(x) V^T + c (I - V V^T)``.  From a covariance,
-``V`` holds all p sample eigenvectors and ``c = 0``.  From a residual factor
-``R`` (``cov = R^T R``) with fewer rows than columns,
-``wasserstein_shrinkage_gram_path`` decomposes the small Gram matrix
-``R R^T`` instead: ``V`` is the p x r range of the data and every zero
-sample eigenvalue maps to ``c = gamma*``, so
-``X = gamma* I - V diag(gamma* - x) V^T``.
-A consumer that needs only ``X 1`` or another product gets it from the
-factors without the p x p matrix; ``np.asarray`` of the factors, or a
-solution's ``.precision``, forms the dense matrix on request.
+The estimator takes a covariance or ``SampleMoments`` (``_spectrum`` alone
+picks the decomposition) and is held in factored form, a
+``FactoredPrecision`` of orthonormal eigenvectors ``V``, their eigenvalues
+``x`` and a complement ``c``: ``X = V diag(x) V^T + c (I - V V^T)``.  From
+the covariance, ``V`` holds all p sample eigenvectors and ``c = 0``.  Moments
+with fewer rows than columns never form the covariance: the n x n Gram
+matrix of their residuals is decomposed, ``V`` is the p x r range of the
+data, and every zero sample eigenvalue maps to ``c = gamma*``.  A consumer
+that needs only ``X 1`` or another product gets it from the factors; ``np.asarray``
+of the factors, or a solution's ``.precision``, forms the dense matrix on request.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ import scipy.linalg
 
 from . import _kernels
 from .errors import EstimationError
+from .evaluation import SampleMoments, _covariance_of
 from .gaussian import RANK_RTOL, as_symmetric, psd_spectrum, spectral_decompose
 
 #: stopping tolerance on the scalar residual phi(gamma)
@@ -207,58 +206,56 @@ def reformulation_objective(cov, X, gamma: float, rho: float) -> float:
     return value
 
 
-def wasserstein_shrinkage(cov, rho: float) -> ShrinkageSolution:
-    """Robust precision estimator for a PSD sample covariance.
+def wasserstein_shrinkage(source, rho: float) -> ShrinkageSolution:
+    """Robust precision estimator for a PSD sample covariance or its ``SampleMoments``
+    (on the Gram route when they have fewer rows than columns; see ``_spectrum``).
 
-    The result is positive definite even when ``cov`` is rank deficient and
-    commutes with ``cov`` (same eigenvector frame).  ``rho = 0`` is rejected:
-    the nominal problem has no finite solution for rank-deficient ``cov``, and
-    the plain inverse should be used explicitly otherwise.
+    The result is positive definite even when the covariance is rank
+    deficient and commutes with it (same eigenvector frame).  ``rho = 0`` is
+    rejected: the nominal problem has no finite solution for a rank-deficient
+    covariance, and the plain inverse should be used explicitly otherwise.
     """
     _check_rho(rho)
-    return next(wasserstein_shrinkage_path(cov, [rho]))
+    return next(wasserstein_shrinkage_path(source, [rho]))
 
 
-def wasserstein_shrinkage_path(cov, radii):
-    """Yield ``wasserstein_shrinkage(cov, rho)`` for each of ``radii``, from one
-    ``eigh`` and one multiplier solve; an invalid radius raises when reached.
-
-    Each solution's ``estimate`` is a ``FactoredPrecision`` that shares the
-    eigenvectors of ``cov``: no radius forms a p x p matrix until its
-    ``.precision`` (or ``np.asarray(solution.estimate)``) is requested.
+def wasserstein_shrinkage_path(source, radii):
+    """Yield ``wasserstein_shrinkage(source, rho)`` for each of ``radii``, from one
+    decomposition of the covariance, or of the Gram matrix of ``SampleMoments`` with
+    fewer rows than columns, and one multiplier solve; an invalid radius raises when
+    reached.  Each ``estimate`` is a ``FactoredPrecision``: no radius forms a p x p
+    matrix until its ``.precision`` (or ``np.asarray(solution.estimate)``) is requested.
     """
-    dec = spectral_decompose(cov)
-    yield from _path(dec.eigenvectors, psd_spectrum(dec.eigenvalues, "cov"), radii)
+    lam, V = _spectrum(source)
+    yield from _path(V, lam, radii)
 
 
-def wasserstein_shrinkage_gram_path(R, radii):
-    """``wasserstein_shrinkage_path(R.T @ R, radii)`` for a factor ``R`` with
-    fewer rows than columns, from the eigenpairs of the n x n Gram matrix.
+def _spectrum(source):
+    """``(lam, V)``: the cleaned, ascending length-p spectrum of a covariance or of
+    ``SampleMoments``, and the eigenvectors of its last ``V.shape[1]`` entries.
 
-    ``R R^T = V diag(mu) V^T`` shares its nonzero eigenvalues with
-    ``R^T R``, whose eigenvectors for them are ``U = R^T V / sqrt(mu)``.  The
-    cleaning and the multiplier solve run on the length-p spectrum
-    ``[0] * (p - n) + mu``, as for the covariance; the eigenpairs that
-    ``psd_spectrum`` leaves positive span the range, and each estimate is
-    ``gamma I - U diag(gamma - x) U^T`` in factored form.  Only ``R R^T`` is
-    validated (by ``spectral_decompose``): data whose products overflow raise
-    ``ValueError`` there.
+    Moments with fewer rows than columns decompose ``R R^T = W diag(mu) W^T``,
+    ``R = residuals / sqrt(divisor)``, which shares its nonzero eigenvalues with
+    ``cov = R^T R``; ``V = R^T W / sqrt(mu)`` over those that cleaning
+    ``[0] * (p - n) + mu`` leaves positive.  Only ``R R^T`` is validated: data
+    whose products overflow raise ``ValueError`` there.  Any other input
+    decomposes the covariance, and ``V`` holds all p eigenvectors.
     """
-    R = np.asarray(R, dtype=np.float64)
-    if R.ndim != 2 or not 0 < R.shape[0] < R.shape[1]:
-        raise ValueError(f"R must have fewer rows than columns, got shape {R.shape}")
-    n, p = R.shape
-    dec = spectral_decompose(R @ R.T)
-    lam = psd_spectrum(np.concatenate([np.zeros(p - n), dec.eigenvalues]), "cov")
-    r = int(np.count_nonzero(lam))
-    U = (R.T @ dec.eigenvectors[:, n - r :]) / np.sqrt(lam[p - r :])
-    yield from _path(U, lam, radii)
+    if isinstance(source, SampleMoments) and source.residuals.shape[0] < source.residuals.shape[1]:
+        R = source.residuals / np.sqrt(source.divisor)
+        n, p = R.shape
+        dec = spectral_decompose(R @ R.T)
+        lam = psd_spectrum(np.concatenate([np.zeros(p - n), dec.eigenvalues]), "cov")
+        r = int(np.count_nonzero(lam))
+        return lam, (R.T @ dec.eigenvectors[:, n - r :]) / np.sqrt(lam[p - r :])
+    dec = spectral_decompose(_covariance_of(source))
+    return psd_spectrum(dec.eigenvalues, "cov"), dec.eigenvectors
 
 
 def _path(V, lam, radii):
     """Solutions at ``radii`` from a cleaned spectrum ``lam`` whose last ``V.shape[1]``
     entries are the eigenvalues of ``V``'s columns (all p of them, or the nonzero ones),
-    from one multiplier solve for all radii.  The one route from a decomposition to the
+    from one multiplier solve for all radii.  The one route from ``_spectrum`` to the
     shrinkage solution: the radius paths, ``extremal_for_optimal`` and the SQA warm start."""
     radii = np.asarray(radii, dtype=np.float64).reshape(-1)
     # an invalid radius is solved at 1.0 and raises when reached

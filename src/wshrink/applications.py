@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytical import (FactoredPrecision, wasserstein_shrinkage, wasserstein_shrinkage_gram_path,
-                         wasserstein_shrinkage_path)
+from .analytical import FactoredPrecision, wasserstein_shrinkage, wasserstein_shrinkage_path
 from .evaluation import SampleMoments, _grid_scores, sample_moments, stein_loss
 from .gaussian import as_symmetric, spectral_decompose
 from .sqa import SolverConfig, SparsityPattern, sqa_solve
@@ -116,24 +115,13 @@ def analytical_estimator(moments: SampleMoments, rho: float) -> np.ndarray:
 
 # apart from analytical_estimator while benchmarks/tests pins its eigh count per (fold, radius)
 def analytical_path_estimator(moments: SampleMoments, rho: float) -> FactoredPrecision:
-    """``analytical_estimator`` in factored form, with a radius path: one ``eigh``
-    per fold of a sweep, of the n x n Gram matrix when the fold has fewer rows
-    than columns.  ``np.asarray`` of an estimate forms its matrix."""
-    return next(_analytical_path(moments, [rho]))
+    """``analytical_estimator`` in factored form, with a radius path: one ``eigh`` per fold
+    of a sweep (of the n x n Gram matrix when n < p); ``np.asarray`` forms the matrix."""
+    return wasserstein_shrinkage(moments, rho).estimate
 
 
-def _analytical_path(moments: SampleMoments, radii):
-    """Estimates at ``radii``.  Residuals with fewer rows than columns decompose
-    their n x n Gram matrix and never form the covariance; others decompose it."""
-    R = moments.residuals
-    if R.shape[0] < R.shape[1]:
-        path = wasserstein_shrinkage_gram_path(R / np.sqrt(moments.divisor), radii)
-    else:
-        path = wasserstein_shrinkage_path(moments.covariance, radii)
-    return (solution.estimate for solution in path)
-
-
-analytical_path_estimator.path = _analytical_path
+analytical_path_estimator.path = lambda moments, radii: (
+    solution.estimate for solution in wasserstein_shrinkage_path(moments, radii))
 
 
 def sparse_estimator(pattern: SparsityPattern, config: SolverConfig | None = None):

@@ -26,6 +26,7 @@ and ``--seed``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -124,13 +125,13 @@ def cmd_estimate(args) -> int:
     config = SolverConfig(grad_tol=args.tol, max_iters=args.max_iters)
     start = time.perf_counter()
     if pattern is None:
-        solution = wasserstein_shrinkage(moments.covariance, args.rho)
-        try:
-            g_mat, g_gamma = sqa_gradient(moments.covariance, solution.precision,
-                                          solution.dual_multiplier, args.rho)
-            grad_norm = float(np.sqrt(np.sum(g_mat**2) + g_gamma**2))
-        except ValueError:
-            grad_norm = None  # rank-deficient covariance: multiplier sits on the cone boundary
+        solution = wasserstein_shrinkage(moments, args.rho)  # n < p: from the n x n Gram matrix
+        grad_norm = None  # rank deficient: a zero eigenvalue maps to gamma, on the cone boundary
+        if solution.shrunk_eigenvalues[0] < solution.dual_multiplier:
+            with contextlib.suppress(ValueError):  # numerically on the boundary
+                g_mat, g_gamma = sqa_gradient(moments.covariance, solution.precision,
+                                              solution.dual_multiplier, args.rho)
+                grad_norm = float(np.sqrt(np.sum(g_mat**2) + g_gamma**2))
         iterations = solution.iterations
         solver = {}
     else:
@@ -145,7 +146,7 @@ def cmd_estimate(args) -> int:
     io.write_json(_derived_path(args.output, ".csv", ".json"), {
         "command": "estimate",
         "rho": args.rho,
-        "p": int(moments.covariance.shape[0]),
+        "p": int(moments.mean.size),
         "n": moments.sample_count,
         "divisor": moments.divisor,
         "gamma_star": solution.dual_multiplier,

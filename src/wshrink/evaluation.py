@@ -18,11 +18,10 @@ class SampleMoments:
     """Sample mean and centred residuals with an explicit degrees-of-freedom divisor.
 
     The covariance ``residuals^T residuals / divisor`` is formed on first
-    request and cached: a consumer that needs only the residual factor, such
-    as the analytical path on fewer rows than columns, never pays for the
-    p x p matrix.  It is exactly symmetric by construction (a product of a
-    factor with its own transpose), so it is checked only for overflow; a
-    consumer that decomposes it validates it once more.
+    request and cached, exactly symmetric (a factor times its own transpose),
+    so it is checked only for overflow; a consumer that decomposes it validates
+    it once more.  With fewer rows than columns the analytical estimator never
+    forms it: it decomposes the n x n Gram matrix of ``residuals / sqrt(divisor)``.
 
     The default divisor is ``n`` (the biased maximum-likelihood convention);
     pass ``n - 1`` for the Bessel-corrected version or ``n - n_classes`` for
@@ -60,10 +59,11 @@ def sample_moments(data, divisor: float | None = None) -> SampleMoments:
     return SampleMoments(mean=mean, residuals=X - mean, sample_count=n, divisor=div)
 
 
-def _covariance_of(moments_or_matrix) -> np.ndarray:
+def _covariance_of(moments_or_matrix):
+    """The covariance of ``SampleMoments``, else the input itself, for its consumer to validate."""
     if isinstance(moments_or_matrix, SampleMoments):
         return moments_or_matrix.covariance
-    return as_symmetric(moments_or_matrix, name="covariance")
+    return moments_or_matrix
 
 
 def linear_shrinkage(moments, alpha: float) -> np.ndarray:
@@ -75,7 +75,7 @@ def linear_shrinkage(moments, alpha: float) -> np.ndarray:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    cov = _covariance_of(moments)
+    cov = as_symmetric(_covariance_of(moments), name="covariance")
     blend = (1.0 - alpha) * cov + alpha * np.diag(np.diag(cov))
     w = np.linalg.eigvalsh(blend)
     if psd_spectrum(w, "blended covariance")[0] == 0.0:

@@ -30,7 +30,6 @@ gradient norm, and stops only when it does not.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -38,9 +37,10 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import cg  # noqa: F401  unused; kept because the benchmark tracer wraps ``sqa.cg``
 
-from .analytical import ShrinkageSolution, _check_rho, _objective_at, _path, eigenvalue_map
+from .analytical import ShrinkageSolution, _check_rho, _objective_at, _path, _spectrum, eigenvalue_map
 from .errors import LinearSolveError, LineSearchError
-from .gaussian import as_symmetric, psd_spectrum, spectral_decompose
+from .gaussian import as_symmetric
+from .worst_case import _multiplier_at
 
 #: Armijo sufficient-decrease fraction of the predicted decrease
 ARMIJO_SIGMA = 1e-4
@@ -120,15 +120,15 @@ class SolverTrace:
     """Per-iteration solver history.
 
     ``objectives`` starts with the initial point, so it has one more entry
-    than the number of accepted steps; ``grad_norms`` holds the projected
-    gradient norm at each visited iterate.  ``step_sizes`` holds the accepted
-    step sizes, powers of two that exceed 1 where the line search expanded.
+    than the number of accepted steps, of the problem solved (ridged on
+    rank-deficient input); ``grad_norms`` holds the projected gradient norm at
+    each visited iterate.  ``step_sizes`` holds the accepted step sizes, powers
+    of two that exceed 1 where the line search expanded.
     """
 
     objectives: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
-    wall_times: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
     message: str = ""
@@ -393,7 +393,10 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
     and keeps the eigenvectors, so one decomposition of ``cov`` serves the rank
     check, the ridge and the warm start, which reads the analytical radius path.
 
-    Returns ``(ShrinkageSolution, SolverTrace)``.
+    Returns ``(ShrinkageSolution, SolverTrace)``.  On ridged input the solution reports
+    the caller's problem, ``gamma = argmin f(X, .)`` on ``cov`` and ``f`` there (by
+    ``worst_case._multiplier_at``, from the ``eigh`` of ``X`` that also gives
+    ``shrunk_eigenvalues``), and ``trace.objectives`` the ridged problem's.
     """
     config = config or SolverConfig()
     _check_rho(rho)
@@ -401,15 +404,15 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
     p = S.shape[0]
     if pattern is not None and pattern.dim != p:
         raise ValueError("pattern dimension does not match cov")
-    dec = spectral_decompose(S)
-    lam = psd_spectrum(dec.eigenvalues, "cov")
+    lam, V = _spectrum(S)
+    caller = S
     if lam[0] == 0.0:
         eps = 1e-8 * (lam[-1] if lam[-1] > 0.0 else rho * rho)
         S, lam = S + eps * np.eye(p), lam + eps
 
     free = _FreeCoordinates(p, pattern)
     mask = free.mask
-    warm = next(_path(dec.eigenvectors, lam, [rho]))
+    warm = next(_path(V, lam, [rho]))
     gamma = warm.dual_multiplier
     D = np.diag(eigenvalue_map(np.diag(S), gamma))  # each S_ii > 0 maps into (0, gamma)
     X, f = D, _objective_at(S, D, gamma, rho)
@@ -421,7 +424,6 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
             X, f = D + t * toward, f_t
             break
     trace = SolverTrace(objectives=[f])
-    start = time.perf_counter()
 
     for _ in range(config.max_iters):
         ws = _Workspace(S, X, gamma)
@@ -451,14 +453,16 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
         trace.iterations += 1
         trace.objectives.append(f)
         trace.step_sizes.append(alpha)
-        trace.wall_times.append(time.perf_counter() - start)
     else:
         trace.message = f"iteration budget ({config.max_iters}) exhausted"
 
+    d, U = np.linalg.eigh(X)
+    if S is not caller:
+        gamma, f = _multiplier_at(caller, d, U, rho)
     solution = ShrinkageSolution(
         estimate=X,
         dual_multiplier=float(gamma),
-        shrunk_eigenvalues=np.linalg.eigvalsh(X),
+        shrunk_eigenvalues=d,
         objective=float(f),
         radius=float(rho),
         iterations=trace.iterations,

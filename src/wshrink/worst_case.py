@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .analytical import GAMMA_TOL, _check_rho, _path
-from .gaussian import RANK_RTOL, as_symmetric, induced_metric_V, psd_spectrum, spectral_decompose
+from .analytical import GAMMA_TOL, _check_rho, _path, _spectrum
+from .gaussian import RANK_RTOL, as_symmetric, induced_metric_V, psd_spectrum
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,9 @@ class WorstCaseDistribution:
 
 
 def extremal_gamma(cov, X, rho: float) -> float:
-    """Multiplier of the worst-case covariance for a fixed estimator.
-
-    Solves the stationarity equation of the dual objective on
-    ``(lambda_max(X), inf)`` by monotone Newton within bounds relative to
-    ``lambda_max(X)``; raises ``EstimationError`` when it does not converge.
-    Requires ``cov`` positive definite; for a rank-deficient sample
-    covariance use ``extremal_for_optimal`` or regularize first.
+    """Multiplier of the worst-case covariance for a fixed positive definite ``X`` and a
+    PSD, possibly rank-deficient ``cov`` (see ``_multiplier_at``, which checks only the
+    ``diag(U^T cov U) >= 0`` it needs); raises ``EstimationError`` when it does not converge.
     """
     _check_rho(rho)
     S = as_symmetric(cov, name="cov")
@@ -50,24 +46,37 @@ def extremal_gamma(cov, X, rho: float) -> float:
     if S.shape != Xs.shape:
         raise ValueError("cov and X dimensions differ")
     d, U = np.linalg.eigh(Xs)
-    for w, name in ((np.linalg.eigvalsh(S), "cov"), (d, "X")):
-        if psd_spectrum(w, name)[0] == 0.0:
-            raise ValueError(f"{name} must be positive definite, not rank deficient")
-    m = np.einsum("ia,ij,ja->a", U, S, U)
+    if psd_spectrum(d, "X")[0] == 0.0:
+        raise ValueError("X must be positive definite, not rank deficient")
+    return _multiplier_at(S, d, U, rho)[0]
 
-    # in the eigenbasis of X the stationarity residual over rho^2 is 1 - sum_a m_a d_a^2 /
-    # (rho^2 (gamma - d_a)^2), concave and increasing on (d_max, inf).  Each term alone puts
-    # the root beyond d_a (1 + sqrt(m_a) / rho); every gap at its smallest, gamma - d_max,
-    # puts it below d_max + sqrt(sum m d^2) / rho.
+
+def _multiplier_at(S, d, U, rho: float):
+    """``(gamma, f(X, gamma))`` at ``gamma = argmin f(X, .)`` on ``[lambda_max(X), inf)``,
+    for ``X = U diag(d) U^T`` (``d`` ascending, positive) and a validated PSD ``S``.
+
+    With ``m = diag(U^T S U)``, ``f = -sum log d + gamma (rho^2 - tr S) + gamma^2 sum
+    m / (gamma - d)``, whose slope over ``rho^2``, ``1 - sum m d^2 / (rho^2 (gamma - d)^2)``,
+    is concave and increasing.  Each term alone puts its root beyond ``d_a (1 + sqrt(m_a)
+    / rho)``; every gap at its smallest puts it below ``d_max + sqrt(sum m d^2) / rho``.
+    Terms with ``m_a = 0`` (below the rank cut) vanish; if the slope is then nonnegative at
+    ``d_max``, that boundary is the minimum, as the analytical multiplier is on rank-deficient
+    input, and ``f`` is its limit there.
+    """
+    m = psd_spectrum(np.sum(U * (S @ U), axis=0), "cov")
+    dm, m, rho2 = d[m > 0.0], m[m > 0.0], rho * rho
+
     def residual(g, _):
-        gap = g[:, None] - d
-        t = m * (d / gap) ** 2 / (rho * rho)
+        gap = g[:, None] - dm
+        t = m * (dm / gap) ** 2 / rho2
         return 1.0 - t.sum(axis=1), 2.0 * (t / gap).sum(axis=1)
 
-    m = np.maximum(m, 0.0)  # roundoff negatives of a positive definite cov
-    lower = np.max(d * (1.0 + np.sqrt(m) / rho))
-    gamma, _, _ = _kernels.monotone_newton(residual, lower, d[-1] + np.sqrt(m @ (d * d)) / rho, GAMMA_TOL)
-    return float(gamma[0])
+    gamma = lower = max(float(d[-1]), float(np.max(dm * (1.0 + np.sqrt(m) / rho), initial=0.0)))
+    if residual(np.array([lower]), None)[0][0] < 0.0:
+        upper = d[-1] + np.sqrt(m @ (dm * dm)) / rho
+        gamma = float(_kernels.monotone_newton(residual, lower, upper, GAMMA_TOL)[0][0])
+    objective = -np.log(d).sum() + gamma * (rho2 - np.trace(S)) + gamma * gamma * np.sum(m / (gamma - dm))
+    return gamma, float(objective)
 
 
 def extremal_covariance(cov, X, gamma: float) -> WorstCaseDistribution:
@@ -98,15 +107,14 @@ def extremal_for_optimal(cov, rho: float) -> WorstCaseDistribution:
     Each shrunk eigenvalue ``x`` satisfies ``1 / x = gamma^2 lam / (gamma - x)^2``
     (see the module docstring), and ``x = gamma`` on the null space of ``cov``, so
     rank deficiency is allowed.  ``X*`` comes from the radius path, from one validated
-    decomposition of ``cov``; sharing its eigenvectors, ``S*`` attains the distance
-    ``||x^{-1/2} - sqrt(lam)||`` and the value ``<S*, X*> = p``.
+    decomposition of ``cov`` (``_spectrum``); sharing its eigenvectors, ``S*`` attains
+    the distance ``||x^{-1/2} - sqrt(lam)||`` and the value ``<S*, X*> = p``.
     """
     _check_rho(rho)
-    dec = spectral_decompose(cov)
-    lam = psd_spectrum(dec.eigenvalues, "cov")
-    solution = next(_path(dec.eigenvectors, lam, [rho]))
+    lam, V = _spectrum(cov)
+    solution = next(_path(V, lam, [rho]))
     root = np.sqrt(solution.shrunk_eigenvalues)
-    W = dec.eigenvectors / root
+    W = V / root
     return WorstCaseDistribution(covariance=W @ W.T, multiplier=solution.dual_multiplier,
                                  attained_distance=float(np.linalg.norm(1.0 / root - np.sqrt(lam))),
                                  attained_value=float(lam.size))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wshrink import _kernels, analytical
+from wshrink.applications import LabeledDataset, pooled_moments
 from wshrink.analytical import (
     GAMMA_TOL,
     _path,
@@ -17,6 +18,7 @@ from wshrink.analytical import (
     wasserstein_shrinkage_path,
 )
 from wshrink.errors import EstimationError
+from wshrink.evaluation import sample_moments
 from wshrink.gaussian import psd_spectrum, spectral_decompose
 from wshrink.sqa import sqa_gradient
 
@@ -256,6 +258,38 @@ class TestShrinkage:
         norm = np.sqrt(np.sum(g_mat**2) + g_gamma**2)
         scale = max(1.0, np.linalg.norm(1.0 / sol.shrunk_eigenvalues))
         assert norm <= 1e-6 * scale
+
+
+class TestMomentsInput:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        p=st.integers(min_value=1, max_value=60),
+        n_per_p=st.floats(min_value=0.0, max_value=2.0),
+        pooled=st.booleans(),
+        log10_scale=st.floats(min_value=-4.0, max_value=4.0),
+        log10_offset=st.floats(min_value=-4.0, max_value=4.0),
+        radius=st.floats(min_value=1e-2, max_value=1e2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_covariance(self, seed, p, n_per_p, pooled, log10_scale, log10_offset, radius):
+        # moments with fewer rows than columns take the Gram route, the others the covariance
+        # route; either way the solution is the covariance's to rounding.  Rows sit at an offset
+        # from 1e-4 to 1e4 times their spread, and pooled moments centre each of 2 classes apart.
+        n = max(4 if pooled else 1, int(n_per_p * p))
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log10_scale
+        data = scale * (rng.standard_normal((n, p)) * rng.uniform(0.5, 2.0, p) + 10.0**log10_offset)
+        if pooled:
+            moments = pooled_moments(LabeledDataset(data, np.arange(n) % 2))
+        else:
+            moments = sample_moments(data, divisor=max(n - 1, 1))
+        cov = moments.covariance
+        rho = radius * np.sqrt(np.trace(cov) + scale**2)
+        via_moments, via_cov = wasserstein_shrinkage(moments, rho), wasserstein_shrinkage(cov, rho)
+        assert_allclose(via_moments.dual_multiplier, via_cov.dual_multiplier, rtol=1e-10)
+        assert_allclose(via_moments.objective, via_cov.objective, rtol=1e-10)
+        X = via_cov.precision
+        assert np.abs(via_moments.precision - X).max() <= 1e-9 * np.abs(X).max()
 
 
 class TestSensitivity:

@@ -16,7 +16,7 @@ from wshrink.analytical import wasserstein_shrinkage
 from wshrink.applications import (LabeledDataset, analytical_estimator, lda_classify, lda_fit, pooled_moments,
                                   sample_gaussian)
 from wshrink.cli import _estimator_for, main
-from wshrink.evaluation import make_folds
+from wshrink.evaluation import SampleMoments, make_folds, sample_moments
 from wshrink.sqa import SolverConfig, SparsityPattern
 
 from conftest import random_spd, refuse_allocation
@@ -343,6 +343,32 @@ class TestEstimate:
         dataset = LabeledDataset(io.read_matrix_csv(files / "X.csv"), io.read_labels_csv(files / "y.csv"))
         expected = wasserstein_shrinkage(pooled_moments(dataset).covariance, 0.4).precision
         assert (io.read_matrix_csv(out) == expected).all()
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["sample", "pooled"])
+    def test_fewer_rows_than_columns_take_the_gram_route(self, tmp_path, rng, monkeypatch, pooled):
+        # 12 rows of 40 columns: the estimate decomposes the 12 x 12 Gram matrix, forms no
+        # 40 x 40 covariance, and writes the covariance route's matrix
+        X = rng.standard_normal((12, 40)) * rng.uniform(0.5, 2.0, 40) + 3.0
+        labels = np.arange(12) % 2
+        data, out = write_csv(tmp_path / "d.csv", X), tmp_path / "prec.csv"
+        (tmp_path / "y.csv").write_text("".join(f"{label}\n" for label in labels))
+        extra = ["--labels", str(tmp_path / "y.csv")] if pooled else []
+        sizes, formed, eigh = [], [], np.linalg.eigh
+        covariance = SampleMoments.__dict__["covariance"].func
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: sizes.append(len(M)) or eigh(M))
+        monkeypatch.setattr(SampleMoments, "covariance", property(lambda m: formed.append(m) or covariance(m)))
+        assert main(["estimate", "--input", data, "--rho", "0.5", *extra, "--output", str(out)]) == 0
+        assert sizes == [12] and not formed
+        monkeypatch.undo()
+
+        moments = pooled_moments(LabeledDataset(X, labels)) if pooled else sample_moments(X)
+        expected = wasserstein_shrinkage(moments.covariance, 0.5)
+        P = expected.precision
+        assert np.abs(io.read_matrix_csv(out) - P).max() <= 1e-9 * np.abs(P).max()
+        diag = json.loads((tmp_path / "prec.json").read_text())
+        assert diag["p"] == 40 and diag["n"] == 12 and diag["projected_grad_norm"] is None
+        assert abs(diag["gamma_star"] - expected.dual_multiplier) <= 1e-9 * expected.dual_multiplier
+        assert abs(diag["objective"] - expected.objective) <= 1e-9 * abs(expected.objective)
 
     def test_infinite_tolerance_is_user_error(self, files, capsys):
         # it would stop the solver at its warm start and report that point as converged

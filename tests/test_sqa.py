@@ -13,7 +13,7 @@ from wshrink.applications import (SyntheticSpec, known_zero_pattern, synthetic_b
                                   zero_pattern_of)
 from wshrink.evaluation import TuningGrid
 from wshrink.errors import LinearSolveError, LineSearchError
-from wshrink.gaussian import RANK_RTOL
+from wshrink.gaussian import RANK_RTOL, psd_spectrum
 from wshrink.sqa import NewtonStep, SolverConfig, SparsityPattern, armijo_step, sqa_gradient, sqa_solve
 
 from conftest import covariances, random_spd, refuse_allocation
@@ -601,8 +601,8 @@ class TestSolve:
         assert np.linalg.eigvalsh(sol.precision)[0] > 0.0
 
     def test_decomposes_cov_once(self, rng, monkeypatch):
-        # one eigh of cov serves the rank check, the ridge and the warm start;
-        # the other decomposition is the final eigvalsh of the returned X
+        # one eigh of cov serves the rank check, the ridge and the warm start; one eigh
+        # of the returned X serves its eigenvalues and the caller's multiplier
         calls = {"eigh": 0, "eigvalsh": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -611,7 +611,7 @@ class TestSolve:
             monkeypatch.setattr(np.linalg, name, counted)
         A = rng.standard_normal((3, 6))
         sqa_solve(A.T @ A / 3.0, 0.8, SparsityPattern(6, [(0, 5), (1, 4)]))  # rank 3 of 6: ridged
-        assert calls == {"eigh": 1, "eigvalsh": 1}
+        assert calls == {"eigh": 2, "eigvalsh": 0}
 
     @pytest.mark.parametrize("pairs", [[], [(0, 7), (1, 6), (2, 5)]], ids=["empty", "pattern"])
     def test_scale_equivariance_rank_deficient(self, pairs, rng):
@@ -663,6 +663,25 @@ class TestSolve:
             assert np.abs(sol.precision - ref.precision).max() <= 1e-5 * np.abs(ref.precision).max()
         else:
             assert -1e-9 <= gap <= 1e-2
+
+    @given(cov=covariances(), radius=st.floats(min_value=1e-2, max_value=1e2),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_reports_the_callers_problem(self, cov, radius, seed):
+        # singular cov is solved with a ridge, and the solution reports the caller's problem at
+        # the returned X: the objective minimized over the multiplier.  A full-rank solve
+        # reports its last iterate, as its trace does.
+        p = cov.shape[0]
+        I, J = np.triu_indices(p, 1)
+        keep = np.random.default_rng(seed).random(I.size) < 0.5
+        rho = np.sqrt(np.trace(cov)) * radius
+        sol, trace = sqa_solve(cov, rho, SparsityPattern(p, zip(I[keep], J[keep])))
+        assert sol.dual_multiplier >= sol.shrunk_eigenvalues[-1]
+        if psd_spectrum(np.linalg.eigvalsh(cov))[0] == 0.0:
+            expected = robust_objective(cov, sol.precision, rho)
+            assert abs(sol.objective - expected) <= 1e-9 * abs(expected)
+        else:
+            assert sol.objective == trace.objectives[-1]
 
     @given(cov=covariances(), radii=st.lists(st.floats(min_value=1e-2, max_value=1e2), min_size=2, max_size=4),
            seed=st.integers(min_value=0, max_value=2**32 - 1))

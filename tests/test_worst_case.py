@@ -100,10 +100,27 @@ class TestExtremalGamma:
         assert gamma > 1e2  # multiplier blows up as the ball shrinks
         assert np.abs(worst.covariance - cov).max() <= 1e-3 * np.abs(cov).max()
 
-    def test_rejects_singular_covariance(self, rng):
-        cov = random_psd_singular(4, 2, rng)
-        with pytest.raises(ValueError, match="positive definite"):
-            extremal_gamma(cov, 0.1 * np.eye(4), 1.0)
+    def test_singular_covariance_matches_brentq_oracle(self, rng):
+        # the residual needs only m = diag(U^T cov U) >= 0: a rank-deficient cov
+        # whose null space misses the top eigenvector of X keeps the root above lambda_max(X)
+        for rank in (1, 2, 4):
+            for rho in (1e-2, 0.3, 10.0):
+                cov, X = random_psd_singular(5, rank, rng), random_spd(5, rng, scale=0.5)
+                assert_allclose(extremal_gamma(cov, X, rho), brentq_extremal_gamma(cov, X, rho), rtol=1e-12)
+
+    def test_boundary_minimum_on_null_space(self):
+        # cov vanishes on the top eigenvector of X, and at rho = 10 the slope is already
+        # positive at lambda_max(X): the minimum over the multiplier is that boundary
+        cov, X = np.diag([2.0, 1.0, 0.0]), np.diag([0.3, 0.2, 0.5])
+        assert extremal_gamma(cov, X, 10.0) == 0.5
+        gamma = extremal_gamma(cov, X, 1.0)
+        assert gamma > 0.5
+        assert_allclose(gamma, brentq(lambda g: 1.0 - 2.0 * 0.09 / (g - 0.3) ** 2 - 0.04 / (g - 0.2) ** 2,
+                                      0.5 + 1e-12, 10.0, xtol=1e-15), rtol=1e-12)
+
+    def test_rejects_indefinite_covariance(self, rng):
+        with pytest.raises(ValueError, match="PSD"):
+            extremal_gamma(np.diag([1.0, -0.5]), 0.1 * np.eye(2), 1.0)
 
 
 class TestExtremalCovariance:
