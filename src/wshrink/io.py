@@ -8,6 +8,7 @@ write/read round trip reproduces every double bit-exactly.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +25,37 @@ class ParseError(ValueError):
 def read_matrix_csv(path) -> np.ndarray:
     """Read a numeric CSV (rows = observations or matrix rows).
 
-    An optional single header line is skipped.  Raises ``ParseError`` with
-    the offending line number on malformed input, a non-finite cell
-    (``nan``, ``inf``, or a number out of range such as ``1e999``) included.
+    An optional single header line is skipped, and so are blank lines; cells
+    may carry surrounding whitespace.  Raises ``ParseError`` with the
+    offending line number on malformed input, a non-finite cell (``nan``,
+    ``inf``, or a number out of range such as ``1e999``) included.
+
+    The file is parsed in bulk by ``np.loadtxt``; a file that it rejects, or
+    that holds a non-finite cell, is read again line by line, which accepts
+    the same inputs and names the line at fault.
     """
     path = Path(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        try:
+            for cell in first.split(",") if first.strip() else ():
+                float(cell)
+            fh.seek(0)
+        except ValueError:
+            pass  # a header line: the bulk parse starts after it
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: the line parser reports it
+                matrix = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            matrix = None
+    if matrix is not None and matrix.size and np.isfinite(matrix).all():
+        return matrix
+    return _read_matrix_lines(path)
+
+
+def _read_matrix_lines(path: Path) -> np.ndarray:
+    """``read_matrix_csv``, one line at a time: every error names its line."""
     rows, linenos = [], []
     width = None
     with open(path, "r", encoding="utf-8") as fh:

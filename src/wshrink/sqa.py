@@ -21,6 +21,13 @@ lowers the objective (the bracketing phase of Nocedal and Wright, *Numerical
 Optimization*, Alg. 3.5).  Far from the optimum a full Newton step of this
 objective often cuts the gradient only 2-3x, and the expansion saves those steps.
 
+The feasible cone depends on neither the covariance nor the radius, so any
+earlier solution is a feasible start for any other problem of its dimension.
+A caller that passes one (``sparse_estimator``'s closure passes its previous
+estimate) has it re-paired with the multiplier that minimizes the new objective
+at it, and the solver starts there only when that point is strictly better than
+the analytical start: a remembered start is never worse than a cold one.
+
 Near the optimum the objective stops ranking points at floating-point
 resolution before the gradient does.  So where the predicted decrease is
 numerically zero, or the accepted step does not lower the objective, the solver
@@ -123,7 +130,9 @@ class SolverTrace:
     than the number of accepted steps, of the problem solved (ridged on
     rank-deficient input); ``grad_norms`` holds the projected gradient norm at
     each visited iterate.  ``step_sizes`` holds the accepted step sizes, powers
-    of two that exceed 1 where the line search expanded.
+    of two that exceed 1 where the line search expanded.  ``start`` names the
+    starting point taken: ``"analytical"`` or ``"previous"`` (a caller's earlier
+    solution; see ``sqa_solve``).
     """
 
     objectives: list = field(default_factory=list)
@@ -132,6 +141,7 @@ class SolverTrace:
     converged: bool = False
     iterations: int = 0
     message: str = ""
+    start: str = "analytical"
 
 
 class _Workspace:
@@ -374,14 +384,19 @@ def _gradient_checked_full_step(cov, X, gamma, rho, step: NewtonStep, mask, pg_n
 
 
 def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
-              config: SolverConfig | None = None):
+              config: SolverConfig | None = None, *, _start=None):
     """Solve the robust estimation problem under a zero pattern.
 
     Warm-starts at the multiplier ``gamma*`` of the analytical solution ``X*``.
     ``X`` starts halfway from ``D = diag(eigenvalue_map(diag(cov), gamma*))``, the
     best diagonal matrix for ``gamma*``, to ``X*`` with the pattern entries zeroed,
     and halves back toward ``D`` until it is strictly feasible and no worse than
-    ``D``.  Iterates projected Newton steps with the Armijo search (``armijo_step``)
+    ``D``.  A private ``_start``, an earlier solution of any problem of this
+    dimension, is zeroed on the pattern and paired with ``gamma = argmin f(_start, .)``
+    on the problem at hand (``worst_case._multiplier_at``, from its ``eigh``); the
+    solver starts there instead when that point is in the cone and its objective is
+    strictly below the analytical start's, and ``trace.start`` says which it took.
+    Iterates projected Newton steps with the Armijo search (``armijo_step``)
     until the projected gradient norm drops below ``config.grad_tol`` or the
     iteration budget is exhausted (the result is still returned, flagged in the
     trace).  Where the objective stops falling at floating-point resolution, it
@@ -423,7 +438,19 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
         if f_t is not None and f_t <= f:
             X, f = D + t * toward, f_t
             break
-    trace = SolverTrace(objectives=[f])
+    start = "analytical"
+    if _start is not None:
+        X_prev = as_symmetric(_start, name="_start")
+        if X_prev.shape != S.shape:
+            raise ValueError("_start dimension does not match cov")
+        X_prev[mask] = 0.0
+        d, U = np.linalg.eigh(X_prev)
+        if d[0] > 0.0:
+            gamma_prev = _multiplier_at(S, d, U, rho)[0]
+            f_prev = _objective_at(S, X_prev, gamma_prev, rho)
+            if f_prev is not None and f_prev < f:
+                X, gamma, f, start = X_prev, gamma_prev, f_prev, "previous"
+    trace = SolverTrace(objectives=[f], start=start)
 
     for _ in range(config.max_iters):
         ws = _Workspace(S, X, gamma)

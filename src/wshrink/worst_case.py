@@ -107,14 +107,19 @@ def extremal_for_optimal(cov, rho: float) -> WorstCaseDistribution:
     Each shrunk eigenvalue ``x`` satisfies ``1 / x = gamma^2 lam / (gamma - x)^2``
     (see the module docstring), and ``x = gamma`` on the null space of ``cov``, so
     rank deficiency is allowed.  ``X*`` comes from the radius path, from one validated
-    decomposition of ``cov`` (``_spectrum``); sharing its eigenvectors, ``S*`` attains
-    the distance ``||x^{-1/2} - sqrt(lam)||`` and the value ``<S*, X*> = p``.
+    decomposition of ``cov`` or of ``SampleMoments`` (``_spectrum``); sharing its
+    eigenvectors, ``S*`` attains the distance ``||x^{-1/2} - sqrt(lam)||`` and the value
+    ``<S*, X*> = p``.  When ``V`` holds only the r range eigenvectors of moments with
+    fewer rows than columns, ``S* = I / gamma + V diag(1 / x_r - 1 / gamma) V^T``.
     """
     _check_rho(rho)
     lam, V = _spectrum(cov)
     solution = next(_path(V, lam, [rho]))
-    root = np.sqrt(solution.shrunk_eigenvalues)
-    W = V / root
-    return WorstCaseDistribution(covariance=W @ W.T, multiplier=solution.dual_multiplier,
-                                 attained_distance=float(np.linalg.norm(1.0 / root - np.sqrt(lam))),
-                                 attained_value=float(lam.size))
+    x, p, r = solution.shrunk_eigenvalues, lam.size, V.shape[1]
+    complement = 0.0 if r == p else 1.0 / solution.dual_multiplier
+    W = V * np.sqrt(np.maximum(1.0 / x[p - r :] - complement, 0.0))  # x may exceed gamma by an ulp
+    worst = W @ W.T
+    worst.flat[:: p + 1] += complement
+    return WorstCaseDistribution(covariance=worst, multiplier=solution.dual_multiplier,
+                                 attained_distance=float(np.linalg.norm(1.0 / np.sqrt(x) - np.sqrt(lam))),
+                                 attained_value=float(p))

@@ -33,10 +33,10 @@ def random_rotation(p, rng):
 
 
 @st.composite
-def covariances(draw):
+def covariances(draw, dim=None):
     """``c * cov`` for a random spectrum on random eigenvectors, or for the
-    rank-deficient sample second moment of ``n < p`` rows."""
-    p = draw(st.integers(min_value=1, max_value=12))
+    rank-deficient sample second moment of ``n < p`` rows; ``p = dim`` if given."""
+    p = draw(st.integers(min_value=1, max_value=12)) if dim is None else dim
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     if p > 1 and draw(st.booleans()):
         A = rng.standard_normal((draw(st.integers(min_value=1, max_value=p - 1)), p))

@@ -18,12 +18,15 @@ from wshrink.applications import (
     pooled_moments,
     rolling_backtest,
     sample_gaussian,
+    sparse_estimator,
     synthetic_benchmark,
     synthetic_sigma0,
     zero_pattern_of,
 )
+from wshrink import applications, sqa
 from wshrink.cli import _oos_square
 from wshrink.evaluation import SampleMoments, TuningGrid, cross_validate, sample_moments, stein_loss
+from wshrink.worst_case import _multiplier_at
 
 from conftest import random_rotation, random_spd
 
@@ -432,3 +435,34 @@ class TestBenchmark:
         path = synthetic_benchmark(spec, {"w": analytical_path_estimator}, {"w": grid})
         assert_allclose(path.losses["w"], plain.losses["w"], rtol=1e-12)
         assert len(calls) == 2 * spec.trials  # sampling and one shrinkage path per trial
+
+
+class TestSparseEstimator:
+    def test_chained_solves_match_cold_ones(self, monkeypatch):
+        # the closure starts each solve from its last estimate where that beats the analytical
+        # start: the estimates reach the cold solves' robust objective in fewer Newton steps
+        spec = SyntheticSpec(dim=20, density=0.05, n_samples=20, trials=1, seed=7)  # rank 19 of 20
+        sigma0 = synthetic_sigma0(spec)
+        pattern = known_zero_pattern(zero_pattern_of(np.linalg.inv(sigma0)), 0.5, spec.seed)
+        moments = sample_moments(sample_gaussian(sigma0, spec.n_samples, spec.seed + 1))
+        traces = []
+
+        def counted(*args, **kwargs):
+            solution, trace = sqa.sqa_solve(*args, **kwargs)
+            traces.append(trace)
+            return solution, trace
+
+        monkeypatch.setattr(applications, "sqa_solve", counted)
+        estimate = sparse_estimator(pattern)
+        radii = np.geomspace(0.1, 10.0, 5)
+        cold_iterations = 0
+        for rho in np.concatenate((radii, radii[::-1])):
+            X = estimate(moments, rho)
+            cold, cold_trace = sqa.sqa_solve(moments.covariance, rho, pattern)
+            cold_iterations += cold_trace.iterations
+            robust = _multiplier_at(moments.covariance, *np.linalg.eigh(X), rho)[1]
+            assert abs(robust - cold.objective) <= 1e-8 * abs(cold.objective)
+            assert not np.any(X[pattern.mask()])
+        assert all(trace.converged for trace in traces)
+        assert traces[0].start == "analytical" and any(trace.start == "previous" for trace in traces)
+        assert sum(trace.iterations for trace in traces) < cold_iterations

@@ -226,6 +226,22 @@ class TestIO:
         with pytest.raises(io.ParseError, match="ragged.csv:2"):
             io.read_matrix_csv(path)
 
+    @pytest.mark.parametrize("text", [
+        "1,2\n3,4", "a,b\n\n1,2\n  \n3,4\n", "1,2,x\n1,2,3\n", "1,2\r\n3,4\r\n", "7\n8\n", "# x\n1,2\n",
+        "", "a,b\n", "\na,b\n1,2\n", "1,2\n#3,4\n", "1,2,\n", "1_0,2\n", "1;2\n", "1,2\n3,1e999\n",
+    ])
+    def test_bulk_parse_matches_line_parser(self, tmp_path, text):
+        # the bulk parse falls back to the line parser: the same matrix or the same error
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        outcomes = []
+        for read in (io.read_matrix_csv, io._read_matrix_lines):
+            try:
+                outcomes.append(read(path).tolist())
+            except io.ParseError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
     def test_pattern_round_trip_one_based(self, tmp_path):
         path = tmp_path / "pat.json"
         path.write_text('{"p": 4, "zeros": [[1, 4], [2, 3]]}')

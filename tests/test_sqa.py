@@ -702,6 +702,32 @@ class TestSolve:
         for low, high in zip(objectives, objectives[1:]):
             assert high >= low - 1e-9 * max(1.0, abs(low))
 
+    @given(data=st.data(), radii=st.lists(st.floats(min_value=1e-2, max_value=1e2), min_size=2, max_size=2),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_previous_solution_start(self, data, radii, seed):
+        # the solution of another covariance and radius is a feasible start; taken only where it
+        # beats the analytical one, it reaches the same optimum.  The second covariance is the
+        # first (a radius sweep), a mix of it with another (a fold change), or another, whose
+        # scale can differ by 1e16
+        cov1 = data.draw(covariances())
+        p = cov1.shape[0]
+        t = data.draw(st.sampled_from([0.0, 0.01, 0.3, 1.0]))
+        cov2 = (1.0 - t) * cov1 + t * data.draw(covariances(dim=p))
+        I, J = np.triu_indices(p, 1)
+        keep = np.random.default_rng(seed).random(I.size) < 0.5
+        pattern = SparsityPattern(p, zip(I[keep], J[keep]))
+        rho1, rho2 = np.sqrt(np.trace(cov1)) * radii[0], np.sqrt(np.trace(cov2)) * radii[1]
+        X1 = sqa_solve(cov1, rho1, pattern, SolverConfig(grad_tol=1e-9 * np.linalg.norm(cov1), max_iters=500))
+        config = SolverConfig(grad_tol=1e-9 * np.linalg.norm(cov2), max_iters=500)
+        cold, cold_trace = sqa_solve(cov2, rho2, pattern, config)
+        warm, trace = sqa_solve(cov2, rho2, pattern, config, _start=X1[0].precision)
+        assert cold_trace.converged and trace.converged
+        assert not np.any(warm.precision[pattern.mask()])
+        assert trace.objectives[0] <= cold_trace.objectives[0]
+        assert (trace.start == "previous") == (trace.objectives[0] < cold_trace.objectives[0])
+        assert abs(trace.objectives[-1] - cold_trace.objectives[-1]) <= 1e-8 * abs(cold_trace.objectives[-1])
+
     @staticmethod
     def assert_ends_below_tolerance(trace, grad_tol):
         """Converged at the gradient test; the objective rises only by rounding,
@@ -747,6 +773,18 @@ class TestSolve:
             pattern = SparsityPattern(p, [(0, 1)]) if k % 2 else None
             _, trace = sqa_solve(A.T @ A / 30.0, rho, pattern, config)
             self.assert_ends_below_tolerance(trace, config.grad_tol)
+
+    def test_restart_from_own_solution_stops_at_once(self, rng):
+        A = rng.standard_normal((5, 8))  # rank 5 of 8: ridged
+        cov, pattern = A.T @ A / 5.0, SparsityPattern(8, [(0, 7), (1, 6), (2, 5), (3, 4)])
+        first, _ = sqa_solve(cov, 0.5, pattern)
+        again, trace = sqa_solve(cov, 0.5, pattern, _start=first.precision)
+        assert trace.start == "previous" and trace.converged and trace.iterations == 0
+        assert (again.precision == first.precision).all()
+
+    def test_rejects_start_of_another_dimension(self, rng):
+        with pytest.raises(ValueError, match="_start dimension"):
+            sqa_solve(random_spd(4, rng), 0.5, _start=np.eye(3))
 
     def test_budget_exhaustion_flagged(self, rng):
         cov = random_spd(6, rng)

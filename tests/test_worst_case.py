@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from wshrink import _kernels, gaussian, worst_case
 from wshrink.analytical import wasserstein_shrinkage
 from wshrink.errors import EstimationError
+from wshrink.evaluation import sample_moments
 from wshrink.gaussian import as_symmetric, induced_metric_V, sqrtm_psd
 from wshrink.worst_case import extremal_covariance, extremal_for_optimal, extremal_gamma
 
@@ -217,6 +218,21 @@ class TestExtremalForOptimal:
         assert np.abs(worst.covariance @ wasserstein_shrinkage(cov, rho).precision - np.eye(p)).max() <= 1e-9
         assert worst.attained_value == p
         assert abs(worst.attained_distance - rho) <= 1e-9 * rho
+
+    @pytest.mark.parametrize("n, p, scale", [(5, 8, 1.0), (1, 6, 1e-4), (12, 40, 1e3), (30, 31, 1.0)])
+    @pytest.mark.parametrize("rho", [0.05, 0.5, 5.0])
+    def test_moments_with_fewer_rows_than_columns(self, n, p, scale, rho):
+        # the Gram route's V spans only the range of the data: S* = I / gamma + V diag(1/x - 1/gamma) V^T
+        moments = sample_moments(scale * np.random.default_rng(n * p).standard_normal((n, p)))
+        rho = rho * scale
+        via_moments = extremal_for_optimal(moments, rho)
+        via_covariance = extremal_for_optimal(moments.covariance, rho)
+        expected = via_covariance.covariance
+        assert np.abs(via_moments.covariance - expected).max() <= 1e-10 * np.abs(expected).max()
+        assert abs(via_moments.multiplier - via_covariance.multiplier) <= 1e-10 * via_covariance.multiplier
+        assert abs(via_moments.attained_distance - via_covariance.attained_distance) <= (
+            1e-10 * via_covariance.attained_distance)
+        assert via_moments.attained_value == p
 
     def test_validates_and_decomposes_cov_once(self, rng, monkeypatch):
         calls = {"as_symmetric": 0, "eigh": 0}
