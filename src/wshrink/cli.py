@@ -83,7 +83,7 @@ def _load_grid(spec: str, params) -> TuningGrid:
     text = spec.strip()
     if not text.startswith("{"):
         try:
-            with open(text, "r", encoding="utf-8") as fh:
+            with open(text, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
             raise UserError(f"cannot read grid file {spec!r}: {exc}") from None

@@ -2,7 +2,8 @@
 and versioned JSON reports.
 
 Matrices are written with 17 significant digits and LF line endings so a
-write/read round trip reproduces every double bit-exactly.
+write/read round trip reproduces every double bit-exactly.  Files are read as
+UTF-8; a leading byte-order mark, as spreadsheet programs write, is skipped.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def read_matrix_csv(path) -> np.ndarray:
     the same inputs and names the line at fault.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         first = fh.readline()
         try:
             for cell in first.split(",") if first.strip() else ():
@@ -58,7 +59,7 @@ def _read_matrix_lines(path: Path) -> np.ndarray:
     """``read_matrix_csv``, one line at a time: every error names its line."""
     rows, linenos = [], []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
@@ -97,7 +98,7 @@ def read_labels_csv(path) -> np.ndarray:
     """Read a single-column label file (integers if possible, else strings)."""
     path = Path(path)
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
@@ -119,7 +120,7 @@ def read_pattern_json(path) -> SparsityPattern:
     Indices are 1-based in the file; symmetric closure is applied on load.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

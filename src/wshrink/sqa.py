@@ -9,8 +9,10 @@ searches along it with an Armijo rule that also enforces the cone constraints
 it is solved over the free coordinates (upper-triangle entries off the
 pattern, plus the multiplier).  Its pair block is assembled in row blocks into
 one f x f buffer, which is Cholesky-factorized in place, and the multiplier is
-eliminated by its Schur complement.  That buffer takes ``8 f^2`` bytes; when it
-cannot be allocated, the step raises ``LinearSolveError``.
+eliminated by its Schur complement.  Each row block is one batched matrix product
+into a second buffer of ``_BLOCK_ROWS`` p x p matrices, from which the block's
+entries are gathered, so a step takes ``8 f^2 + 8 _BLOCK_ROWS p^2`` bytes.  When
+the f x f buffer cannot be allocated, the step raises ``LinearSolveError``.
 
 The line search halves the step from 1 until the iterate stays in the cone and
 the objective falls by at least ``ARMIJO_SIGMA`` times the predicted decrease;
@@ -38,7 +40,6 @@ gradient norm, and stops only when it does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -188,11 +189,8 @@ class _Workspace:
         return g_mat, g_gamma
 
 
-#: ``_take(A[R], C, out=buf)`` writes ``A[np.ix_(R, C)]`` into ``buf``; the indices are in range
-_take = partial(np.take, axis=1, mode="clip")
-
 #: rows of the reduced Newton matrix assembled per block by ``_FreeCoordinates.solve_newton``
-_BLOCK_ROWS = 64
+_BLOCK_ROWS = 32
 
 
 class _FreeCoordinates:
@@ -203,9 +201,12 @@ class _FreeCoordinates:
     the map ``V -> A V B`` on the symmetric free basis has the entry
     ``A[I_k, I_l] B[J_k, J_l] + A[I_k, J_l] B[J_k, I_l] + A[J_k, I_l] B[I_k, J_l]
     + A[J_k, J_l] B[I_k, I_l]`` in row ``k`` and column ``l``, halved in each row
-    and column of a diagonal pair.  Each term is the product of two row-gathered
-    blocks, so the pair block is assembled in blocks of ``_BLOCK_ROWS`` rows into
-    one f x f buffer, which is kept and factorized in place.
+    and column of a diagonal pair.  Summed over the pairs ``(L, R)`` of the Newton
+    matrix, row ``k`` reads only the p x p matrix ``Y_k = sum L[I_k]^T R[J_k]``
+    (a row-wise Khatri-Rao product): its entry ``l`` is ``Y_k[I_l, J_l] + Y_k[J_l, I_l]``.
+    So the pair block is assembled in blocks of ``_BLOCK_ROWS`` rows, each one
+    batched product into a kept buffer of ``8 _BLOCK_ROWS p^2`` bytes and two
+    gathers into one f x f buffer, which is kept and factorized in place.
     """
 
     def __init__(self, p: int, pattern: SparsityPattern | None):
@@ -246,6 +247,14 @@ class _FreeCoordinates:
         ``gamma``, where the multiplier form serves).  This needs ``X`` zero on
         the pattern, as every ``sqa_solve`` iterate is.
 
+        ``T[k, l]`` sums ``L[I_k, I_l] R[J_k, J_l] + L[I_k, J_l] R[J_k, I_l]`` over
+        ``(L, R) = (A, A), (G, B), (B, G)``, with ``A = sqrt(2) X^-1``,
+        ``G = (2 / gamma) ws.Ginv`` and ``B = ws.GinvSGinv``.  A row block's matrices
+        ``Y_k`` are one batched ``matmul``.  Past the diagonal pairs the pairs are in
+        row-major order, so the columns ``l >= s`` of a block starting at ``s`` read
+        only indices ``>= I_s``, and ``Y_k`` is cut to that trailing square.  The two
+        buffers take ``8 f^2 + 8 _BLOCK_ROWS p^2`` bytes.
+
         Raises ``LinearSolveError`` unless ``H`` is positive definite, and when
         the ``8 f^2``-byte buffer cannot be allocated: no other method is tried.
         """
@@ -261,17 +270,21 @@ class _FreeCoordinates:
         # X^-1 (x) X^-1: its four terms are two equal pairs; sqrt(2) X^-1 carries the 2
         A = np.sqrt(2.0) * ws.Xinv
         G, B = (2.0 / ws.gamma) * ws.Ginv, ws.GinvSGinv
-        bufs = np.empty((2, min(_BLOCK_ROWS, f) * f))
+        # row i of (L_1, L_2, L_3) and of (R_1, R_2, R_3), for (L_m, R_m) = (A, A), (G, B), (B, G)
+        AGB, ABG = np.stack((A, G, B), axis=1), np.stack((A, B, G), axis=1)
+        Y = np.empty(min(_BLOCK_ROWS, f) * p * p)
         for s in range(0, f, _BLOCK_ROWS):
             e = min(s + _BLOCK_ROWS, f)
-            Ir, Jr, Ic, Jc = I[s:e], J[s:e], I[s:], J[s:]
-            u, v = (buf[: (e - s) * Ic.size].reshape(e - s, Ic.size) for buf in bufs)
+            a = int(I[s]) if s >= p else 0  # past the diagonal pairs, columns l >= s read indices >= I_s
+            q = p - a
+            # Y[k] = sum_m L_m[I_k, a:]^T R_m[J_k, a:], so T[k, l] = Y[k][I_l, J_l] + Y[k][J_l, I_l]
+            Yr = Y[: (e - s) * q * q].reshape(e - s, q, q)
+            np.matmul(AGB[I[s:e], :, a:].transpose(0, 2, 1), ABG[J[s:e], :, a:], out=Yr)
+            Yr = Yr.reshape(e - s, q * q)
+            Ic, Jc = I[s:] - a, J[s:] - a
             Tr = T[s:e, s:]  # the upper triangle only: all that the factorization reads
-            AI, AJ, GI, GJ, BI, BJ = A[Ir], A[Jr], G[Ir], G[Jr], B[Ir], B[Jr]
-            np.multiply(_take(AI, Ic, out=u), _take(AJ, Jc, out=v), out=Tr)
-            for left, right, cl, cr in ((AI, AJ, Jc, Ic), (GI, BJ, Ic, Jc), (GI, BJ, Jc, Ic),
-                                        (GJ, BI, Ic, Jc), (GJ, BI, Jc, Ic)):
-                Tr += np.multiply(_take(left, cl, out=u), _take(right, cr, out=v), out=u)
+            np.take(Yr, Ic * q + Jc, axis=1, mode="clip", out=Tr)
+            Tr += np.take(Yr, Jc * q + Ic, axis=1, mode="clip")
             if s < p:  # the basis matrix of a diagonal pair is E_ii, not E_ii + E_ii
                 Tr[: p - s] *= 0.5
                 Tr[:, : p - s] *= 0.5

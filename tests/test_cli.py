@@ -262,6 +262,30 @@ class TestIO:
         path.write_text("tt\nnt\n")
         assert io.read_labels_csv(path).tolist() == ["tt", "nt"]
 
+    # spreadsheet programs start a UTF-8 file with a byte-order mark; every reader skips it
+    @pytest.mark.parametrize("read", [io.read_matrix_csv, io._read_matrix_lines])
+    def test_matrix_after_byte_order_mark(self, tmp_path, read):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff1,2\n3,4\n", encoding="utf-8")
+        assert read(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_labels_after_byte_order_mark(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("\ufeff0\n1\n0\n", encoding="utf-8")
+        assert io.read_labels_csv(path).tolist() == [0, 1, 0]
+
+    def test_pattern_after_byte_order_mark(self, tmp_path):
+        path = tmp_path / "pat.json"
+        path.write_text('\ufeff{"p": 4, "zeros": [[1, 4]]}', encoding="utf-8")
+        assert io.read_pattern_json(path).pairs == SparsityPattern(4, [(0, 3)]).pairs
+
+    def test_grid_file_after_byte_order_mark(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text('\ufeff{"param": "rho", "log10_from": -1, "log10_to": 1, "points": 3}', encoding="utf-8")
+        grid = cli._load_grid(str(path), ("rho",))
+        assert grid.name == "rho"
+        assert_allclose(grid.values, [0.1, 1.0, 10.0])
+
 
 class TestEstimate:
     def test_scalar_chain_through_files(self, tmp_path):

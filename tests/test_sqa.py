@@ -16,7 +16,7 @@ from wshrink.errors import LinearSolveError, LineSearchError
 from wshrink.gaussian import RANK_RTOL, psd_spectrum
 from wshrink.sqa import NewtonStep, SolverConfig, SparsityPattern, armijo_step, sqa_gradient, sqa_solve
 
-from conftest import covariances, random_spd, refuse_allocation
+from conftest import covariances, random_spd, refuse_allocation, tracemalloc_peak
 
 
 def feasible_point(p, rng, margin=1.6):
@@ -311,7 +311,7 @@ class TestDescentDirection:
         assert np.linalg.norm(kkt) <= 1e-8 * max(1.0, np.linalg.norm(P @ g))
 
     def test_row_blocks_match_dense_kron_oracle(self, rng):
-        # p = 16 with 4 pattern pairs: 132 free pairs, so two full row blocks and a partial one
+        # p = 16 with 4 pattern pairs: 132 free pairs, so four full row blocks and a partial one
         p = 16
         pattern = SparsityPattern(p, [(0, 15), (3, 7), (5, 12), (9, 10)])
         assert sqa._FreeCoordinates(p, pattern).I.size == 132
@@ -323,13 +323,30 @@ class TestDescentDirection:
         assert abs(step.delta_gamma - dg_ref) <= 1e-10 * abs(dg_ref)
 
     def test_diagonal_pairs_span_row_blocks(self, rng):
-        # p = 70 > _BLOCK_ROWS: the diagonal pairs fill the first row block and part of the second
+        # p = 70 > _BLOCK_ROWS: the diagonal pairs fill the first two row blocks and part of the third
         p = 70
         kept = {(0, 1), (5, 40), (33, 69)}
         pattern = SparsityPattern(p, [(i, j) for i in range(p) for j in range(i + 1, p) if (i, j) not in kept])
         cov = random_spd(p, rng)
         X, gamma = feasible_point(p, rng)
         assert_projected_newton_equation(cov, X, gamma, 0.9, pattern)
+
+    @given(p=st.integers(min_value=2, max_value=24), density=st.floats(min_value=0.0, max_value=0.9),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_random_patterns_match_dense_kron_oracle(self, p, density, seed):
+        # up to 300 free pairs: the first row block straddles the diagonal pairs, and the
+        # later ones start at arbitrary pairs, so each reads its own trailing index range
+        rng = np.random.default_rng(seed)
+        I, J = np.triu_indices(p, 1)
+        zero = rng.random(I.size) < density
+        pattern = SparsityPattern(p, zip(I[zero], J[zero]))
+        cov = random_spd(p, rng)
+        X, gamma = feasible_point(p, rng)
+        dX_ref, dg_ref, _, _ = dense_kkt_oracle(cov, X, gamma, 0.9, pattern)
+        step = descent_direction(cov, X, gamma, 0.9, pattern)
+        z, z_ref = np.append(step.delta_X, step.delta_gamma), np.append(dX_ref, dg_ref)
+        assert np.linalg.norm(z - z_ref) <= 1e-9 * np.linalg.norm(z_ref)
 
     def test_large_free_dimension(self, rng):
         # p = 64 with one pattern pair: 2,079 free pairs, a 35 MB Newton matrix
@@ -397,6 +414,20 @@ class TestDescentDirection:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 8 * f * f
+
+    def test_sparse_step_memory(self, rng):
+        # p = 120 with 300 free off-diagonal pairs: the f x f buffer is smaller than the
+        # block buffer of _BLOCK_ROWS p x p products, which bounds the step's peak instead
+        p = 120
+        upper = [(i, j) for i in range(p) for j in range(i + 1, p)]
+        free = set(rng.choice(len(upper), size=300, replace=False).tolist())
+        pattern = SparsityPattern(p, [pair for k, pair in enumerate(upper) if k not in free])
+        f = sqa._FreeCoordinates(p, pattern).I.size
+        assert f == 420
+        cov = random_spd(p, rng)
+        X, gamma = feasible_point(p, rng)
+        peak = tracemalloc_peak(lambda: descent_direction(cov, X, gamma, 0.9, pattern))
+        assert peak < 2.5 * (8 * f * f + 8 * sqa._BLOCK_ROWS * p * p)
 
     def test_predicted_decrease_negative_off_optimum(self, rng):
         cov = random_spd(4, rng)
