@@ -9,10 +9,11 @@ searches along it with an Armijo rule that also enforces the cone constraints
 it is solved over the free coordinates (upper-triangle entries off the
 pattern, plus the multiplier).  Its pair block is assembled in row blocks into
 one f x f buffer, which is Cholesky-factorized in place, and the multiplier is
-eliminated by its Schur complement.  Each row block is one batched matrix product
-into a second buffer of ``_BLOCK_ROWS`` p x p matrices, from which the block's
-entries are gathered, so a step takes ``8 f^2 + 8 _BLOCK_ROWS p^2`` bytes.  When
-the f x f buffer cannot be allocated, the step raises ``LinearSolveError``.
+eliminated by its Schur complement.  The buffer is filled in panels of
+``_PANEL_COLS`` columns; each panel's columns of the three matrices the Newton
+matrix is built from are gathered once, and its row blocks read rows of them.
+So a step takes ``8 f^2 + 48 p min(f, _PANEL_COLS)`` bytes.  When either buffer
+cannot be allocated, the step raises ``LinearSolveError``.
 
 The line search halves the step from 1 until the iterate stays in the cone and
 the objective falls by at least ``ARMIJO_SIGMA`` times the predicted decrease;
@@ -190,7 +191,11 @@ class _Workspace:
 
 
 #: rows of the reduced Newton matrix assembled per block by ``_FreeCoordinates.solve_newton``
-_BLOCK_ROWS = 32
+_BLOCK_ROWS = 64
+
+#: columns of the reduced Newton matrix whose gathered factors ``_FreeCoordinates.solve_newton``
+#: holds at once: ``48 p`` bytes each
+_PANEL_COLS = 512
 
 
 class _FreeCoordinates:
@@ -201,12 +206,12 @@ class _FreeCoordinates:
     the map ``V -> A V B`` on the symmetric free basis has the entry
     ``A[I_k, I_l] B[J_k, J_l] + A[I_k, J_l] B[J_k, I_l] + A[J_k, I_l] B[I_k, J_l]
     + A[J_k, J_l] B[I_k, I_l]`` in row ``k`` and column ``l``, halved in each row
-    and column of a diagonal pair.  Summed over the pairs ``(L, R)`` of the Newton
-    matrix, row ``k`` reads only the p x p matrix ``Y_k = sum L[I_k]^T R[J_k]``
-    (a row-wise Khatri-Rao product): its entry ``l`` is ``Y_k[I_l, J_l] + Y_k[J_l, I_l]``.
-    So the pair block is assembled in blocks of ``_BLOCK_ROWS`` rows, each one
-    batched product into a kept buffer of ``8 _BLOCK_ROWS p^2`` bytes and two
-    gathers into one f x f buffer, which is kept and factorized in place.
+    and column of a diagonal pair.  Row ``k`` of each term multiplies a row of the
+    column-gathered ``A[:, I]`` or ``A[:, J]`` by a row of ``B[:, J]`` or
+    ``B[:, I]``.  So the pair block is assembled in panels of ``_PANEL_COLS``
+    columns, whose columns of the factors are gathered once (``48 p`` bytes a
+    column), and in blocks of ``_BLOCK_ROWS`` rows of a panel, into one f x f
+    buffer, which is kept and factorized in place.
     """
 
     def __init__(self, p: int, pattern: SparsityPattern | None):
@@ -249,45 +254,52 @@ class _FreeCoordinates:
 
         ``T[k, l]`` sums ``L[I_k, I_l] R[J_k, J_l] + L[I_k, J_l] R[J_k, I_l]`` over
         ``(L, R) = (A, A), (G, B), (B, G)``, with ``A = sqrt(2) X^-1``,
-        ``G = (2 / gamma) ws.Ginv`` and ``B = ws.GinvSGinv``.  A row block's matrices
-        ``Y_k`` are one batched ``matmul``.  Past the diagonal pairs the pairs are in
-        row-major order, so the columns ``l >= s`` of a block starting at ``s`` read
-        only indices ``>= I_s``, and ``Y_k`` is cut to that trailing square.  The two
-        buffers take ``8 f^2 + 8 _BLOCK_ROWS p^2`` bytes.
+        ``G = (2 / gamma) ws.Ginv`` and ``B = ws.GinvSGinv``.  A panel's columns
+        ``I_l`` and ``J_l`` of ``A``, ``G`` and ``B`` are gathered once into a buffer
+        of ``48 p min(f, _PANEL_COLS)`` bytes, so a row block reads rows of them
+        where it would gather columns.
 
         Raises ``LinearSolveError`` unless ``H`` is positive definite, and when
-        the ``8 f^2``-byte buffer cannot be allocated: no other method is tried.
+        the ``8 f^2``-byte buffer or the panel buffer cannot be allocated: no
+        other method is tried.
         """
         I, J, f, p = self.I, self.J, self.I.size, ws.p
-        if self.T is None:
-            try:
+        w = min(f, _PANEL_COLS)
+        try:
+            if self.T is None:
                 self.T = np.empty((f, f))
-            except MemoryError as exc:
-                raise LinearSolveError(
-                    f"cannot allocate the {f} x {f} Newton matrix of the free pairs ({8 * f * f / 2**30:.1f} GiB)"
-                ) from exc
+            C = np.empty((6, p, w))
+        except MemoryError as exc:
+            raise LinearSolveError(
+                f"cannot allocate the {f} x {f} Newton matrix of the free pairs ({8 * f * f / 2**30:.1f} GiB)"
+                f" and its 6 x {p} x {w} panel"
+            ) from exc
         T = self.T
         # X^-1 (x) X^-1: its four terms are two equal pairs; sqrt(2) X^-1 carries the 2
         A = np.sqrt(2.0) * ws.Xinv
         G, B = (2.0 / ws.gamma) * ws.Ginv, ws.GinvSGinv
-        # row i of (L_1, L_2, L_3) and of (R_1, R_2, R_3), for (L_m, R_m) = (A, A), (G, B), (B, G)
-        AGB, ABG = np.stack((A, G, B), axis=1), np.stack((A, B, G), axis=1)
-        Y = np.empty(min(_BLOCK_ROWS, f) * p * p)
-        for s in range(0, f, _BLOCK_ROWS):
-            e = min(s + _BLOCK_ROWS, f)
-            a = int(I[s]) if s >= p else 0  # past the diagonal pairs, columns l >= s read indices >= I_s
-            q = p - a
-            # Y[k] = sum_m L_m[I_k, a:]^T R_m[J_k, a:], so T[k, l] = Y[k][I_l, J_l] + Y[k][J_l, I_l]
-            Yr = Y[: (e - s) * q * q].reshape(e - s, q, q)
-            np.matmul(AGB[I[s:e], :, a:].transpose(0, 2, 1), ABG[J[s:e], :, a:], out=Yr)
-            Yr = Yr.reshape(e - s, q * q)
-            Ic, Jc = I[s:] - a, J[s:] - a
-            Tr = T[s:e, s:]  # the upper triangle only: all that the factorization reads
-            np.take(Yr, Ic * q + Jc, axis=1, mode="clip", out=Tr)
-            Tr += np.take(Yr, Jc * q + Ic, axis=1, mode="clip")
-            if s < p:  # the basis matrix of a diagonal pair is E_ii, not E_ii + E_ii
-                Tr[: p - s] *= 0.5
-                Tr[:, : p - s] *= 0.5
+        # columns I of (A, G, B), then columns J of (G, B, A): C[k] and C[5 - k] are the
+        # factors of one of the six terms, for the rows I_k and J_k of a block
+        AGB, GBA = np.stack((A, G, B)), np.stack((G, B, A))
+        for c in range(0, f, w):
+            d = min(c + w, f)
+            Cc = C[:, :, : d - c]
+            np.take(AGB, I[c:d], axis=2, out=Cc[:3], mode="clip")  # clip: the indices are in range,
+            np.take(GBA, J[c:d], axis=2, out=Cc[3:], mode="clip")  # so none is checked or buffered
+            for s in range(0, d, _BLOCK_ROWS):
+                e, lo = min(s + _BLOCK_ROWS, d), max(s, c)
+                Ir, Jr, Cs = I[s:e], J[s:e], Cc[:, :, lo - c :]
+                Tr = T[s:e, lo:d]  # the upper triangle only: all that the factorization reads
+                np.multiply(Cs[0, Ir], Cs[5, Jr], out=Tr)
+                # the terms A_J A_I, G_I B_J, G_J B_I, B_J G_I, B_I G_J, in a fixed order of rounding
+                for k in (5, 1, 3, 4, 2):
+                    u = Cs[k, Ir]
+                    u *= Cs[5 - k, Jr]
+                    Tr += u
+                if s < p:  # the basis matrix of a diagonal pair is E_ii, not E_ii + E_ii
+                    Tr[: p - s] *= 0.5
+                if lo < p:
+                    Tr[:, : p - lo] *= 0.5
         try:
             # T is C-ordered, so T.T is F-ordered with T's upper triangle as its lower one:
             # LAPACK factorizes the buffer in place

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -311,7 +312,7 @@ class TestDescentDirection:
         assert np.linalg.norm(kkt) <= 1e-8 * max(1.0, np.linalg.norm(P @ g))
 
     def test_row_blocks_match_dense_kron_oracle(self, rng):
-        # p = 16 with 4 pattern pairs: 132 free pairs, so four full row blocks and a partial one
+        # p = 16 with 4 pattern pairs: 132 free pairs, so two full row blocks and a partial one
         p = 16
         pattern = SparsityPattern(p, [(0, 15), (3, 7), (5, 12), (9, 10)])
         assert sqa._FreeCoordinates(p, pattern).I.size == 132
@@ -323,7 +324,7 @@ class TestDescentDirection:
         assert abs(step.delta_gamma - dg_ref) <= 1e-10 * abs(dg_ref)
 
     def test_diagonal_pairs_span_row_blocks(self, rng):
-        # p = 70 > _BLOCK_ROWS: the diagonal pairs fill the first two row blocks and part of the third
+        # p = 70 > _BLOCK_ROWS: the diagonal pairs fill the first row block and part of the second
         p = 70
         kept = {(0, 1), (5, 40), (33, 69)}
         pattern = SparsityPattern(p, [(i, j) for i in range(p) for j in range(i + 1, p) if (i, j) not in kept])
@@ -332,11 +333,12 @@ class TestDescentDirection:
         assert_projected_newton_equation(cov, X, gamma, 0.9, pattern)
 
     @given(p=st.integers(min_value=2, max_value=24), density=st.floats(min_value=0.0, max_value=0.9),
-           seed=st.integers(min_value=0, max_value=2**32 - 1))
+           seed=st.integers(min_value=0, max_value=2**32 - 1), block_rows=st.integers(min_value=1, max_value=40),
+           panel_cols=st.integers(min_value=1, max_value=40))
     @settings(max_examples=50, deadline=None)
-    def test_random_patterns_match_dense_kron_oracle(self, p, density, seed):
-        # up to 300 free pairs: the first row block straddles the diagonal pairs, and the
-        # later ones start at arbitrary pairs, so each reads its own trailing index range
+    def test_random_patterns_match_dense_kron_oracle(self, p, density, seed, block_rows, panel_cols):
+        # up to 300 free pairs in row blocks and column panels of any size: blocks and panels
+        # start inside the diagonal pairs or past them, and a block may cross a panel's first column
         rng = np.random.default_rng(seed)
         I, J = np.triu_indices(p, 1)
         zero = rng.random(I.size) < density
@@ -344,7 +346,8 @@ class TestDescentDirection:
         cov = random_spd(p, rng)
         X, gamma = feasible_point(p, rng)
         dX_ref, dg_ref, _, _ = dense_kkt_oracle(cov, X, gamma, 0.9, pattern)
-        step = descent_direction(cov, X, gamma, 0.9, pattern)
+        with mock.patch.multiple(sqa, _BLOCK_ROWS=block_rows, _PANEL_COLS=panel_cols):
+            step = descent_direction(cov, X, gamma, 0.9, pattern)
         z, z_ref = np.append(step.delta_X, step.delta_gamma), np.append(dX_ref, dg_ref)
         assert np.linalg.norm(z - z_ref) <= 1e-9 * np.linalg.norm(z_ref)
 
@@ -363,6 +366,14 @@ class TestDescentDirection:
         f = sqa._FreeCoordinates(p, pattern).I.size
         refuse_allocation(monkeypatch, (f, f))
         with pytest.raises(LinearSolveError, match=f"{f} x {f} Newton matrix"):
+            sqa_solve(random_spd(p, rng), 0.5, pattern)
+
+    def test_unallocatable_panel_raises(self, rng, monkeypatch):
+        p = 6
+        pattern = SparsityPattern(p, [(0, 5)])
+        w = min(sqa._FreeCoordinates(p, pattern).I.size, sqa._PANEL_COLS)
+        refuse_allocation(monkeypatch, (6, p, w))
+        with pytest.raises(LinearSolveError, match=f"6 x {p} x {w} panel"):
             sqa_solve(random_spd(p, rng), 0.5, pattern)
 
     def test_nonpositive_schur_complement_raises(self, rng):
@@ -417,7 +428,7 @@ class TestDescentDirection:
 
     def test_sparse_step_memory(self, rng):
         # p = 120 with 300 free off-diagonal pairs: the f x f buffer is smaller than the
-        # block buffer of _BLOCK_ROWS p x p products, which bounds the step's peak instead
+        # panel of gathered columns, 6 p x min(f, _PANEL_COLS) doubles, which bounds the peak instead
         p = 120
         upper = [(i, j) for i in range(p) for j in range(i + 1, p)]
         free = set(rng.choice(len(upper), size=300, replace=False).tolist())
@@ -427,7 +438,7 @@ class TestDescentDirection:
         cov = random_spd(p, rng)
         X, gamma = feasible_point(p, rng)
         peak = tracemalloc_peak(lambda: descent_direction(cov, X, gamma, 0.9, pattern))
-        assert peak < 2.5 * (8 * f * f + 8 * sqa._BLOCK_ROWS * p * p)
+        assert peak < 2.5 * (8 * f * f + 48 * p * min(f, sqa._PANEL_COLS))
 
     def test_predicted_decrease_negative_off_optimum(self, rng):
         cov = random_spd(4, rng)
