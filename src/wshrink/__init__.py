@@ -11,6 +11,11 @@ The package exports the paper's objects (the analytical estimator and its
 radius path, the reformulation objective, the SQA solver, the worst-case
 distribution), cross-validation, and the three experiment pipelines.  The
 SQA step internals (Newton direction, Armijo line search) stay in ``sqa``.
+
+Importing the package loads NumPy only.  SciPy serves the Cholesky solves of
+the SQA solver, its gradient and the reformulation objective, and loads at the
+first of them in a process: the analytical estimator, cross-validation, the
+worst case and the pipelines without known zeros never load it.
 """
 
 from ._kernels import USING_NUMBA

@@ -29,7 +29,6 @@ from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels
 from .errors import EstimationError
@@ -172,6 +171,8 @@ def eigenvalue_map(lam, gamma_star: float):
 def _objective_at(cov, X, gamma: float, rho: float) -> float | None:
     """Objective of the convex reformulation, or None when ``(X, gamma)`` is
     outside the cone ``0 < X < gamma I``; the inputs are taken as validated."""
+    import scipy.linalg  # loaded at the first factorization, not with the package
+
     p = X.shape[0]
     try:
         LX = np.linalg.cholesky(X)

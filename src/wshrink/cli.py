@@ -79,7 +79,8 @@ class _Parser(argparse.ArgumentParser):
 def _load_grid(spec: str, params) -> TuningGrid:
     """Grid from inline JSON or a JSON file:
     ``{"param": "rho", "log10_from": -1, "log10_to": 2, "points": 61}``;
-    a ``param`` outside ``params``, the ones the command reads, is a user error."""
+    a ``param`` outside ``params``, the ones the command reads, or ``points``
+    that is not integral, is a user error."""
     text = spec.strip()
     if not text.startswith("{"):
         try:
@@ -90,7 +91,7 @@ def _load_grid(spec: str, params) -> TuningGrid:
     try:
         doc = json.loads(text)
         grid = TuningGrid.from_log10(doc["param"], float(doc["log10_from"]),
-                                     float(doc["log10_to"]), int(doc["points"]))
+                                     float(doc["log10_to"]), io.json_int(doc["points"]))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UserError(f"invalid grid specification: {exc}") from None
     if grid.name not in params:
@@ -128,6 +129,7 @@ def cmd_estimate(args) -> int:
         solution = wasserstein_shrinkage(moments, args.rho)  # n < p: from the n x n Gram matrix
         grad_norm = None  # rank deficient: a zero eigenvalue maps to gamma, on the cone boundary
         if solution.shrunk_eigenvalues[0] < solution.dual_multiplier:
+            # the certificate goes through the SQA workspace, so full-rank input loads SciPy
             with contextlib.suppress(ValueError):  # numerically on the boundary
                 g_mat, g_gamma = sqa_gradient(moments.covariance, solution.precision,
                                               solution.dual_multiplier, args.rho)

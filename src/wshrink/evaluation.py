@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EstimationError, SingularMatrixError
 from .gaussian import as_symmetric, psd_spectrum
@@ -69,7 +68,8 @@ def _covariance_of(moments_or_matrix):
 def linear_shrinkage(moments, alpha: float) -> np.ndarray:
     """Precision estimate from blending the covariance with its diagonal.
 
-    Inverts ``(1 - alpha) cov + alpha diag(cov)``.  Raises
+    Inverts ``(1 - alpha) cov + alpha diag(cov)`` from its one eigendecomposition
+    ``V diag(w) V^T``, as ``W W^T`` with ``W = V diag(w^-1/2)``.  Raises
     ``SingularMatrixError`` when the blend is numerically singular (for
     example ``alpha = 0`` with a rank-deficient covariance).
     """
@@ -77,14 +77,14 @@ def linear_shrinkage(moments, alpha: float) -> np.ndarray:
         raise ValueError("alpha must lie in [0, 1]")
     cov = as_symmetric(_covariance_of(moments), name="covariance")
     blend = (1.0 - alpha) * cov + alpha * np.diag(np.diag(cov))
-    w = np.linalg.eigvalsh(blend)
-    if psd_spectrum(w, "blended covariance")[0] == 0.0:
+    w, V = np.linalg.eigh(blend)
+    lam = psd_spectrum(w, "blended covariance")
+    if lam[0] == 0.0:
         raise SingularMatrixError(
             f"blended covariance is singular at alpha={alpha:g} (min eigenvalue {w[0]:.3e})"
         )
-    L = np.linalg.cholesky(blend)
-    precision = scipy.linalg.cho_solve((L, True), np.eye(blend.shape[0]))
-    return as_symmetric(precision, rtol=1.0)
+    W = V / np.sqrt(lam)
+    return as_symmetric(W @ W.T, rtol=1.0)
 
 
 def stein_loss(precision, reference_cov) -> float:

@@ -114,10 +114,20 @@ def read_labels_csv(path) -> np.ndarray:
         return np.asarray(labels)
 
 
+def json_int(value) -> int:
+    """An integral JSON number as an ``int``: an integer (not a boolean) or a
+    float with no fractional part.  Raises ``ValueError`` on anything else, so a
+    count or an index is never silently truncated."""
+    if type(value) is int or type(value) is float and value.is_integer():  # bool is a subclass of int
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def read_pattern_json(path) -> SparsityPattern:
     """Load a sparsity pattern ``{"p": int, "zeros": [[i, j], ...]}``.
 
     Indices are 1-based in the file; symmetric closure is applied on load.
+    ``p`` and every index must be integral (see ``json_int``).
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -128,7 +138,8 @@ def read_pattern_json(path) -> SparsityPattern:
     if not isinstance(doc, dict) or "p" not in doc or "zeros" not in doc:
         raise ParseError(f'{path}: expected an object with "p" and "zeros"')
     try:
-        return SparsityPattern(int(doc["p"]), [(int(i), int(j)) for i, j in doc["zeros"]], one_based=True)
+        zeros = [(json_int(i), json_int(j)) for i, j in doc["zeros"]]
+        return SparsityPattern(json_int(doc["p"]), zeros, one_based=True)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -15,6 +15,12 @@ matrix is built from are gathered once, and its row blocks read rows of them.
 So a step takes ``8 f^2 + 48 p min(f, _PANEL_COLS)`` bytes.  When either buffer
 cannot be allocated, the step raises ``LinearSolveError``.
 
+SciPy serves only the Cholesky solves (``cho_factor``, ``cho_solve``) of this
+solver and of the objective it evaluates (``analytical._objective_at``).  Each
+function that runs one imports ``scipy.linalg`` itself, so importing ``wshrink``
+loads NumPy only, and the first ``sqa_solve``, ``sqa_gradient`` or
+``reformulation_objective`` of a process pays for loading SciPy.
+
 The line search halves the step from 1 until the iterate stays in the cone and
 the objective falls by at least ``ARMIJO_SIGMA`` times the predicted decrease;
 it gives up with ``LineSearchError`` after ``MAX_HALVINGS`` halvings.  When the
@@ -43,13 +49,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.linalg import cg  # noqa: F401  unused; kept because the benchmark tracer wraps ``sqa.cg``
 
 from .analytical import ShrinkageSolution, _check_rho, _objective_at, _path, _spectrum, eigenvalue_map
 from .errors import LinearSolveError, LineSearchError
 from .gaussian import as_symmetric
 from .worst_case import _multiplier_at
+
+#: no conjugate-gradient step exists; the name stays bound because the benchmark tracer wraps ``sqa.cg``
+cg = None
 
 #: Armijo sufficient-decrease fraction of the predicted decrease
 ARMIJO_SIGMA = 1e-4
@@ -170,6 +177,8 @@ class _Workspace:
         self.X = X
         self.gamma = float(gamma)
         self.p = p
+        import scipy.linalg  # loaded at the first factorization, not with the package
+
         eye = np.eye(p)
         self.Xinv = scipy.linalg.cho_solve((LX, True), eye)
         self.Ginv = scipy.linalg.cho_solve((LG, True), eye)
@@ -263,6 +272,8 @@ class _FreeCoordinates:
         the ``8 f^2``-byte buffer or the panel buffer cannot be allocated: no
         other method is tried.
         """
+        import scipy.linalg
+
         I, J, f, p = self.I, self.J, self.I.size, ws.p
         w = min(f, _PANEL_COLS)
         try:

@@ -33,15 +33,6 @@ def write_pattern(path, p, zeros):
         json.dump({"p": p, "zeros": zeros}, fh)
 
 
-def test_cold_import_leaves_scipy_optimize_unloaded():
-    # importing scipy.optimize costs about a quarter of a second of every CLI start
-    src = str(Path(wshrink.__file__).resolve().parents[1])
-    code = "import sys, wshrink, wshrink.cli; print('scipy.optimize' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
 GRID = '{"param":"rho","log10_from":-1,"log10_to":0,"points":2}'
 
 
@@ -84,6 +75,42 @@ UNREAD = {
 
 def argv(line, d):
     return [word.format(d=d, grid=GRID) for word in line.split()]
+
+
+#: runs the commands given as JSON in ``argv[1]`` in a fresh interpreter, then an SQA
+#: solve; prints the SciPy modules loaded before the solve and whether the solve converged
+NO_SCIPY_SCRIPT = """
+import json, sys
+import numpy as np
+import wshrink, wshrink.cli
+for line in json.loads(sys.argv[1]):
+    assert wshrink.cli.main(line) == 0, line
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+cov = np.cov(np.random.default_rng(0).standard_normal((20, 4)).T)
+_, trace = wshrink.sqa_solve(cov, 0.5, wshrink.SparsityPattern(4, [(0, 2), (1, 3)]))
+print(json.dumps({"scipy": loaded, "converged": trace.converged}))
+"""
+
+
+def test_non_solver_commands_run_without_scipy(files):
+    # SciPy serves only the SQA solver's Cholesky solves, and loading it takes a
+    # quarter of a second or more of every start; the pytest process already holds it
+    write_csv(files / "W.csv", np.random.default_rng(1).standard_normal((4, 6)))  # n < p
+    alpha_grid = '{"param":"alpha","log10_from":-2,"log10_to":0,"points":3}'
+    lines = [
+        "portfolio --input {d}/X.csv --grid {grid} --cv kfold:3 --window 6 --stride 3 --output {d}/o.json",
+        "tune --input {d}/X.csv --grid {grid} --cv kfold:3 --output {d}/o.json",
+        "lda --input {d}/X.csv --labels {d}/y.csv --grid {grid} --cv kfold:3 --output {d}/o.json",
+        "estimate --input {d}/W.csv --rho 0.5 --output {d}/o.csv",
+        BASE["worstcase"],
+        BASE["synthetic"],
+    ]
+    commands = [argv(line, files) for line in lines]
+    commands.append(["tune", "--input", f"{files}/X.csv", "--grid", alpha_grid, "--output", f"{files}/o.json"])
+    src = str(Path(wshrink.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(commands)], cwd=files,
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == {"scipy": [], "converged": True}
 
 
 #: ``(subcommand, flag, the flag it needs)``: without the second, the first would be ignored
@@ -254,6 +281,32 @@ class TestIO:
         path.write_text('{"p": 3, "zeros": [[2, 2]]}')
         with pytest.raises(io.ParseError, match="diagonal"):
             io.read_pattern_json(path)
+
+    # a count or an index that is not integral is an error, never truncated
+    def test_pattern_rejects_non_integral_dimension(self, tmp_path):
+        path = tmp_path / "pat.json"
+        path.write_text('{"p": 4.0, "zeros": [[1, 2]]}')
+        assert io.read_pattern_json(path).dim == 4
+        path.write_text('{"p": 4.9, "zeros": [[1, 2]]}')
+        with pytest.raises(io.ParseError, match="4.9"):
+            io.read_pattern_json(path)
+
+    @pytest.mark.parametrize("pair", ["[1.7, 2]", "[true, 3]", '[1, "2"]'])
+    def test_pattern_rejects_non_integral_index(self, tmp_path, pair):
+        path = tmp_path / "pat.json"
+        path.write_text(f'{{"p": 4, "zeros": [{pair}]}}')
+        with pytest.raises(io.ParseError, match="expected an integer"):
+            io.read_pattern_json(path)
+
+    def test_grid_rejects_non_integral_points(self, tmp_path):
+        grid = cli._load_grid('{"param": "rho", "log10_from": 0, "log10_to": 1, "points": 2.0}', ("rho",))
+        assert grid.values.size == 2
+        with pytest.raises(cli.UserError, match="7.9"):
+            cli._load_grid('{"param": "rho", "log10_from": 0, "log10_to": 1, "points": 7.9}', ("rho",))
+        data = write_csv(tmp_path / "d.csv", np.random.default_rng(0).standard_normal((8, 2)))
+        code = main(["tune", "--input", data, "--output", str(tmp_path / "o.json"),
+                     "--grid", '{"param": "rho", "log10_from": 0, "log10_to": 1, "points": 7.9}'])
+        assert code == 1
 
     def test_labels_int_and_string(self, tmp_path):
         path = tmp_path / "labels.csv"
