@@ -20,11 +20,9 @@ worst case and the pipelines without known zeros never load it.
 
 from ._kernels import USING_NUMBA
 from .analytical import (
-    BisectionBracket,
     FactoredPrecision,
     ShrinkageSolution,
     eigenvalue_map,
-    gamma_bracket,
     reformulation_objective,
     wasserstein_shrinkage,
     wasserstein_shrinkage_path,
@@ -90,11 +88,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "USING_NUMBA",
-    "BisectionBracket",
     "FactoredPrecision",
     "ShrinkageSolution",
     "eigenvalue_map",
-    "gamma_bracket",
     "reformulation_objective",
     "wasserstein_shrinkage",
     "wasserstein_shrinkage_path",

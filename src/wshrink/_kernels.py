@@ -14,8 +14,9 @@ precision even when ``sum(lam)`` dwarfs ``rho^2``.  With ``x/g = h(lam g)`` and
 ``h(u) = 1 + u/2 - sqrt(u^2 + 4u)/2`` convex and decreasing, ``phi`` is concave
 and increases from ``phi(0+) = -p``, so Newton started below the root climbs
 to it monotonically (the tangent lies above the graph), and so does the Newton
-step from any point above it.  ``monotone_newton`` needs no bisection and
-solves all radii of a sweep in one call.
+step from any point above it.  ``monotone_newton`` starts from the a priori
+bracket ``analytical.gamma_bracket``, needs no bisection and no repair of that
+bracket, and solves all radii of a sweep in one call.
 ``benchmarks/run.py`` times the solver and the map under their names here.
 """
 
@@ -51,13 +52,6 @@ def shrink_eigenvalues(lam, gamma):
     mask = lam > 0.0
     out[mask] = _map_positive(lam[mask], gamma)
     return out
-
-
-def gamma_residual(gamma, pos, n_zero, rho):
-    """phi at scalar or array ``gamma``, given the positive eigenvalues ``pos``
-    and the number ``n_zero`` of zero eigenvalues."""
-    g = np.asarray(gamma, dtype=np.float64)
-    return gamma_residual_slope(g.reshape(-1), pos, n_zero, rho * rho)[0].reshape(g.shape)[()]
 
 
 def gamma_residual_slope(gamma, pos, n_zero, rho2):

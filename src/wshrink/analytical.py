@@ -6,9 +6,10 @@ sample eigenvectors and has eigenvalues ``x_i = map(lam_i, gamma*)``.  The dual
 multiplier ``gamma*`` is the unique positive root of the strictly increasing
 residual ``phi(g) = rho^2 g - n0 - sum_{lam > 0} map(lam, g) / g``, with ``n0``
 zero eigenvalues; it is concave, so Newton climbs to it from within the
-a priori bracket (see ``_kernels``).  This module provides the convex
-objective shared with the iterative solver, the bracket, the root solve, the
-eigenvalue map, the assembled estimator and its radius path.
+a priori bracket ``gamma_bracket``, which needs no repair (see ``_kernels``).
+This module provides the convex objective shared with the iterative solver,
+its eigenbasis form shared with the worst case, the bracket, the root solve,
+the eigenvalue map, the assembled estimator and its radius path.
 
 The estimator takes a covariance or ``SampleMoments`` (``_spectrum`` alone
 picks the decomposition) and is held in factored form, a
@@ -25,33 +26,16 @@ of the factors, or a solution's ``.precision``, forms the dense matrix on reques
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
-from .errors import EstimationError
 from .evaluation import SampleMoments, _covariance_of
 from .gaussian import RANK_RTOL, as_symmetric, psd_spectrum, spectral_decompose
 
 #: stopping tolerance on the scalar residual phi(gamma)
 GAMMA_TOL = 1e-12
-#: halvings of ``gamma_min`` and doublings of ``gamma_max`` that may repair a rounded bracket
-BRACKET_STEPS = 64
-
-
-@dataclass(frozen=True)
-class BisectionBracket:
-    """Validated root bracket for the dual-multiplier equation.
-
-    ``residual`` is the scalar function phi whose unique positive root is the
-    multiplier; after validation ``residual(gamma_min) <= 0 <= residual(gamma_max)``.
-    """
-
-    gamma_min: float
-    gamma_max: float
-    residual: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -114,34 +98,14 @@ def _check_rho(rho: float):
         raise ValueError(f"radius must be a positive real, got {rho!r}")
 
 
-def gamma_bracket(eigenvalues, rho: float) -> BisectionBracket:
-    """A priori bracket containing the root of the multiplier equation.
+def gamma_bracket(lam: np.ndarray, radii: np.ndarray):
+    """A priori bracket ``(gamma_min, gamma_max)`` of the multiplier equation, one entry
+    per radius, for a cleaned spectrum ``lam`` and positive ``radii``.
 
-    The lower endpoint is the positive zero of an upper envelope of phi and the
-    upper endpoint is ``min(p / rho^2, sqrt(sum 1/lam_i) / rho)``, with the
-    harmonic term dropped whenever some eigenvalue vanishes.
+    The lower end is the positive zero of an upper envelope of phi; the upper end is
+    ``min(p / rho^2, sqrt(sum 1/lam_i) / rho)``, with the harmonic term dropped
+    whenever some eigenvalue vanishes.  ``_path`` starts ``monotone_newton`` from it.
     """
-    _check_rho(rho)
-    lam = psd_spectrum(eigenvalues)
-    gmin, gmax = (float(b[0]) for b in _gamma_bounds(lam, np.array([rho])))
-    pos = lam[lam > 0.0]
-    residual = partial(_kernels.gamma_residual, pos=pos, n_zero=lam.size - pos.size, rho=rho)
-
-    for _ in range(BRACKET_STEPS):
-        if residual(gmin) <= 0.0 or gmin <= 0.0:
-            break
-        gmin *= 0.5
-    for _ in range(BRACKET_STEPS):
-        if residual(gmax) >= 0.0:
-            break
-        gmax *= 2.0
-    if residual(gmin) > 0.0 or residual(gmax) < 0.0:
-        raise EstimationError(f"failed to bracket the multiplier root in {BRACKET_STEPS} steps (rho={rho:g})")
-    return BisectionBracket(gamma_min=gmin, gamma_max=gmax, residual=residual)
-
-
-def _gamma_bounds(lam: np.ndarray, radii: np.ndarray):
-    """``gamma_bracket``'s endpoints for each radius, before any repair."""
     p, lmax = lam.size, float(lam.max())
     rho2 = radii * radii
     # rationalized form of (p^2 lmax + 2 p rho^2 - p sqrt(p^2 lmax^2 + 4 p rho^2 lmax)) / (2 rho^4),
@@ -168,6 +132,14 @@ def eigenvalue_map(lam, gamma_star: float):
     return out.reshape(arr.shape)
 
 
+def _symmetric_pair(cov, X):
+    """``cov`` and ``X`` through ``as_symmetric``; ``ValueError`` when their shapes differ."""
+    S, Xs = as_symmetric(cov, name="cov"), as_symmetric(X, name="X")
+    if S.shape != Xs.shape:
+        raise ValueError("cov and X dimensions differ")
+    return S, Xs
+
+
 def _objective_at(cov, X, gamma: float, rho: float) -> float | None:
     """Objective of the convex reformulation, or None when ``(X, gamma)`` is
     outside the cone ``0 < X < gamma I``; the inputs are taken as validated."""
@@ -184,6 +156,15 @@ def _objective_at(cov, X, gamma: float, rho: float) -> float | None:
     return -logdet + gamma * (rho * rho - float(np.trace(cov))) + gamma * gamma * trace_term
 
 
+def _eigenbasis_objective(d, m, gamma: float, rho: float, trace: float) -> float:
+    """``f(X, gamma) = -sum log d + gamma (rho^2 - trace) + gamma^2 sum_{m > 0} m / (gamma - d)``,
+    the reformulation objective in an eigenbasis ``U`` of ``X = U diag(d) U^T``, with
+    ``m = diag(U^T cov U)`` and ``trace = tr cov``.  Terms with ``m = 0`` take their limit
+    value 0, also where ``d`` reaches ``gamma``."""
+    pos = m > 0.0
+    return float(-np.log(d).sum() + gamma * (rho * rho - trace) + gamma * gamma * np.sum(m[pos] / (gamma - d[pos])))
+
+
 def reformulation_objective(cov, X, gamma: float, rho: float) -> float:
     """Objective of the convex reformulation at a feasible point.
 
@@ -192,10 +173,7 @@ def reformulation_objective(cov, X, gamma: float, rho: float) -> float:
     Raises ``ValueError`` outside that domain.
     """
     _check_rho(rho)
-    S = as_symmetric(cov, name="cov")
-    Xs = as_symmetric(X, name="X")
-    if S.shape != Xs.shape:
-        raise ValueError("cov and X dimensions differ")
+    S, Xs = _symmetric_pair(cov, X)
     e = np.linalg.eigvalsh(Xs)
     if e[0] <= 0.0:
         raise ValueError("X must be positive definite")
@@ -264,7 +242,7 @@ def _path(V, lam, radii):
     pos, rho2 = lam[lam > 0.0], checked * checked
     gammas, iters, _ = _kernels.monotone_newton(
         lambda g, idx: _kernels.gamma_residual_slope(g, pos, lam.size - pos.size, rho2[idx]),
-        *_gamma_bounds(lam, checked), GAMMA_TOL)
+        *gamma_bracket(lam, checked), GAMMA_TOL)
     for rho, gamma, it in zip(radii, gammas, iters):
         _check_rho(rho)
         yield _solution(V, lam, float(gamma), float(rho), int(it))
@@ -274,13 +252,7 @@ def _solution(V, lam, gamma: float, rho: float, iters: int) -> ShrinkageSolution
     """The estimator at a solved radius, in factored form: ``V`` spans all of R^p
     (complement 0) or only the range of ``cov`` (complement ``gamma``)."""
     x = _kernels.shrink_eigenvalues(lam, gamma)
-
-    # objective evaluated in the shared eigenbasis; zero sample eigenvalues
-    # contribute nothing to the trace term (their limit value)
-    pos = lam > 0.0
-    trace_term = float(np.sum(lam[pos] / (gamma - x[pos])))
-    objective = float(-np.log(x).sum() + gamma * (rho * rho - lam.sum()) + gamma * gamma * trace_term)
-
+    objective = _eigenbasis_objective(x, lam, gamma, rho, lam.sum())
     r = V.shape[1]
     complement = 0.0 if r == lam.size else gamma
     return ShrinkageSolution(

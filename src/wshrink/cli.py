@@ -76,11 +76,21 @@ class _Parser(argparse.ArgumentParser):
         raise UserError(message)
 
 
+#: the most values a log-spaced grid may hold: a larger count is an input error, not a size to allocate
+MAX_GRID_POINTS = 10_000
+
+
+def _log10_grid(param: str, log10_from: float, log10_to: float, points: int) -> TuningGrid:
+    if points > MAX_GRID_POINTS:
+        raise UserError(f"a grid has at most {MAX_GRID_POINTS} points, got {points}")
+    return TuningGrid.from_log10(param, log10_from, log10_to, points)
+
+
 def _load_grid(spec: str, params) -> TuningGrid:
     """Grid from inline JSON or a JSON file:
     ``{"param": "rho", "log10_from": -1, "log10_to": 2, "points": 61}``;
     a ``param`` outside ``params``, the ones the command reads, or ``points``
-    that is not integral, is a user error."""
+    that is not integral or exceeds ``MAX_GRID_POINTS``, is a user error."""
     text = spec.strip()
     if not text.startswith("{"):
         try:
@@ -90,8 +100,7 @@ def _load_grid(spec: str, params) -> TuningGrid:
             raise UserError(f"cannot read grid file {spec!r}: {exc}") from None
     try:
         doc = json.loads(text)
-        grid = TuningGrid.from_log10(doc["param"], float(doc["log10_from"]),
-                                     float(doc["log10_to"]), io.json_int(doc["points"]))
+        grid = _log10_grid(doc["param"], float(doc["log10_from"]), float(doc["log10_to"]), io.json_int(doc["points"]))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UserError(f"invalid grid specification: {exc}") from None
     if grid.name not in params:
@@ -109,7 +118,7 @@ def _estimator_for(param: str, pattern: SparsityPattern | None = None, config: S
     if param == "alpha":
         if pattern is not None:
             raise UserError("--pattern cannot be combined with an alpha grid")
-        return lambda moments, value: linear_shrinkage(moments, value)
+        return linear_shrinkage
     if pattern is None:
         return analytical_path_estimator
     return sparse_estimator(pattern, config)
@@ -212,7 +221,7 @@ def cmd_synthetic(args) -> int:
     if args.grid:
         grid = _load_grid(args.grid, ("rho",))
     else:
-        grid = TuningGrid.from_log10("rho", -2.0, 1.0, 25 if args.grid_points is None else args.grid_points)
+        grid = _log10_grid("rho", -2.0, 1.0, 25 if args.grid_points is None else args.grid_points)
     config = SolverConfig(grad_tol=args.tol, max_iters=args.max_iters)
     estimators = {"wasserstein": analytical_path_estimator}
     grids = {"wasserstein": grid}

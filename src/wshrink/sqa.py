@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytical import ShrinkageSolution, _check_rho, _objective_at, _path, _spectrum, eigenvalue_map
+from .analytical import ShrinkageSolution, _check_rho, _objective_at, _path, _spectrum, _symmetric_pair, eigenvalue_map
 from .errors import LinearSolveError, LineSearchError
 from .gaussian import as_symmetric
 from .worst_case import _multiplier_at
@@ -340,7 +340,7 @@ def sqa_gradient(cov, X, gamma: float, rho: float):
     Returns ``(matrix_part, scalar_part)``; the matrix part is symmetric.
     """
     _check_rho(rho)
-    ws = _Workspace(as_symmetric(cov, name="cov"), as_symmetric(X, name="X"), gamma)
+    ws = _Workspace(*_symmetric_pair(cov, X), gamma)
     return ws.gradient(rho)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .analytical import GAMMA_TOL, _check_rho, _path, _spectrum
+from .analytical import GAMMA_TOL, _check_rho, _eigenbasis_objective, _path, _spectrum, _symmetric_pair
 from .gaussian import RANK_RTOL, as_symmetric, induced_metric_V, psd_spectrum
 
 
@@ -41,10 +41,7 @@ def extremal_gamma(cov, X, rho: float) -> float:
     ``diag(U^T cov U) >= 0`` it needs); raises ``EstimationError`` when it does not converge.
     """
     _check_rho(rho)
-    S = as_symmetric(cov, name="cov")
-    Xs = as_symmetric(X, name="X")
-    if S.shape != Xs.shape:
-        raise ValueError("cov and X dimensions differ")
+    S, Xs = _symmetric_pair(cov, X)
     d, U = np.linalg.eigh(Xs)
     if psd_spectrum(d, "X")[0] == 0.0:
         raise ValueError("X must be positive definite, not rank deficient")
@@ -64,27 +61,23 @@ def _multiplier_at(S, d, U, rho: float):
     input, and ``f`` is its limit there.
     """
     m = psd_spectrum(np.sum(U * (S @ U), axis=0), "cov")
-    dm, m, rho2 = d[m > 0.0], m[m > 0.0], rho * rho
+    dm, mp, rho2 = d[m > 0.0], m[m > 0.0], rho * rho
 
     def residual(g, _):
         gap = g[:, None] - dm
-        t = m * (dm / gap) ** 2 / rho2
+        t = mp * (dm / gap) ** 2 / rho2
         return 1.0 - t.sum(axis=1), 2.0 * (t / gap).sum(axis=1)
 
-    gamma = lower = max(float(d[-1]), float(np.max(dm * (1.0 + np.sqrt(m) / rho), initial=0.0)))
+    gamma = lower = max(float(d[-1]), float(np.max(dm * (1.0 + np.sqrt(mp) / rho), initial=0.0)))
     if residual(np.array([lower]), None)[0][0] < 0.0:
-        upper = d[-1] + np.sqrt(m @ (dm * dm)) / rho
+        upper = d[-1] + np.sqrt(mp @ (dm * dm)) / rho
         gamma = float(_kernels.monotone_newton(residual, lower, upper, GAMMA_TOL)[0][0])
-    objective = -np.log(d).sum() + gamma * (rho2 - np.trace(S)) + gamma * gamma * np.sum(m / (gamma - dm))
-    return gamma, float(objective)
+    return gamma, _eigenbasis_objective(d, m, gamma, rho, np.trace(S))
 
 
 def extremal_covariance(cov, X, gamma: float) -> WorstCaseDistribution:
     """Worst-case covariance for a given feasible multiplier."""
-    S = as_symmetric(cov, name="cov")
-    Xs = as_symmetric(X, name="X")
-    if S.shape != Xs.shape:
-        raise ValueError("cov and X dimensions differ")
+    S, Xs = _symmetric_pair(cov, X)
     p = S.shape[0]
     e = np.linalg.eigvalsh(Xs)
     if gamma - float(e[-1]) <= RANK_RTOL * max(abs(gamma), float(e[-1])):

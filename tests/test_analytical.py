@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from wshrink import _kernels, analytical
+from wshrink import _kernels
 from wshrink.applications import LabeledDataset, pooled_moments
 from wshrink.analytical import (
     GAMMA_TOL,
@@ -76,41 +76,40 @@ class TestObjective:
         assert (vals[1:-1] <= chords + 1e-10).all()
 
 
+def residual(gamma, lam, rho):
+    """phi at one multiplier, for a cleaned spectrum ``lam``."""
+    pos = lam[lam > 0.0]
+    return _kernels.gamma_residual_slope(np.array([gamma]), pos, lam.size - pos.size, rho * rho)[0][0]
+
+
 class TestBracket:
     def test_scalar_example(self):
-        br = gamma_bracket([1.0], 1.0)
-        assert_allclose(br.gamma_min, (3.0 - np.sqrt(5.0)) / 2.0, atol=1e-12)
-        assert_allclose(br.gamma_max, 1.0, atol=1e-12)
+        gmin, gmax = gamma_bracket(np.array([1.0]), np.array([1.0]))
+        assert_allclose(gmin, [(3.0 - np.sqrt(5.0)) / 2.0], atol=1e-12)
+        assert_allclose(gmax, [1.0], atol=1e-12)
 
     def test_all_zero_eigenvalues(self):
-        br = gamma_bracket(np.zeros(4), 0.5)
-        assert_allclose(br.gamma_max, 4.0 / 0.25, atol=1e-12)
+        _, gmax = gamma_bracket(np.zeros(4), np.array([0.5]))
+        assert_allclose(gmax, [4.0 / 0.25], atol=1e-12)
 
     def test_fig1_instance_straddles_root(self):
-        br = gamma_bracket(FIG1_EIGENVALUES, 1.0)
-        assert br.residual(br.gamma_min) <= 0.0 <= br.residual(br.gamma_max)
+        (gmin,), (gmax,) = gamma_bracket(FIG1_EIGENVALUES, np.array([1.0]))
+        assert residual(gmin, FIG1_EIGENVALUES, 1.0) <= 0.0 <= residual(gmax, FIG1_EIGENVALUES, 1.0)
 
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError, match="radius"):
-            gamma_bracket([1.0], 0.0)
-
-    def test_unrepaired_bracket_raises(self, monkeypatch):
-        # a lower end above the root that one halving cannot repair
-        monkeypatch.setattr(analytical, "BRACKET_STEPS", 1)
-        monkeypatch.setattr(analytical, "_gamma_bounds", lambda lam, radii: (100.0 / radii**2, 200.0 / radii**2))
-        with pytest.raises(EstimationError, match="failed to bracket the multiplier root in 1 steps"):
-            gamma_bracket([1.0, 2.0], 1.0)
-
-    def test_bracket_contains_root_randomized(self, rng):
-        for _ in range(200):
-            p = int(rng.integers(1, 20))
-            lam = rng.uniform(0.0, 10.0, p)
-            lam[rng.random(p) < 0.25] = 0.0
-            rho = float(rng.uniform(0.05, 4.0))
-            br = gamma_bracket(lam, rho)
-            root = solve_gamma(lam, rho)
-            assert br.gamma_min <= root * (1 + 1e-12)
-            assert root <= br.gamma_max * (1 + 1e-12)
+    @given(
+        lam=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-8, max_value=1e8)), min_size=1, max_size=30),
+        radii=st.lists(st.floats(min_value=1e-4, max_value=1e4), min_size=1, max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_brackets_the_path_root(self, lam, radii):
+        # the bounds that _path starts the root solve from, for every radius at once
+        lam, radii = np.sort(psd_spectrum(lam)), np.array(radii)
+        gmin, gmax = gamma_bracket(lam, radii)
+        for k, solution in enumerate(_path(np.eye(lam.size), lam, radii)):
+            root = solution.dual_multiplier
+            assert gmin[k] <= root * (1 + 1e-12) and root <= gmax[k] * (1 + 1e-12)
+            single = gamma_bracket(lam, radii[k : k + 1])
+            assert single[0][0] == gmin[k] and single[1][0] == gmax[k]
 
 
 class TestSolveGamma:
@@ -134,9 +133,8 @@ class TestSolveGamma:
         for _ in range(50):
             lam = rng.uniform(0.0, 5.0, int(rng.integers(1, 15)))
             rho = float(rng.uniform(0.1, 3.0))
-            br = gamma_bracket(lam, rho)
             root = solve_gamma(lam, rho)
-            assert abs(br.residual(root)) <= GAMMA_TOL
+            assert abs(residual(root, psd_spectrum(lam), rho)) <= GAMMA_TOL
 
     @given(
         lam=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e4)), min_size=1, max_size=40),
@@ -151,8 +149,6 @@ class TestSolveGamma:
         root = solve_gamma(lam, rho)
         scaled = c * solve_gamma(c * lam, np.sqrt(c) * rho)
         assert abs(scaled - root) <= 1e-10 * root
-        br = gamma_bracket(lam, rho)
-        assert br.gamma_min <= root <= br.gamma_max
 
 
 class TestEigenvalueMap:
@@ -384,12 +380,11 @@ class TestShrinkagePath:
         # the one kernel call of a path freezes each radius where a one-radius solve stops
         radii = np.sqrt(np.trace(cov) + 1e-300) * np.array(radii)
         lam = psd_spectrum(spectral_decompose(cov).eigenvalues)
-        pos = lam[lam > 0.0]
         for rho, solution in zip(radii, wasserstein_shrinkage_path(cov, radii)):
             single = wasserstein_shrinkage(cov, rho)
             gamma = single.dual_multiplier
             assert solution.dual_multiplier == gamma and solution.iterations == single.iterations
-            assert abs(_kernels.gamma_residual(gamma, pos, lam.size - pos.size, rho)) <= GAMMA_TOL
+            assert abs(residual(gamma, lam, rho)) <= GAMMA_TOL
 
     def test_unconverged_multiplier_raises_before_the_first_precision(self, monkeypatch, rng):
         monkeypatch.setattr(_kernels, "MAX_ITER", 1)

@@ -308,6 +308,21 @@ class TestIO:
                      "--grid", '{"param": "rho", "log10_from": 0, "log10_to": 1, "points": 7.9}'])
         assert code == 1
 
+    # a count above the bound is refused before any array is sized by it
+    @pytest.mark.parametrize("points", ["1e15", str(cli.MAX_GRID_POINTS + 1)])
+    def test_grid_rejects_points_above_the_bound(self, tmp_path, points):
+        spec = f'{{"param": "rho", "log10_from": 0, "log10_to": 1, "points": {points}}}'
+        with pytest.raises(cli.UserError, match=f"at most {cli.MAX_GRID_POINTS} points"):
+            cli._load_grid(spec, ("rho",))
+        data = write_csv(tmp_path / "d.csv", np.random.default_rng(0).standard_normal((4, 2)))
+        assert main(["tune", "--input", data, "--output", str(tmp_path / "o.json"), "--grid", spec]) == 1
+        assert cli._load_grid(spec.replace(points, str(cli.MAX_GRID_POINTS)), ("rho",)).values.size == cli.MAX_GRID_POINTS
+
+    def test_grid_points_flag_above_the_bound(self, tmp_path, capsys):
+        code = main(["synthetic", "--p", "4", "--density", "0.5", "--n", "10", "--trials", "1",
+                     "--grid-points", str(10**15), "--output", str(tmp_path / "s.csv")])
+        assert code == 1 and f"at most {cli.MAX_GRID_POINTS} points" in capsys.readouterr().err
+
     def test_labels_int_and_string(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("1\n2\n1\n")

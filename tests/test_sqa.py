@@ -16,6 +16,7 @@ from wshrink.evaluation import TuningGrid
 from wshrink.errors import LinearSolveError, LineSearchError
 from wshrink.gaussian import RANK_RTOL, psd_spectrum
 from wshrink.sqa import NewtonStep, SolverConfig, SparsityPattern, armijo_step, sqa_gradient, sqa_solve
+from wshrink.worst_case import extremal_covariance, extremal_gamma
 
 from conftest import covariances, random_spd, refuse_allocation, tracemalloc_peak
 
@@ -208,6 +209,17 @@ class TestGradient:
         cov = random_spd(3, rng)
         with pytest.raises(ValueError, match="positive definite"):
             sqa_gradient(cov, np.eye(3), 0.5, 1.0)
+
+    # the gradient and its siblings check the shapes before any product
+    @pytest.mark.parametrize("fn", [
+        lambda cov, X: sqa_gradient(cov, X, 1.0, 1.0),
+        lambda cov, X: reformulation_objective(cov, X, 1.0, 1.0),
+        lambda cov, X: extremal_gamma(cov, X, 1.0),
+        lambda cov, X: extremal_covariance(cov, X, 1.0),
+    ], ids=["sqa_gradient", "reformulation_objective", "extremal_gamma", "extremal_covariance"])
+    def test_rejects_mismatched_shapes(self, fn):
+        with pytest.raises(ValueError, match="cov and X dimensions differ"):
+            fn(np.eye(3), 0.5 * np.eye(4))
 
     @pytest.mark.parametrize("gamma", [np.inf, np.nan, 0.0, -1.0])
     def test_rejects_nonfinite_or_nonpositive_multiplier(self, gamma, rng):
