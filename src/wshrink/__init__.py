@@ -49,10 +49,7 @@ from .applications import (
 )
 from .errors import EstimationError, LinearSolveError, LineSearchError, SingularMatrixError
 from .evaluation import (
-    CLASSIFICATION_ALPHA_GRID,
     CLASSIFICATION_RHO_GRID,
-    PORTFOLIO_ALPHA_GRID,
-    PORTFOLIO_RHO_GRID,
     CVReport,
     SampleMoments,
     TuningGrid,
@@ -116,10 +113,7 @@ __all__ = [
     "LinearSolveError",
     "LineSearchError",
     "SingularMatrixError",
-    "CLASSIFICATION_ALPHA_GRID",
     "CLASSIFICATION_RHO_GRID",
-    "PORTFOLIO_ALPHA_GRID",
-    "PORTFOLIO_RHO_GRID",
     "CVReport",
     "SampleMoments",
     "TuningGrid",

@@ -98,6 +98,14 @@ def _check_rho(rho: float):
         raise ValueError(f"radius must be a positive real, got {rho!r}")
 
 
+def _check_int(value, name: str) -> int:
+    """``value`` as an ``int``: a Python or NumPy integer, not a ``bool``.  Raises
+    ``ValueError`` naming anything else, so a count or an index is never truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def gamma_bracket(lam: np.ndarray, radii: np.ndarray):
     """A priori bracket ``(gamma_min, gamma_max)`` of the multiplier equation, one entry
     per radius, for a cleaned spectrum ``lam`` and positive ``radii``.

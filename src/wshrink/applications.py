@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytical import FactoredPrecision, wasserstein_shrinkage, wasserstein_shrinkage_path
+from .analytical import FactoredPrecision, _check_int, wasserstein_shrinkage, wasserstein_shrinkage_path
 from .evaluation import SampleMoments, _grid_scores, sample_moments, stein_loss
 from .gaussian import as_symmetric, spectral_decompose
 from .sqa import SolverConfig, SparsityPattern, sqa_solve
@@ -25,6 +25,7 @@ class SyntheticSpec:
 
     The true covariance is ``(C^T C + SYNTHETIC_RIDGE I)^{-1}`` where ``C`` has
     ``floor(density * p^2)`` entries set to +/-1 at uniformly drawn cells.
+    ``dim``, ``n_samples``, ``trials`` and ``seed`` must be integers.
     """
 
     dim: int
@@ -34,6 +35,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dim", "n_samples", "trials", "seed"):
+            _check_int(getattr(self, name), name)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if not 0.0 < self.density <= 1.0:
@@ -77,7 +80,7 @@ def sample_gaussian(sigma0, n: int, seed) -> np.ndarray:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dec = spectral_decompose(S)
     factor = dec.eigenvectors * np.sqrt(np.maximum(dec.eigenvalues, 0.0))
-    return rng.standard_normal((int(n), S.shape[0])) @ factor.T
+    return rng.standard_normal((_check_int(n, "n"), S.shape[0])) @ factor.T
 
 
 def zero_pattern_of(precision) -> SparsityPattern:

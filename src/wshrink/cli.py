@@ -14,9 +14,10 @@ them, ``(a | b)``: exactly one)::
 Some flags are read only with another, and are a usage error without it:
 ``--cv`` and ``--seed`` need ``--grid`` (``lda``, ``portfolio``); ``--tol``
 and ``--max-iters`` need ``--pattern`` (``estimate``, ``tune``) or
-``--known-zeros`` (``synthetic``).  A ``--grid`` sweeps a parameter the
-command reads, else it is a user error: ``rho`` or ``alpha`` (``tune``,
-``portfolio``), ``rho`` (``synthetic``, ``lda``).
+``--known-zeros`` (``synthetic``); ``--test-labels`` needs ``--test-input``
+(``lda``).  A ``--grid`` sweeps a parameter the command reads, else it is a
+user error: ``rho`` or ``alpha`` (``tune``, ``portfolio``), ``rho``
+(``synthetic``, ``lda``).
 
 Exit codes: 0 success; 1 user error (usage errors, bad arguments or input
 files); 2 solver error.  Every command is deterministic given its arguments
@@ -186,8 +187,8 @@ def cmd_tune(args) -> int:
         "mean_scores": report.mean_scores.tolist(),
         "fold_scores": report.fold_scores.tolist(),
         "failed_folds": report.failed_folds.tolist(),
+        "first_errors": report.first_errors,
         "selected": report.selected,
-        "mode": report.mode,
         "scheme": report.scheme,
         "seed": report.seed,
     })
@@ -247,8 +248,6 @@ def cmd_synthetic(args) -> int:
 
 
 def cmd_lda(args) -> int:
-    if args.test_labels and not args.test_input:
-        raise UserError("--test-labels needs --test-input")
     data = io.read_matrix_csv(args.input)
     labels = io.read_labels_csv(args.labels)
     dataset = LabeledDataset(data, labels)
@@ -323,6 +322,7 @@ def cmd_portfolio(args) -> int:
         report_doc.update({"values": report.values.tolist(),
                            "mean_scores": report.mean_scores.tolist(),
                            "failed_folds": report.failed_folds.tolist(),
+                           "first_errors": report.first_errors,
                            "selected": value, "param": grid.name, "scheme": args.cv})
     else:
         estimator, value = _estimator_for("rho"), args.rho
@@ -430,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p.add_mutually_exclusive_group(), "--grid", "--grid-points")
     _add(p, "--known-zeros", "--tol", "--max-iters", "--seed", "--output")
 
-    p = command("lda", cmd_lda, "linear discriminant classification", needs_grid)
+    p = command("lda", cmd_lda, "linear discriminant classification",
+                needs_grid + [("--test-labels", "--test-input")])
     _add(p, "--input")
     _add(p, "--labels", required=True)
     _add(p.add_mutually_exclusive_group(required=True), "--rho", "--grid")

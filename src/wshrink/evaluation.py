@@ -128,11 +128,8 @@ class TuningGrid:
         return cls(name, np.logspace(log10_from, log10_to, points))
 
 
-# grids used by the classification and portfolio pipelines
+#: the paper's classification radius grid; no command reads it, kept because the benchmark's ``tune_cv`` does
 CLASSIFICATION_RHO_GRID = TuningGrid.from_log10("rho", -1.0, 2.0, 61)
-CLASSIFICATION_ALPHA_GRID = TuningGrid.from_log10("alpha", -3.0, 0.0, 61)
-PORTFOLIO_RHO_GRID = TuningGrid.from_log10("rho", -2.0, 0.0, 201)
-PORTFOLIO_ALPHA_GRID = TuningGrid.from_log10("alpha", -2.0, 0.0, 201)
 
 
 def make_folds(n: int, scheme: str, seed: int = 0):
@@ -178,10 +175,11 @@ def gaussian_validation_nll(precision, train_moments: SampleMoments, validation_
 class CVReport:
     """Cross-validation sweep results.
 
-    ``fold_scores[k, g]`` is the score of grid value ``g`` on fold ``k``
-    (``inf`` marks an estimator failure at that point); the selected value
-    optimizes the mean score, ties resolved toward the smallest value.
-    ``failed_folds[g]`` counts the failed folds of value ``g``, ``first_errors[g]`` the first one's text.
+    Scores are losses.  ``fold_scores[k, g]`` is the score of grid value ``g``
+    on fold ``k`` (``inf`` marks an estimator failure at that point); the
+    selected value minimizes the mean score, ties resolved toward the smallest
+    value.  ``failed_folds[g]`` counts the failed folds of value ``g``,
+    ``first_errors[g]`` the first one's text.
     """
 
     param_name: str
@@ -189,7 +187,6 @@ class CVReport:
     fold_scores: np.ndarray
     mean_scores: np.ndarray
     selected: float
-    mode: str
     scheme: str
     seed: int
     failed_folds: np.ndarray
@@ -221,7 +218,6 @@ def cross_validate(
     grid: TuningGrid,
     scheme: str = "loo",
     score=None,
-    mode: str = "min",
     seed: int = 0,
     divisor_policy: str = "n",
 ) -> CVReport:
@@ -229,8 +225,9 @@ def cross_validate(
 
     ``estimator(moments, value) -> precision`` is fitted on each training
     fold; ``score(precision, train_moments, validation_data) -> float``
-    defaults to the held-out Gaussian negative log-likelihood.  ``mode`` is
-    ``"min"`` (losses) or ``"max"`` (e.g. classification accuracy).
+    defaults to the held-out Gaussian negative log-likelihood.  Scores are
+    losses: the selected value minimizes their mean over the folds, ties
+    resolved toward the smallest value.
     An estimator with a path, ``estimator.path(moments, values)`` yielding
     the fold's estimates in grid order, is fitted through it instead.  An
     estimate reaches ``score`` as the estimator returns it: a dense matrix,
@@ -239,19 +236,16 @@ def cross_validate(
     ``min_variance_weights`` reads without forming it.
 
     A ``ValueError``, ``LinAlgError`` or ``EstimationError`` scores ``inf``
-    (``-inf`` when maximizing) and is counted in the report.  An estimator
-    call or a score that raises fails only its cell; a path that raises
-    before yielding value ``g`` fails cells ``g`` onward of its fold.
+    and is counted in the report.  An estimator call or a score that raises
+    fails only its cell; a path that raises before yielding value ``g`` fails
+    cells ``g`` onward of its fold.
     """
-    if mode not in ("min", "max"):
-        raise ValueError("mode must be 'min' or 'max'")
     if divisor_policy not in ("n", "n-1"):
         raise ValueError("divisor_policy must be 'n' or 'n-1'")
     X = np.atleast_2d(np.asarray(data, dtype=np.float64))
     n = X.shape[0]
     folds = make_folds(n, scheme, seed)
     score = gaussian_validation_nll if score is None else score
-    failure = np.inf if mode == "min" else -np.inf
 
     fold_scores = np.empty((len(folds), grid.values.size))
     failed_folds = np.zeros(grid.values.size, dtype=int)
@@ -267,18 +261,16 @@ def cross_validate(
             if isinstance(cell, Exception):
                 failed_folds[g] += 1
                 first_errors[g] = first_errors[g] or f"{type(cell).__name__}: {cell}"
-                cell = failure
+                cell = np.inf
             fold_scores[k, g] = cell
 
     mean_scores = fold_scores.mean(axis=0)
-    best = int(np.argmin(mean_scores)) if mode == "min" else int(np.argmax(mean_scores))
     return CVReport(
         param_name=grid.name,
         values=grid.values,
         fold_scores=fold_scores,
         mean_scores=mean_scores,
-        selected=float(grid.values[best]),
-        mode=mode,
+        selected=float(grid.values[np.argmin(mean_scores)]),  # argmin: ties go to the smallest value
         scheme=scheme,
         seed=seed,
         failed_folds=failed_folds,

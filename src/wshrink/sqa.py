@@ -50,7 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytical import ShrinkageSolution, _check_rho, _objective_at, _path, _spectrum, _symmetric_pair, eigenvalue_map
+from .analytical import (ShrinkageSolution, _check_int, _check_rho, _objective_at, _path, _spectrum,
+                         _symmetric_pair, eigenvalue_map)
 from .errors import LinearSolveError, LineSearchError
 from .gaussian import as_symmetric
 from .worst_case import _multiplier_at
@@ -70,18 +71,20 @@ class SparsityPattern:
 
     Pairs are stored 0-based with symmetric closure applied; diagonal pairs
     are rejected (the diagonal of a positive definite matrix cannot vanish,
-    and the diagonal part of the warm start must stay feasible).
+    and the diagonal part of the warm start must stay feasible).  ``dim`` and
+    the indices must be integers (see ``analytical._check_int``).
     """
 
     dim: int
     pairs: frozenset
 
     def __init__(self, dim: int, pairs, one_based: bool = False):
+        dim = _check_int(dim, "dim")
         if dim < 1:
             raise ValueError("dim must be >= 1")
         closed = set()
         for i, j in pairs:
-            i, j = int(i), int(j)
+            i, j = _check_int(i, "index"), _check_int(j, "index")
             if one_based:
                 i, j = i - 1, j - 1
             if not (0 <= i < dim and 0 <= j < dim):
@@ -90,7 +93,7 @@ class SparsityPattern:
                 raise ValueError(f"diagonal entries cannot be constrained to zero (index {i})")
             closed.add((i, j))
             closed.add((j, i))
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "pairs", frozenset(closed))
 
     @classmethod

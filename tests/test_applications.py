@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,19 @@ class TestSyntheticGroundTruth:
         with pytest.raises(ValueError, match="floor"):
             SyntheticSpec(dim=2, density=0.1, n_samples=10)
 
+    @pytest.mark.parametrize("field,value", [("dim", 3.0), ("dim", True), ("n_samples", 10.5),
+                                             ("n_samples", np.float64(10.0)), ("trials", 2.0),
+                                             ("seed", 1.5), ("seed", "1")])
+    def test_spec_rejects_non_integer_counts(self, field, value):
+        args = {"dim": 3, "density": 0.5, "n_samples": 10, "trials": 2, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            SyntheticSpec(**args)
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = SyntheticSpec(dim=np.int64(3), density=0.5, n_samples=np.int32(10), trials=np.int64(1),
+                             seed=np.int64(4))
+        assert_allclose(synthetic_sigma0(spec), synthetic_sigma0(SyntheticSpec(3, 0.5, 10, 1, 4)), rtol=0)
+
 
 class TestSampling:
     def test_zero_covariance_gives_zero_samples(self):
@@ -87,6 +102,10 @@ class TestSampling:
         S = np.diag([1.0, 0.0, 2.0])
         X = sample_gaussian(S, 1000, 5)
         assert np.abs(X[:, 1]).max() <= 1e-12
+
+    def test_rejects_non_integer_row_count(self):
+        with pytest.raises(ValueError, match=r"n must be an integer, got 10\.5"):
+            sample_gaussian(np.eye(2), 10.5, 0)
 
 
 class TestZeroPatterns:

@@ -60,7 +60,8 @@ BASE = {
 
 #: a valid value for every flag that some subcommand does not read
 VALUE = {"--labels": "{d}/y.csv", "--rho": "0.5", "--grid": "{grid}", "--pattern": "{d}/p.json",
-         "--divisor": "n", "--cv": "loo", "--seed": "1", "--tol": "1e-6", "--max-iters": "5"}
+         "--divisor": "n", "--cv": "loo", "--seed": "1", "--tol": "1e-6", "--max-iters": "5",
+         "--test-labels": "{d}/y.csv"}
 
 #: the flags each subcommand does not read, and so rejects
 UNREAD = {
@@ -114,7 +115,7 @@ def test_non_solver_commands_run_without_scipy(files):
 
 
 #: ``(subcommand, flag, the flag it needs)``: without the second, the first would be ignored
-NEEDS = [("lda", "--cv", "--grid"), ("lda", "--seed", "--grid"),
+NEEDS = [("lda", "--cv", "--grid"), ("lda", "--seed", "--grid"), ("lda", "--test-labels", "--test-input"),
          ("portfolio", "--cv", "--grid"), ("portfolio", "--seed", "--grid"),
          ("estimate", "--tol", "--pattern"), ("estimate", "--max-iters", "--pattern"),
          ("tune", "--tol", "--pattern"), ("tune", "--max-iters", "--pattern"),
@@ -188,7 +189,7 @@ class TestFlagSurface:
     @pytest.mark.parametrize("name,flag,needed", NEEDS)
     def test_flag_without_the_flag_it_needs_is_usage_error(self, name, flag, needed, tmp_path, capsys):
         # tmp_path holds no input file: the usage error comes before any file is read
-        assert main(argv(BASE[name], tmp_path) + [flag, VALUE[flag]]) == 1
+        assert main(argv(f"{BASE[name]} {flag} {VALUE[flag]}", tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage: wshrink {name}")
         assert f"error: {flag} needs {needed}" in err
@@ -197,9 +198,9 @@ class TestFlagSurface:
     @pytest.mark.parametrize("name,flag,needed", NEEDS)
     def test_flag_with_the_flag_it_needs_runs(self, name, flag, needed, files):
         given = {"--grid": "--grid {grid} --cv kfold:3", "--pattern": "--pattern {d}/p.json",
-                 "--known-zeros": "--known-zeros 0.5"}[needed]
+                 "--known-zeros": "--known-zeros 0.5", "--test-input": "--test-input {d}/X.csv"}[needed]
         line = BASE[name].replace("--rho 0.5", "") if needed == "--grid" else BASE[name]
-        assert main(argv(f"{line} {given}", files) + [flag, VALUE[flag]]) == 0
+        assert main(argv(f"{line} {given} {flag} {VALUE[flag]}", files)) == 0
 
     def test_help_states_the_defaults_of_dependent_flags(self, capsys):
         for name, flags in (("tune", ["--tol", "--max-iters", "--cv", "--seed"]), ("lda", ["--cv", "--seed"])):
@@ -535,6 +536,19 @@ class TestTune:
         doc = json.loads((tmp_path / "r.json").read_text())
         assert doc["failed_folds"] == [0, 0, 0]
 
+    def test_report_names_the_first_error_of_each_value(self, tmp_path, rng):
+        # 8 rows of 12 columns: the blend is singular at the smallest mixing weights
+        data = write_csv(tmp_path / "d.csv", rng.standard_normal((8, 12)))
+        out = tmp_path / "r.json"
+        assert main(["tune", "--input", data, "--cv", "kfold:2", "--output", str(out),
+                     "--grid", '{"param":"alpha","log10_from":-16,"log10_to":0,"points":5}']) == 0
+        doc = json.loads(out.read_text())
+        assert doc["failed_folds"] == [2, 2, 0, 0, 0]
+        assert doc["first_errors"][0].startswith("SingularMatrixError: blended covariance is singular at alpha=1e-16")
+        assert doc["first_errors"][1].startswith("SingularMatrixError: blended covariance is singular at alpha=1e-12")
+        assert doc["first_errors"][2:] == [None, None, None]
+        assert doc["selected"] in doc["values"][2:] and "mode" not in doc
+
     def test_alpha_grid_uses_linear_shrinkage(self, tmp_path, rng):
         data = write_csv(tmp_path / "d.csv", rng.standard_normal((12, 4)))
         out = str(tmp_path / "r.json")
@@ -693,14 +707,6 @@ class TestLdaCommand:
         assert "4 labels for 1 test rows" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_test_labels_need_test_input(self, tmp_path, rng, capsys):
-        data, labels = self._toy(tmp_path, rng)
-        out = tmp_path / "report.json"
-        assert main(["lda", "--input", data, "--labels", labels, "--rho", "0.5",
-                     "--test-labels", labels, "--output", str(out)]) == 1
-        assert "--test-labels needs --test-input" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_test_accuracy_against_matching_labels(self, tmp_path, rng):
         data, labels = self._toy(tmp_path, rng)
         test = write_csv(tmp_path / "test.csv", [[0.0, 0.0, 0.0], [2.5, -1.0, 1.0]])
@@ -768,3 +774,15 @@ class TestPortfolioCommand:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["selected"] in doc["values"]
         assert doc["failed_folds"] == [0, 0, 0]
+
+    def test_grid_report_names_the_first_error_of_each_value(self, tmp_path, rng):
+        # training windows of 8 rows of 12 assets: the blend is singular at the smallest mixing weight
+        R = write_csv(tmp_path / "returns.csv", 0.02 * rng.standard_normal((20, 12)))
+        out = tmp_path / "report.json"
+        assert main(["portfolio", "--input", R, "--window", "8", "--stride", "4", "--cv", "kfold:2",
+                     "--grid", '{"param":"alpha","log10_from":-16,"log10_to":0,"points":3}',
+                     "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["failed_folds"] == [2, 0, 0]
+        assert doc["first_errors"][0].startswith("SingularMatrixError: blended covariance is singular at alpha=1e-16")
+        assert doc["first_errors"][1:] == [None, None]

@@ -9,10 +9,7 @@ from wshrink.applications import analytical_estimator, analytical_path_estimator
 from wshrink.cli import _oos_square
 from wshrink.errors import SingularMatrixError
 from wshrink.evaluation import (
-    CLASSIFICATION_ALPHA_GRID,
     CLASSIFICATION_RHO_GRID,
-    PORTFOLIO_ALPHA_GRID,
-    PORTFOLIO_RHO_GRID,
     TuningGrid,
     cross_validate,
     gaussian_validation_nll,
@@ -121,10 +118,6 @@ class TestTuningGrid:
     def test_paper_grids(self):
         j = np.arange(61)
         assert_allclose(CLASSIFICATION_RHO_GRID.values, 10.0 ** (j / 20.0 - 1.0), rtol=1e-12)
-        assert_allclose(CLASSIFICATION_ALPHA_GRID.values, 10.0 ** (j / 20.0 - 3.0), rtol=1e-12)
-        j = np.arange(201)
-        assert_allclose(PORTFOLIO_RHO_GRID.values, 10.0 ** (j / 100.0 - 2.0), rtol=1e-12)
-        assert_allclose(PORTFOLIO_ALPHA_GRID.values, 10.0 ** (j / 100.0 - 2.0), rtol=1e-12)
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -203,11 +196,11 @@ class TestCrossValidate:
         assert report.failed_folds.tolist() == [0, 2]
         assert report.first_errors == (None, "ValueError: boom")
 
-    def test_maximize_mode_breaks_ties_to_smallest(self, rng):
+    def test_ties_break_to_smallest(self, rng):
         data = rng.standard_normal((6, 2))
         report = cross_validate(
             data, lambda m, v: np.eye(2), TuningGrid("x", [1.0, 2.0]),
-            scheme="kfold:2", score=lambda prec, m, val: 42.0, mode="max",
+            scheme="kfold:2", score=lambda prec, m, val: 42.0,
         )
         assert report.selected == 1.0
 

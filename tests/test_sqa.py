@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -157,6 +158,22 @@ class TestSparsityPattern:
     def test_one_based_conversion(self):
         pat = SparsityPattern(4, [(1, 4)], one_based=True)
         assert pat.pairs == frozenset({(0, 3), (3, 0)})
+
+    @pytest.mark.parametrize("dim", [3.7, 4.0, True, "4"])
+    def test_rejects_non_integer_dimension(self, dim):
+        with pytest.raises(ValueError, match=re.escape(f"dim must be an integer, got {dim!r}")):
+            SparsityPattern(dim, [(0, 1)])
+
+    @pytest.mark.parametrize("pair", [(1.9, 3), ("1", 2), (0, True), (np.float64(1.0), 2)],
+                             ids=["float", "str", "bool", "numpy-float"])
+    def test_rejects_non_integer_index(self, pair):
+        with pytest.raises(ValueError, match="index must be an integer, got"):
+            SparsityPattern(4, [pair])
+
+    def test_accepts_numpy_integers(self):
+        pat = SparsityPattern(np.int64(4), [(np.int32(1), np.uint8(3))])
+        assert pat.dim == 4 and type(pat.dim) is int
+        assert pat.pairs == SparsityPattern(4, [(1, 3)]).pairs
 
 
 class TestGradient:
@@ -555,11 +572,16 @@ class TestSolve:
         ref = wasserstein_shrinkage(cov, 0.7)
         assert np.abs(sol.precision - ref.precision).max() <= 1e-6
 
-    def test_objective_strictly_decreasing(self, rng):
+    def test_each_step_lowers_objective_or_gradient(self, rng):
+        # the solver's contract: a step lowers the objective, or, where the objective
+        # no longer ranks points at rounding level, it is a full Newton step that
+        # lowers the projected gradient norm
         cov = random_spd(8, rng)
         _, trace = sqa_solve(cov, 0.5, config=SolverConfig(grad_tol=1e-10))
-        objs = np.array(trace.objectives)
-        assert (np.diff(objs) < 0.0).all()
+        f, g = trace.objectives, trace.grad_norms
+        assert trace.converged and len(f) == len(g) == trace.iterations + 1
+        for k, alpha in enumerate(trace.step_sizes):
+            assert f[k + 1] < f[k] or (alpha == 1.0 and g[k + 1] < g[k]), k
 
     @staticmethod
     def iterates(cov, rho, pattern, config):
