@@ -23,7 +23,6 @@ from .analytical import (
     FactoredPrecision,
     ShrinkageSolution,
     eigenvalue_map,
-    reformulation_objective,
     wasserstein_shrinkage,
     wasserstein_shrinkage_path,
 )
@@ -71,6 +70,7 @@ from .sqa import (
     SolverConfig,
     SolverTrace,
     SparsityPattern,
+    reformulation_objective,
     sqa_gradient,
     sqa_solve,
 )

@@ -7,9 +7,10 @@ multiplier ``gamma*`` is the unique positive root of the strictly increasing
 residual ``phi(g) = rho^2 g - n0 - sum_{lam > 0} map(lam, g) / g``, with ``n0``
 zero eigenvalues; it is concave, so Newton climbs to it from within the
 a priori bracket ``gamma_bracket``, which needs no repair (see ``_kernels``).
-This module provides the convex objective shared with the iterative solver,
-its eigenbasis form shared with the worst case, the bracket, the root solve,
-the eigenvalue map, the assembled estimator and its radius path.
+This module provides the convex objective in its eigenbasis form, shared with
+the worst case, the bracket, the root solve, the eigenvalue map, the assembled
+estimator and its radius path.  The objective's Cholesky form, which needs no
+eigenbasis, is ``sqa.reformulation_objective``; this module needs NumPy only.
 
 The estimator takes a covariance or ``SampleMoments`` (``_spectrum`` alone
 picks the decomposition) and is held in factored form, a
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .evaluation import SampleMoments, _covariance_of
-from .gaussian import RANK_RTOL, as_symmetric, psd_spectrum, spectral_decompose
+from .gaussian import psd_spectrum, spectral_decompose
 
 #: stopping tolerance on the scalar residual phi(gamma)
 GAMMA_TOL = 1e-12
@@ -98,14 +99,6 @@ def _check_rho(rho: float):
         raise ValueError(f"radius must be a positive real, got {rho!r}")
 
 
-def _check_int(value, name: str) -> int:
-    """``value`` as an ``int``: a Python or NumPy integer, not a ``bool``.  Raises
-    ``ValueError`` naming anything else, so a count or an index is never truncated."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def gamma_bracket(lam: np.ndarray, radii: np.ndarray):
     """A priori bracket ``(gamma_min, gamma_max)`` of the multiplier equation, one entry
     per radius, for a cleaned spectrum ``lam`` and positive ``radii``.
@@ -140,30 +133,6 @@ def eigenvalue_map(lam, gamma_star: float):
     return out.reshape(arr.shape)
 
 
-def _symmetric_pair(cov, X):
-    """``cov`` and ``X`` through ``as_symmetric``; ``ValueError`` when their shapes differ."""
-    S, Xs = as_symmetric(cov, name="cov"), as_symmetric(X, name="X")
-    if S.shape != Xs.shape:
-        raise ValueError("cov and X dimensions differ")
-    return S, Xs
-
-
-def _objective_at(cov, X, gamma: float, rho: float) -> float | None:
-    """Objective of the convex reformulation, or None when ``(X, gamma)`` is
-    outside the cone ``0 < X < gamma I``; the inputs are taken as validated."""
-    import scipy.linalg  # loaded at the first factorization, not with the package
-
-    p = X.shape[0]
-    try:
-        LX = np.linalg.cholesky(X)
-        LA = np.linalg.cholesky(gamma * np.eye(p) - X)
-    except np.linalg.LinAlgError:
-        return None
-    logdet = 2.0 * float(np.log(np.diag(LX)).sum())
-    trace_term = float(np.trace(scipy.linalg.cho_solve((LA, True), cov)))
-    return -logdet + gamma * (rho * rho - float(np.trace(cov))) + gamma * gamma * trace_term
-
-
 def _eigenbasis_objective(d, m, gamma: float, rho: float, trace: float) -> float:
     """``f(X, gamma) = -sum log d + gamma (rho^2 - trace) + gamma^2 sum_{m > 0} m / (gamma - d)``,
     the reformulation objective in an eigenbasis ``U`` of ``X = U diag(d) U^T``, with
@@ -171,26 +140,6 @@ def _eigenbasis_objective(d, m, gamma: float, rho: float, trace: float) -> float
     value 0, also where ``d`` reaches ``gamma``."""
     pos = m > 0.0
     return float(-np.log(d).sum() + gamma * (rho * rho - trace) + gamma * gamma * np.sum(m[pos] / (gamma - d[pos])))
-
-
-def reformulation_objective(cov, X, gamma: float, rho: float) -> float:
-    """Objective of the convex reformulation at a feasible point.
-
-    ``f(X, gamma) = -log det X + gamma (rho^2 - tr cov)
-    + gamma^2 <(gamma I - X)^{-1}, cov>`` for ``0 < X < gamma I``.
-    Raises ``ValueError`` outside that domain.
-    """
-    _check_rho(rho)
-    S, Xs = _symmetric_pair(cov, X)
-    e = np.linalg.eigvalsh(Xs)
-    if e[0] <= 0.0:
-        raise ValueError("X must be positive definite")
-    if gamma - e[-1] <= RANK_RTOL * max(abs(gamma), float(e[-1])):
-        raise ValueError("gamma I - X must be positive definite")
-    value = _objective_at(S, Xs, gamma, rho)
-    if value is None:
-        raise ValueError("X and gamma I - X must be numerically positive definite")
-    return value
 
 
 def wasserstein_shrinkage(source, rho: float) -> ShrinkageSolution:

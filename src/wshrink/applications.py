@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytical import FactoredPrecision, _check_int, wasserstein_shrinkage, wasserstein_shrinkage_path
+from .analytical import FactoredPrecision, wasserstein_shrinkage, wasserstein_shrinkage_path
 from .evaluation import SampleMoments, _grid_scores, sample_moments, stein_loss
-from .gaussian import as_symmetric, spectral_decompose
+from .gaussian import _check_int, as_symmetric, spectral_decompose
 from .sqa import SolverConfig, SparsityPattern, sqa_solve
 
 #: ridge of the synthetic ground truth ``(C^T C + SYNTHETIC_RIDGE I)^{-1}``
@@ -98,9 +98,11 @@ def zero_pattern_of(precision) -> SparsityPattern:
 
 
 def known_zero_pattern(full: SparsityPattern, fraction: float, seed: int) -> SparsityPattern:
-    """Random symmetric subset holding ``fraction`` of a zero pattern's pairs."""
+    """Random symmetric subset holding ``fraction`` of a zero pattern's pairs; ``seed``
+    must be an integer."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
+    seed = _check_int(seed, "seed")
     upper = sorted((i, j) for i, j in full.pairs if i < j)
     k = int(round(fraction * len(upper)))
     if k == 0:
@@ -304,15 +306,15 @@ def min_variance_weights(precision) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BacktestConfig:
-    """Rolling-horizon settings: estimation window and rebalance stride."""
+    """Rolling-horizon settings: estimation window and rebalance stride, both integers."""
 
     window: int = 120
     stride: int = 3
 
     def __post_init__(self):
-        if self.window < 2:
+        if _check_int(self.window, "window") < 2:
             raise ValueError("window must be >= 2")
-        if self.stride < 1:
+        if _check_int(self.stride, "stride") < 1:
             raise ValueError("stride must be >= 1")
 
 

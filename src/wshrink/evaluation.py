@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EstimationError, SingularMatrixError
-from .gaussian import as_symmetric, psd_spectrum
+from .gaussian import _check_int, as_symmetric, psd_spectrum
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ def sample_moments(data, divisor: float | None = None) -> SampleMoments:
         raise ValueError("data contains non-finite entries")
     n = X.shape[0]
     div = float(n) if divisor is None else float(divisor)
-    if div < 1.0:
-        raise ValueError("divisor must be >= 1")
+    if not (np.isfinite(div) and div >= 1.0):
+        raise ValueError(f"divisor must be finite and >= 1, got {divisor!r}")
     mean = X.mean(axis=0)
     return SampleMoments(mean=mean, residuals=X - mean, sample_count=n, divisor=div)
 
@@ -123,7 +123,7 @@ class TuningGrid:
 
     @classmethod
     def from_log10(cls, name: str, log10_from: float, log10_to: float, points: int) -> "TuningGrid":
-        if points < 1:
+        if _check_int(points, "points") < 1:
             raise ValueError("points must be >= 1")
         return cls(name, np.logspace(log10_from, log10_to, points))
 
@@ -135,14 +135,16 @@ CLASSIFICATION_RHO_GRID = TuningGrid.from_log10("rho", -1.0, 2.0, 61)
 def make_folds(n: int, scheme: str, seed: int = 0):
     """Deterministic fold assignment; a pure function of ``(n, scheme, seed)``.
 
-    ``scheme`` is ``"loo"`` or ``"kfold:K"``.
+    ``scheme`` is ``"loo"`` or ``"kfold:K"``, with ``K`` written in decimal digits;
+    ``n`` and ``seed`` must be integers.
     """
+    n, seed = _check_int(n, "n"), _check_int(seed, "seed")
     if scheme == "loo":
         k = n
         if n < 2:
             raise ValueError("leave-one-out needs at least 2 observations")
-    elif scheme.startswith("kfold:"):
-        k = int(scheme.split(":", 1)[1])
+    elif scheme.startswith("kfold:") and scheme[6:].isdecimal():
+        k = int(scheme[6:])
         if k < 2:
             raise ValueError("kfold needs K >= 2")
         if n < k:

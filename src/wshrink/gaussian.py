@@ -73,6 +73,22 @@ def as_symmetric(matrix, rtol: float = 1e-8, name: str = "matrix") -> np.ndarray
     return np.triu(M) + np.triu(M, 1).T
 
 
+def _symmetric_pair(cov, X):
+    """``cov`` and ``X`` through ``as_symmetric``; ``ValueError`` when their shapes differ."""
+    S, Xs = as_symmetric(cov, name="cov"), as_symmetric(X, name="X")
+    if S.shape != Xs.shape:
+        raise ValueError("cov and X dimensions differ")
+    return S, Xs
+
+
+def _check_int(value, name: str) -> int:
+    """``value`` as an ``int``: a Python or NumPy integer, not a ``bool``.  Raises
+    ``ValueError`` naming anything else, so a count, an index or a seed is never truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenpairs of a symmetric matrix, eigenvalues ascending.

@@ -126,7 +126,8 @@ def json_int(value) -> int:
 def read_pattern_json(path) -> SparsityPattern:
     """Load a sparsity pattern ``{"p": int, "zeros": [[i, j], ...]}``.
 
-    Indices are 1-based in the file; symmetric closure is applied on load.
+    Indices are 1-based in the file, and 0-based in the pattern and its errors;
+    symmetric closure is applied on load.
     ``p`` and every index must be integral (see ``json_int``).
     """
     path = Path(path)
@@ -138,8 +139,8 @@ def read_pattern_json(path) -> SparsityPattern:
     if not isinstance(doc, dict) or "p" not in doc or "zeros" not in doc:
         raise ParseError(f'{path}: expected an object with "p" and "zeros"')
     try:
-        zeros = [(json_int(i), json_int(j)) for i, j in doc["zeros"]]
-        return SparsityPattern(json_int(doc["p"]), zeros, one_based=True)
+        zeros = [(json_int(i) - 1, json_int(j) - 1) for i, j in doc["zeros"]]
+        return SparsityPattern(json_int(doc["p"]), zeros)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 

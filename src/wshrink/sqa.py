@@ -15,11 +15,19 @@ matrix is built from are gathered once, and its row blocks read rows of them.
 So a step takes ``8 f^2 + 48 p min(f, _PANEL_COLS)`` bytes.  When either buffer
 cannot be allocated, the step raises ``LinearSolveError``.
 
+Every point ``(X, gamma)`` the solver visits (a start candidate, a trial step of
+the line search, an iterate) is one ``_Workspace``: the Cholesky factors of
+``X`` and ``gamma I - X`` test that it lies in the cone and give its objective,
+and the gradient and Newton terms come from the same factors on first use.  The
+point the line search accepts is the next iterate, so no matrix is factored
+twice in one solve.  ``reformulation_objective`` evaluates the objective the same
+way.
+
 SciPy serves only the Cholesky solves (``cho_factor``, ``cho_solve``) of this
-solver and of the objective it evaluates (``analytical._objective_at``).  Each
-function that runs one imports ``scipy.linalg`` itself, so importing ``wshrink``
-loads NumPy only, and the first ``sqa_solve``, ``sqa_gradient`` or
-``reformulation_objective`` of a process pays for loading SciPy.
+module.  Each function that runs one imports ``scipy.linalg`` itself, so
+importing ``wshrink`` loads NumPy only, and the first ``sqa_solve``,
+``sqa_gradient`` or ``reformulation_objective`` of a process pays for loading
+SciPy.
 
 The line search halves the step from 1 until the iterate stays in the cone and
 the objective falls by at least ``ARMIJO_SIGMA`` times the predicted decrease;
@@ -47,13 +55,13 @@ gradient norm, and stops only when it does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .analytical import (ShrinkageSolution, _check_int, _check_rho, _objective_at, _path, _spectrum,
-                         _symmetric_pair, eigenvalue_map)
+from .analytical import ShrinkageSolution, _check_rho, _path, _spectrum, eigenvalue_map
 from .errors import LinearSolveError, LineSearchError
-from .gaussian import as_symmetric
+from .gaussian import RANK_RTOL, _check_int, _symmetric_pair, as_symmetric
 from .worst_case import _multiplier_at
 
 #: no conjugate-gradient step exists; the name stays bound because the benchmark tracer wraps ``sqa.cg``
@@ -72,21 +80,19 @@ class SparsityPattern:
     Pairs are stored 0-based with symmetric closure applied; diagonal pairs
     are rejected (the diagonal of a positive definite matrix cannot vanish,
     and the diagonal part of the warm start must stay feasible).  ``dim`` and
-    the indices must be integers (see ``analytical._check_int``).
+    the indices must be integers (see ``gaussian._check_int``).
     """
 
     dim: int
     pairs: frozenset
 
-    def __init__(self, dim: int, pairs, one_based: bool = False):
+    def __init__(self, dim: int, pairs):
         dim = _check_int(dim, "dim")
         if dim < 1:
             raise ValueError("dim must be >= 1")
         closed = set()
         for i, j in pairs:
             i, j = _check_int(i, "index"), _check_int(j, "index")
-            if one_based:
-                i, j = i - 1, j - 1
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"index pair ({i}, {j}) out of range for dim {dim}")
             if i == j:
@@ -113,7 +119,7 @@ class SparsityPattern:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping parameters."""
+    """Stopping parameters; ``max_iters`` must be an integer."""
 
     grad_tol: float = 1e-3
     max_iters: int = 100
@@ -121,7 +127,7 @@ class SolverConfig:
     def __post_init__(self):
         if not np.isfinite(self.grad_tol) or self.grad_tol <= 0.0:
             raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
-        if self.max_iters < 0:
+        if _check_int(self.max_iters, "max_iters") < 0:
             raise ValueError("max_iters must be nonnegative")
 
 
@@ -156,11 +162,22 @@ class SolverTrace:
     start: str = "analytical"
 
 
-class _Workspace:
-    """Factorizations and matrix products reused within one iteration.
+def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``(L L^T)^-1 B`` for a lower Cholesky factor ``L``."""
+    import scipy.linalg  # loaded at the first factorization, not with the package
 
-    Requires a finite ``gamma`` and a strictly feasible point ``0 < X < gamma I``;
-    raises ``ValueError`` otherwise.
+    return scipy.linalg.cho_solve((L, True), B)
+
+
+class _Workspace:
+    """One point ``(X, gamma)`` of the cone ``0 < X < gamma I``, factored once.
+
+    The Cholesky factors of ``X`` and ``A = gamma I - X`` are its cone test: a
+    non-finite or nonpositive ``gamma``, or a point outside the cone, raises
+    ``ValueError``.  They give the objective at once, and the gradient and Newton
+    terms on first use: ``Xinv``, ``Ginv = (I - X / gamma)^-1 = gamma A^-1``,
+    ``GinvS = Ginv cov``, ``GinvSGinv``, ``W`` and ``h_gamma_gamma``.  So a trial
+    point that the line search rejects costs two factorizations and one solve.
     """
 
     def __init__(self, cov: np.ndarray, X: np.ndarray, gamma: float):
@@ -168,31 +185,51 @@ class _Workspace:
             raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
         p = X.shape[0]
         try:
-            LX = np.linalg.cholesky(X)
+            self.LX = np.linalg.cholesky(X)
         except np.linalg.LinAlgError:
             raise ValueError("X must be positive definite") from None
-        G = np.eye(p) - X / gamma
         try:
-            LG = np.linalg.cholesky(G)
+            self.LA = np.linalg.cholesky(gamma * np.eye(p) - X)
         except np.linalg.LinAlgError:
             raise ValueError("gamma I - X must be positive definite") from None
-        self.cov = cov
-        self.X = X
-        self.gamma = float(gamma)
-        self.p = p
-        import scipy.linalg  # loaded at the first factorization, not with the package
+        self.cov, self.X, self.gamma, self.p = cov, X, float(gamma), p
+        self.AinvS = _cho_solve(self.LA, cov)
+        # the terms of the objective that do not depend on rho: a solve reads it several times per point
+        self._terms = 2.0 * float(np.log(np.diag(self.LX)).sum()), float(np.trace(cov)), float(np.trace(self.AinvS))
 
-        eye = np.eye(p)
-        self.Xinv = scipy.linalg.cho_solve((LX, True), eye)
-        self.Ginv = scipy.linalg.cho_solve((LG, True), eye)
-        self.GinvS = self.Ginv @ cov
-        GinvSGinv = self.GinvS @ self.Ginv
-        self.GinvSGinv = 0.5 * (GinvSGinv + GinvSGinv.T)
-        K = X @ self.GinvS
-        self.W = self.Ginv @ (K + K.T) @ self.Ginv
-        self.W = 0.5 * (self.W + self.W.T)
-        GX = self.Ginv @ X
-        self.h_gamma_gamma = 2.0 / gamma**3 * float(np.sum(GX.T * (self.GinvS @ GX)))
+    def objective(self, rho: float) -> float:
+        """``f(X, gamma) = -log det X + gamma (rho^2 - tr cov) + gamma^2 <A^-1, cov>``."""
+        logdet, trace_cov, trace_term = self._terms
+        gamma = self.gamma
+        return -logdet + gamma * (rho * rho - trace_cov) + gamma * gamma * trace_term
+
+    @cached_property
+    def Xinv(self) -> np.ndarray:
+        return _cho_solve(self.LX, np.eye(self.p))
+
+    @cached_property
+    def Ginv(self) -> np.ndarray:
+        return self.gamma * _cho_solve(self.LA, np.eye(self.p))
+
+    @cached_property
+    def GinvS(self) -> np.ndarray:
+        return self.gamma * self.AinvS
+
+    @cached_property
+    def GinvSGinv(self) -> np.ndarray:
+        M = self.GinvS @ self.Ginv
+        return 0.5 * (M + M.T)
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        K = self.X @ self.GinvS
+        W = self.Ginv @ (K + K.T) @ self.Ginv
+        return 0.5 * (W + W.T)
+
+    @cached_property
+    def h_gamma_gamma(self) -> float:
+        GX = self.Ginv @ self.X
+        return 2.0 / self.gamma**3 * float(np.sum(GX.T * (self.GinvS @ GX)))
 
     def gradient(self, rho: float):
         g_mat = self.GinvSGinv - self.Xinv
@@ -200,6 +237,19 @@ class _Workspace:
         inner = float(np.sum(self.GinvS.T * (self.Ginv @ self.X)))
         g_gamma = rho * rho + float(np.trace(self.GinvS)) - inner / self.gamma - float(np.trace(self.cov))
         return g_mat, g_gamma
+
+
+def _point(cov: np.ndarray, X: np.ndarray, gamma: float) -> _Workspace | None:
+    """``_Workspace(cov, X, gamma)``, or None outside the cone."""
+    try:
+        return _Workspace(cov, X, gamma)
+    except ValueError:
+        return None
+
+
+def _moved(point: _Workspace, step: NewtonStep, alpha: float) -> _Workspace | None:
+    """The point ``alpha`` times ``step`` away from ``point``, or None outside the cone."""
+    return _point(point.cov, point.X + alpha * step.delta_X, point.gamma + alpha * step.delta_gamma)
 
 
 #: rows of the reduced Newton matrix assembled per block by ``_FreeCoordinates.solve_newton``
@@ -347,6 +397,28 @@ def sqa_gradient(cov, X, gamma: float, rho: float):
     return ws.gradient(rho)
 
 
+def reformulation_objective(cov, X, gamma: float, rho: float) -> float:
+    """Objective of the convex reformulation at a feasible point.
+
+    ``f(X, gamma) = -log det X + gamma (rho^2 - tr cov)
+    + gamma^2 <(gamma I - X)^{-1}, cov>`` for ``0 < X < gamma I``, from the
+    Cholesky factors of ``X`` and ``gamma I - X`` (see ``_Workspace``).  Raises
+    ``ValueError`` outside that domain, and where ``gamma`` exceeds ``lambda_max(X)``
+    by no more than ``RANK_RTOL`` relative.
+    """
+    _check_rho(rho)
+    S, Xs = _symmetric_pair(cov, X)
+    e = np.linalg.eigvalsh(Xs)
+    if e[0] <= 0.0:
+        raise ValueError("X must be positive definite")
+    if gamma - e[-1] <= RANK_RTOL * max(abs(gamma), float(e[-1])):
+        raise ValueError("gamma I - X must be positive definite")
+    point = _point(S, Xs, gamma)
+    if point is None:
+        raise ValueError("X and gamma I - X must be numerically positive definite")
+    return point.objective(rho)
+
+
 def _descent_direction(ws: _Workspace, gradient, free: _FreeCoordinates) -> NewtonStep:
     """Feasible descent direction at ``ws``'s point from the projected Newton system.
 
@@ -359,41 +431,40 @@ def _descent_direction(ws: _Workspace, gradient, free: _FreeCoordinates) -> Newt
     return NewtonStep(delta_X=dX, delta_gamma=dgamma, predicted_decrease=delta)
 
 
-def armijo_step(cov, X, gamma, rho, step: NewtonStep, f_current: float) -> tuple[float, float]:
-    """Step size ``2^m`` keeping the iterate in the cone (C1) and achieving
-    sufficient decrease (C2) from the objective ``f_current`` at ``(X, gamma)``.
+def armijo_step(point: _Workspace, rho: float, step: NewtonStep):
+    """Step size ``2^m`` from ``point`` keeping the iterate in the cone (C1) and
+    achieving sufficient decrease (C2) from ``point.objective(rho)``.
 
+    Every trial point is a ``_Workspace``, whose factorization is the cone test.
     Backtracks from ``alpha = 1`` by halving until both conditions hold.  When the
     full step passes, expands instead: doubles ``alpha``, at most ``MAX_HALVINGS``
     times, while the doubled iterate stays in the cone and its objective is
     strictly below the objective at ``alpha``; an expanded step thus lowers the
     objective at least as far as C2 asks of the full step.  Returns
-    ``(alpha, f_new)``, where ``f_new`` is the objective at the accepted point.
+    ``(alpha, accepted, full)``: the accepted point, which ``sqa_solve`` carries
+    into its next iteration, and the full step's point, None outside the cone,
+    which the rounding-level test of ``sqa_solve`` reads.
     """
     if not step.predicted_decrease < 0.0:
         raise ValueError("step is not a descent direction (predicted decrease must be negative)")
-
-    def objective(alpha):
-        return _objective_at(cov, X + alpha * step.delta_X, gamma + alpha * step.delta_gamma, rho)
-
+    f_current = point.objective(rho)
     alpha = 1.0
-    for _ in range(MAX_HALVINGS + 1):
-        f_new = objective(alpha)
-        if f_new is not None and f_new <= f_current + ARMIJO_SIGMA * alpha * step.predicted_decrease:
-            break
+    accepted = full = _moved(point, step, alpha)
+    while accepted is None or not accepted.objective(rho) <= f_current + ARMIJO_SIGMA * alpha * step.predicted_decrease:
+        if alpha == 0.5**MAX_HALVINGS:
+            raise LineSearchError(
+                f"no admissible step size within {MAX_HALVINGS} halvings "
+                f"(predicted decrease {step.predicted_decrease:.3e})"
+            )
         alpha *= 0.5
-    else:
-        raise LineSearchError(
-            f"no admissible step size within {MAX_HALVINGS} halvings "
-            f"(predicted decrease {step.predicted_decrease:.3e})"
-        )
+        accepted = _moved(point, step, alpha)
     if alpha == 1.0:
         for _ in range(MAX_HALVINGS):
-            f_next = objective(2.0 * alpha)
-            if f_next is None or not f_next < f_new:
+            doubled = _moved(point, step, 2.0 * alpha)
+            if doubled is None or not doubled.objective(rho) < accepted.objective(rho):
                 break
-            alpha, f_new = 2.0 * alpha, f_next
-    return alpha, f_new
+            alpha, accepted = 2.0 * alpha, doubled
+    return alpha, accepted, full
 
 
 def _projected_gradient(ws: _Workspace, rho: float, mask: np.ndarray):
@@ -402,24 +473,6 @@ def _projected_gradient(ws: _Workspace, rho: float, mask: np.ndarray):
     g_mat, g_gamma = ws.gradient(rho)
     pg = np.where(mask, 0.0, g_mat)
     return (g_mat, g_gamma), float(np.sqrt(np.sum(pg * pg) + g_gamma * g_gamma))
-
-
-def _gradient_checked_full_step(cov, X, gamma, rho, step: NewtonStep, mask, pg_norm: float):
-    """Objective at the full Newton step from ``(X, gamma)`` if that point is in
-    the cone and its projected gradient norm is below ``pg_norm``, else None.
-
-    The acceptance test of the rounding-level exits of ``sqa_solve``: there the
-    objective's rounding hides a decrease that the gradient still shows.
-    """
-    X_full, gamma_full = X + step.delta_X, gamma + step.delta_gamma
-    f_full = _objective_at(cov, X_full, gamma_full, rho)
-    if f_full is None:
-        return None
-    try:
-        ws = _Workspace(cov, X_full, gamma_full)
-    except ValueError:
-        return None
-    return f_full if _projected_gradient(ws, rho, mask)[1] < pg_norm else None
 
 
 def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
@@ -469,13 +522,13 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
     warm = next(_path(V, lam, [rho]))
     gamma = warm.dual_multiplier
     D = np.diag(eigenvalue_map(np.diag(S), gamma))  # each S_ii > 0 maps into (0, gamma)
-    X, f = D, _objective_at(S, D, gamma, rho)
+    point = _Workspace(S, D, gamma)
     toward = np.where(mask, 0.0, warm.precision) - D
     # from t = 1/2, since t = 1 would start an empty-pattern solve at its answer
     for t in 0.5 ** np.arange(1, 12):
-        f_t = _objective_at(S, D + t * toward, gamma, rho)
-        if f_t is not None and f_t <= f:
-            X, f = D + t * toward, f_t
+        trial = _point(S, D + t * toward, gamma)
+        if trial is not None and trial.objective(rho) <= point.objective(rho):
+            point = trial
             break
     start = "analytical"
     if _start is not None:
@@ -485,43 +538,41 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
         X_prev[mask] = 0.0
         d, U = np.linalg.eigh(X_prev)
         if d[0] > 0.0:
-            gamma_prev = _multiplier_at(S, d, U, rho)[0]
-            f_prev = _objective_at(S, X_prev, gamma_prev, rho)
-            if f_prev is not None and f_prev < f:
-                X, gamma, f, start = X_prev, gamma_prev, f_prev, "previous"
-    trace = SolverTrace(objectives=[f], start=start)
+            prev = _point(S, X_prev, _multiplier_at(S, d, U, rho)[0])
+            if prev is not None and prev.objective(rho) < point.objective(rho):
+                point, start = prev, "previous"
+    trace = SolverTrace(objectives=[point.objective(rho)], start=start)
 
     for _ in range(config.max_iters):
-        ws = _Workspace(S, X, gamma)
-        gradient, pg_norm = _projected_gradient(ws, rho, mask)
+        gradient, pg_norm = _projected_gradient(point, rho, mask)
         trace.grad_norms.append(pg_norm)
         if pg_norm <= config.grad_tol:
             trace.converged = True
             trace.message = "projected gradient below tolerance"
             break
-        step = _descent_direction(ws, gradient, free)
+        step = _descent_direction(point, gradient, free)
         if step.predicted_decrease >= -1e-14:
-            f_new, reason = f, "predicted decrease numerically zero"
+            accepted, full = point, _moved(point, step, 1.0)
+            reason = "predicted decrease numerically zero"
         else:
-            alpha, f_new = armijo_step(S, X, gamma, rho, step, f)
+            alpha, accepted, full = armijo_step(point, rho, step)
             reason = "objective stagnated at floating-point resolution"
-        if not f_new < f:
-            # rounding level: the objective may rise here, by its rounding, on a full step
-            f_new = _gradient_checked_full_step(S, X, gamma, rho, step, mask, pg_norm)
-            if f_new is None:
+        if not accepted.objective(rho) < point.objective(rho):
+            # rounding level: the objective may rise here, by its rounding, on a full step that
+            # still lowers the projected gradient norm
+            if full is None or not _projected_gradient(full, rho, mask)[1] < pg_norm:
                 trace.converged = True
                 trace.message = reason
                 break
-            alpha = 1.0
-        X = X + alpha * step.delta_X
-        gamma = gamma + alpha * step.delta_gamma
-        f = f_new
+            alpha, accepted = 1.0, full
+        point = accepted
         trace.iterations += 1
-        trace.objectives.append(f)
+        trace.objectives.append(point.objective(rho))
         trace.step_sizes.append(alpha)
     else:
         trace.message = f"iteration budget ({config.max_iters}) exhausted"
 
+    X, gamma, f = point.X, point.gamma, point.objective(rho)
     d, U = np.linalg.eigh(X)
     if S is not caller:
         gamma, f = _multiplier_at(caller, d, U, rho)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .analytical import GAMMA_TOL, _check_rho, _eigenbasis_objective, _path, _spectrum, _symmetric_pair
-from .gaussian import RANK_RTOL, as_symmetric, induced_metric_V, psd_spectrum
+from .analytical import GAMMA_TOL, _check_rho, _eigenbasis_objective, _path, _spectrum
+from .gaussian import RANK_RTOL, _symmetric_pair, as_symmetric, induced_metric_V, psd_spectrum
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,13 @@ from wshrink.analytical import (
     _path,
     eigenvalue_map,
     gamma_bracket,
-    reformulation_objective,
     wasserstein_shrinkage,
     wasserstein_shrinkage_path,
 )
 from wshrink.errors import EstimationError
 from wshrink.evaluation import sample_moments
 from wshrink.gaussian import psd_spectrum, spectral_decompose
-from wshrink.sqa import sqa_gradient
+from wshrink.sqa import reformulation_objective, sqa_gradient
 
 from conftest import covariances, random_psd_singular, random_rotation, random_spd, tracemalloc_peak
 

@@ -125,6 +125,11 @@ class TestZeroPatterns:
         assert known_zero_pattern(full, 1.0, seed=0).pairs == full.pairs
         assert len(known_zero_pattern(full, 0.0, seed=0)) == 0
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, None])
+    def test_known_fraction_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            known_zero_pattern(zero_pattern_of(np.eye(6)), 0.5, seed)
+
 
 class TestLda:
     def test_dataset_validation(self):
@@ -197,6 +202,12 @@ class TestLda:
 
 
 class TestPortfolio:
+    @pytest.mark.parametrize("field, value", [("window", 10.5), ("window", 10.0), ("stride", 2.5), ("stride", True)])
+    def test_config_rejects_non_integer_sizes(self, field, value):
+        # 10.5 would reach range() and slicing inside rolling_backtest as a TypeError
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            BacktestConfig(**{field: value})
+
     def test_identity_gives_equal_weights(self):
         assert_allclose(min_variance_weights(np.eye(4)), np.full(4, 0.25))
 

@@ -513,6 +513,13 @@ class TestTune:
         assert code == 1
         assert "increasing" in capsys.readouterr().err
 
+    def test_non_integer_fold_count_is_unknown_scheme(self, tmp_path, rng, capsys):
+        data = write_csv(tmp_path / "d.csv", rng.standard_normal((12, 3)))
+        code = main(["tune", "--input", data, "--cv", "kfold:x", "--output", str(tmp_path / "r.json"),
+                     "--grid", '{"param":"rho","log10_from":-1,"log10_to":0,"points":3}'])
+        err = capsys.readouterr().err
+        assert code == 1 and "unknown scheme 'kfold:x'" in err and "invalid literal" not in err
+
     def test_rerun_is_identical(self, tmp_path, rng):
         data = write_csv(tmp_path / "d.csv", rng.standard_normal((15, 3)))
         grid = '{"param":"rho","log10_from":-1,"log10_to":0.5,"points":5}'

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,12 @@ class TestSampleMoments:
     def test_rejects_divisor_below_one(self):
         with pytest.raises(ValueError, match="divisor"):
             sample_moments(np.ones((2, 2)), divisor=0.5)
+
+    @pytest.mark.parametrize("divisor", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite_divisor(self, divisor):
+        # an infinite divisor would give a zero covariance, and NaN would fail later as an overflow
+        with pytest.raises(ValueError, match=re.escape(f"divisor must be finite and >= 1, got {divisor!r}")):
+            sample_moments(np.ones((2, 2)), divisor=divisor)
 
 
 class TestLinearShrinkage:
@@ -127,6 +135,11 @@ class TestTuningGrid:
         with pytest.raises(ValueError, match="positive"):
             TuningGrid("rho", [0.0, 1.0])
 
+    @pytest.mark.parametrize("points", [2.5, 2.0, True, "3"])
+    def test_from_log10_rejects_non_integer_points(self, points):
+        with pytest.raises(ValueError, match=re.escape(f"points must be an integer, got {points!r}")):
+            TuningGrid.from_log10("rho", 0.0, 1.0, points)
+
 
 class TestFolds:
     def test_pure_function_of_inputs(self):
@@ -153,6 +166,26 @@ class TestFolds:
             make_folds(3, "kfold:4")
         with pytest.raises(ValueError, match="scheme"):
             make_folds(5, "bootstrap")
+
+    @pytest.mark.parametrize("n", [10.0, np.float64(10.0), True])
+    def test_rejects_non_integer_count(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+            make_folds(n, "kfold:3")
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, None])
+    def test_rejects_non_integer_seed(self, seed):
+        # a fold assignment is a pure function of its seed: None would draw a fresh one
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            make_folds(10, "kfold:3", seed)
+
+    @pytest.mark.parametrize("scheme", ["kfold:x", "kfold:", "kfold:3.0", "kfold: 3"])
+    def test_non_integer_fold_count_is_an_unknown_scheme(self, scheme):
+        with pytest.raises(ValueError, match=re.escape(f"unknown scheme {scheme!r}")):
+            make_folds(10, scheme)
+
+    def test_accepts_numpy_integers(self):
+        folds = make_folds(np.int64(10), "kfold:3", np.int32(7))
+        assert all((a == b).all() for a, b in zip(folds, make_folds(10, "kfold:3", 7)))
 
 
 class TestCrossValidate:

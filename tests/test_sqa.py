@@ -10,13 +10,14 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 from wshrink import sqa
-from wshrink.analytical import reformulation_objective, wasserstein_shrinkage
-from wshrink.applications import (SyntheticSpec, known_zero_pattern, synthetic_benchmark, synthetic_sigma0,
-                                  zero_pattern_of)
-from wshrink.evaluation import TuningGrid
+from wshrink.analytical import _eigenbasis_objective, wasserstein_shrinkage
+from wshrink.applications import (SyntheticSpec, known_zero_pattern, sample_gaussian, synthetic_benchmark,
+                                  synthetic_sigma0, zero_pattern_of)
+from wshrink.evaluation import TuningGrid, sample_moments
 from wshrink.errors import LinearSolveError, LineSearchError
 from wshrink.gaussian import RANK_RTOL, psd_spectrum
-from wshrink.sqa import NewtonStep, SolverConfig, SparsityPattern, armijo_step, sqa_gradient, sqa_solve
+from wshrink.sqa import (NewtonStep, SolverConfig, SparsityPattern, armijo_step, reformulation_objective, sqa_gradient,
+                         sqa_solve)
 from wshrink.worst_case import extremal_covariance, extremal_gamma
 
 from conftest import covariances, random_spd, refuse_allocation, tracemalloc_peak
@@ -155,10 +156,6 @@ class TestSparsityPattern:
         with pytest.raises(ValueError, match="out of range"):
             SparsityPattern(3, [(0, 3)])
 
-    def test_one_based_conversion(self):
-        pat = SparsityPattern(4, [(1, 4)], one_based=True)
-        assert pat.pairs == frozenset({(0, 3), (3, 0)})
-
     @pytest.mark.parametrize("dim", [3.7, 4.0, True, "4"])
     def test_rejects_non_integer_dimension(self, dim):
         with pytest.raises(ValueError, match=re.escape(f"dim must be an integer, got {dim!r}")):
@@ -243,6 +240,24 @@ class TestGradient:
         # at gamma = inf the cone test passes and the gradient comes out finite
         with pytest.raises(ValueError, match="gamma must be finite and positive"):
             sqa_gradient(random_spd(3, rng), 0.5 * np.eye(3), gamma, 1.0)
+
+
+class TestObjectiveForms:
+    @settings(max_examples=200, deadline=None)
+    @given(cov=covariances(), seed=st.integers(0, 2**32 - 1), log10_c=st.floats(-8.0, 8.0),
+           log10_margin=st.floats(-3.0, 3.0), r=st.floats(0.1, 10.0))
+    def test_cholesky_form_matches_eigenbasis_form(self, cov, seed, log10_c, log10_margin, r):
+        # the same objective from the factors of X and gamma I - X, and from eigh(X) with
+        # m = diag(U^T S U): exact for any X, so they agree to rounding at every scale c
+        p, c = cov.shape[0], 10.0**log10_c
+        S, X = c * cov, random_spd(p, np.random.default_rng(seed)) / c
+        d, U = np.linalg.eigh(X)
+        gamma, rho = d[-1] * (1.0 + 10.0**log10_margin), np.sqrt(c) * r
+        m = np.einsum("ij,ik,kj->j", U, S, U)
+        trace = float(np.trace(S))
+        eigen = _eigenbasis_objective(d, m, gamma, rho, trace)
+        scale = np.abs(np.log(d)).sum() + gamma * (rho * rho + trace) + gamma * gamma * np.sum(np.abs(m) / (gamma - d))
+        assert abs(reformulation_objective(S, X, gamma, rho) - eigen) <= 1e-10 * scale
 
 
 class TestHessianApply:
@@ -496,9 +511,10 @@ class TestArmijo:
         assert delta < 0.0
         step = NewtonStep(delta_X=huge, delta_gamma=0.0, predicted_decrease=delta)
         f = reformulation_objective(cov, X, gamma, 1.0)
-        alpha, f_new = armijo_step(cov, X, gamma, 1.0, step, f)
-        assert alpha < 1.0
+        alpha, point, full = armijo_step(sqa._Workspace(cov, X, gamma), 1.0, step)
+        assert alpha < 1.0 and full is None
         assert np.linalg.eigvalsh(X + alpha * huge)[0] > 0.0
+        f_new = point.objective(1.0)
         assert f_new == reformulation_objective(cov, X + alpha * huge, gamma, 1.0)
         assert f_new < f
 
@@ -509,12 +525,13 @@ class TestArmijo:
         sol, _ = sqa_solve(cov, 0.6, config=SolverConfig(grad_tol=1e-2))
         X, gamma = sol.precision, sol.dual_multiplier
         step = descent_direction(cov, X, gamma, 0.6)
-        f = reformulation_objective(cov, X, gamma, 0.6)
-        assert armijo_step(cov, X, gamma, 0.6, step, f)[0] == 1.0
+        start = sqa._Workspace(cov, X, gamma)
+        assert armijo_step(start, 0.6, step)[0] == 1.0
         quarter = NewtonStep(delta_X=0.25 * step.delta_X, delta_gamma=0.25 * step.delta_gamma,
                              predicted_decrease=0.25 * step.predicted_decrease)
-        alpha, f_new = armijo_step(cov, X, gamma, 0.6, quarter, f)
+        alpha, point, _ = armijo_step(start, 0.6, quarter)
         assert alpha == 4.0
+        f_new = point.objective(0.6)
 
         def at(a):
             return reformulation_objective(cov, X + a * quarter.delta_X, gamma + a * quarter.delta_gamma, 0.6)
@@ -530,8 +547,9 @@ class TestArmijo:
         g_mat, _ = sqa_gradient(cov, X, gamma, 1.0)
         step = NewtonStep(delta_X=direction, delta_gamma=0.0, predicted_decrease=float(np.sum(g_mat * direction)))
         f = reformulation_objective(cov, X, gamma, 1.0)
-        alpha, f_new = armijo_step(cov, X, gamma, 1.0, step, f)
-        assert alpha == 1.0
+        alpha, point, full = armijo_step(sqa._Workspace(cov, X, gamma), 1.0, step)
+        assert alpha == 1.0 and full is point
+        f_new = point.objective(1.0)
         assert f_new == reformulation_objective(cov, X + direction, gamma, 1.0) < f
         # the objective still falls toward the boundary, so the cone ends the expansion
         assert reformulation_objective(cov, X + 1.75 * direction, gamma, 1.0) < f_new
@@ -541,7 +559,7 @@ class TestArmijo:
         X = np.eye(3) * 0.5
         step = NewtonStep(delta_X=np.zeros((3, 3)), delta_gamma=0.0, predicted_decrease=0.0)
         with pytest.raises(ValueError, match="descent"):
-            armijo_step(cov, X, 2.0, 1.0, step, reformulation_objective(cov, X, 2.0, 1.0))
+            armijo_step(sqa._Workspace(cov, X, 2.0), 1.0, step)
 
     def test_failure_after_halving_budget(self, rng, monkeypatch):
         cov = random_spd(3, rng)
@@ -551,7 +569,7 @@ class TestArmijo:
         step = NewtonStep(delta_X=g_mat, delta_gamma=0.0, predicted_decrease=-1.0)
         monkeypatch.setattr(sqa, "MAX_HALVINGS", 8)
         with pytest.raises(LineSearchError, match="within 8 halvings"):
-            armijo_step(cov, X, gamma, 1.0, step, reformulation_objective(cov, X, gamma, 1.0))
+            armijo_step(sqa._Workspace(cov, X, gamma), 1.0, step)
 
 
 class TestSolve:
@@ -858,6 +876,29 @@ class TestSolve:
         assert trace.start == "previous" and trace.converged and trace.iterations == 0
         assert (again.precision == first.precision).all()
 
+    def test_no_matrix_is_factored_twice(self, monkeypatch):
+        # every visited point is factored once: the line search's accepted point is the next
+        # iterate, and the rounding-level full step is the line search's own
+        cholesky, factored = np.linalg.cholesky, []
+
+        def recorded(a):
+            factored.append(np.asarray(a).tobytes())
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        for spec_seed in (11, 12, 13):
+            spec = SyntheticSpec(dim=30, density=0.05, n_samples=30, trials=1, seed=spec_seed)
+            sigma = synthetic_sigma0(spec)
+            pattern = known_zero_pattern(zero_pattern_of(np.linalg.inv(sigma)), 0.5, spec_seed)
+            cov = sample_moments(sample_gaussian(sigma, 30, spec_seed + 1)).covariance
+            previous = None
+            for rho in (0.1, 1.0, 10.0):
+                factored.clear()
+                solution, trace = sqa_solve(cov, rho, pattern, _start=previous)
+                previous = solution.precision
+                assert trace.converged and len(factored) > 2 * trace.iterations > 0
+                assert len(set(factored)) == len(factored)
+
     def test_rejects_start_of_another_dimension(self, rng):
         with pytest.raises(ValueError, match="_start dimension"):
             sqa_solve(random_spd(4, rng), 0.5, _start=np.eye(3))
@@ -878,3 +919,9 @@ class TestSolve:
         # an infinite tolerance would report the warm start as converged after 0 iterations
         with pytest.raises(ValueError, match="grad_tol must be finite and positive"):
             SolverConfig(grad_tol=grad_tol)
+
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, True, "3"])
+    def test_config_rejects_non_integer_budget(self, max_iters):
+        # a float budget would reach range() inside sqa_solve as a TypeError
+        with pytest.raises(ValueError, match=re.escape(f"max_iters must be an integer, got {max_iters!r}")):
+            SolverConfig(max_iters=max_iters)
