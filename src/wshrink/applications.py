@@ -135,10 +135,10 @@ def sparse_estimator(pattern: SparsityPattern, config: SolverConfig | None = Non
     The estimator remembers the last estimate it returned and starts its next
     ``sqa_solve`` from it where that is a better start than the analytical one
     (see ``sqa_solve``), so a sweep over radii or folds chains its solves.  Results
-    then depend on the call order at solver tolerance: on the ``sparse_synthetic``
-    pools (5 ascending radii, ``grad_tol = 1e-3``) the chained solves took 6.8 Newton
-    iterations where cold ones took 9.1, with objectives equal to 1.3e-10 relative
-    and estimates to 1.6e-5 of ``max|X|``.
+    then depend on the call order at solver tolerance: on the seed-1 and seed-7
+    ``sparse_synthetic`` pools (5 ascending radii, ``grad_tol = 1e-3``) the chained
+    solves took 6.4 Newton iterations where cold ones took 9.2 and 9.5, with
+    objectives equal to 1.5e-10 relative and estimates to 2.4e-5 of ``max|X|``.
     """
     last = None
 

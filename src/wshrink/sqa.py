@@ -19,31 +19,39 @@ Every point ``(X, gamma)`` the solver visits (a start candidate, a trial step of
 the line search, an iterate) is one ``_Workspace``: the Cholesky factors of
 ``X`` and ``gamma I - X`` test that it lies in the cone and give its objective,
 and the gradient and Newton terms come from the same factors on first use.  The
-point the line search accepts is the next iterate, so no matrix is factored
-twice in one solve.  ``reformulation_objective`` evaluates the objective the same
-way.
+point the line search accepts is the next iterate, and a start moved along its
+ray reuses its factors, scaled, so no matrix is factored twice in one solve.
+``reformulation_objective`` evaluates the objective the same way.
 
-SciPy serves only the Cholesky solves (``cho_factor``, ``cho_solve``) of this
-module.  Each function that runs one imports ``scipy.linalg`` itself, so
-importing ``wshrink`` loads NumPy only, and the first ``sqa_solve``,
-``sqa_gradient`` or ``reformulation_objective`` of a process pays for loading
-SciPy.
+SciPy serves only LAPACK: ``potrf`` factors the Newton matrix in place, and
+``potrs`` gives ``A^-1 cov``, the inverses and the Newton solves from the
+Cholesky factors, with none of ``scipy.linalg``'s argument checks.  The p x p
+cone-test factors are NumPy's.  Each function that calls LAPACK imports
+``scipy.linalg.lapack`` itself, so importing ``wshrink`` loads NumPy only, and the
+first ``sqa_solve``, ``sqa_gradient`` or ``reformulation_objective`` of a process
+pays for loading SciPy.
 
 The line search halves the step from 1 until the iterate stays in the cone and
 the objective falls by at least ``ARMIJO_SIGMA`` times the predicted decrease;
 it gives up with ``LineSearchError`` after ``MAX_HALVINGS`` halvings.  When the
 full step passes, it expands instead: it doubles the step, at most
-``MAX_HALVINGS`` times, while the doubled iterate stays in the cone and strictly
-lowers the objective (the bracketing phase of Nocedal and Wright, *Numerical
-Optimization*, Alg. 3.5).  Far from the optimum a full Newton step of this
-objective often cuts the gradient only 2-3x, and the expansion saves those steps.
+``MAX_HALVINGS`` times, while the doubled iterate stays in the cone and lowers
+the objective by more than the rounding of both objectives (the bracketing
+phase of Nocedal and Wright, *Numerical Optimization*, Alg. 3.5).  Far from the
+optimum a full Newton step of this objective often cuts the gradient only 2-3x,
+and the expansion saves those steps.
 
-The feasible cone depends on neither the covariance nor the radius, so any
-earlier solution is a feasible start for any other problem of its dimension.
-A caller that passes one (``sparse_estimator``'s closure passes its previous
-estimate) has it re-paired with the multiplier that minimizes the new objective
-at it, and the solver starts there only when that point is strictly better than
-the analytical start: a remembered start is never worse than a cold one.
+Every term of the objective but ``-log det X`` is homogeneous of degree 1 in
+``(X, gamma)``, so the best point on the ray ``(cX, c gamma)`` of any start has a
+closed form, and each start is moved there (``_ray_optimal``) before it is
+compared; only a previous solution that already meets the stopping test stays
+where it is.  The feasible cone depends on neither the covariance nor the radius,
+so any earlier solution is a feasible start for any other problem of its
+dimension.  A caller that passes one (``sparse_estimator``'s closure passes its
+previous estimate) has it re-paired with the multiplier that minimizes the new
+objective at it, and the solver starts there only when that point is strictly
+better than the analytical start: a remembered start is never worse than a
+cold one.
 
 Near the optimum the objective stops ranking points at floating-point
 resolution before the gradient does.  So where the predicted decrease is
@@ -59,6 +67,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._kernels import _EPS
 from .analytical import ShrinkageSolution, _check_rho, _path, _spectrum, eigenvalue_map
 from .errors import LinearSolveError, LineSearchError
 from .gaussian import RANK_RTOL, _check_int, _symmetric_pair, as_symmetric
@@ -162,11 +171,14 @@ class SolverTrace:
     start: str = "analytical"
 
 
-def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``(L L^T)^-1 B`` for a lower Cholesky factor ``L``."""
-    import scipy.linalg  # loaded at the first factorization, not with the package
+def _potrs(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``(L L^T)^-1 B`` for a lower Cholesky factor ``L``, by LAPACK ``potrs``.
 
-    return scipy.linalg.cho_solve((L, True), B)
+    ``L.T`` is the upper factor in Fortran order, which LAPACK reads without a copy.
+    """
+    import scipy.linalg.lapack  # loaded at the first factorization, not with the package
+
+    return scipy.linalg.lapack.dpotrs(L.T, B)[0]
 
 
 class _Workspace:
@@ -193,7 +205,7 @@ class _Workspace:
         except np.linalg.LinAlgError:
             raise ValueError("gamma I - X must be positive definite") from None
         self.cov, self.X, self.gamma, self.p = cov, X, float(gamma), p
-        self.AinvS = _cho_solve(self.LA, cov)
+        self.AinvS = _potrs(self.LA, cov)
         # the terms of the objective that do not depend on rho: a solve reads it several times per point
         self._terms = 2.0 * float(np.log(np.diag(self.LX)).sum()), float(np.trace(cov)), float(np.trace(self.AinvS))
 
@@ -203,13 +215,31 @@ class _Workspace:
         gamma = self.gamma
         return -logdet + gamma * (rho * rho - trace_cov) + gamma * gamma * trace_term
 
+    def scaled(self, c: float) -> "_Workspace":
+        """The point ``(cX, c gamma)``, for ``c > 0``.  Its factors are this point's times
+        ``sqrt(c)``, so nothing is factored: ``log det X`` gains ``p log c``, and ``A^-1 cov``
+        and its trace are divided by ``c``."""
+        point, root = object.__new__(_Workspace), np.sqrt(c)
+        point.LX, point.LA, point.AinvS = root * self.LX, root * self.LA, self.AinvS / c
+        point.cov, point.X, point.gamma, point.p = self.cov, c * self.X, c * self.gamma, self.p
+        logdet, trace_cov, trace_term = self._terms
+        point._terms = logdet + self.p * float(np.log(c)), trace_cov, trace_term / c
+        return point
+
+    def rounding(self, rho: float) -> float:
+        """Rounding level of ``objective(rho)``: machine epsilon times the sum of its terms'
+        magnitudes.  Where the terms cancel (large ``gamma``), it reaches 1e4 ulps of ``f``."""
+        logdet, trace_cov, trace_term = self._terms
+        gamma = self.gamma
+        return _EPS * (abs(logdet) + gamma * (rho * rho + trace_cov) + gamma * gamma * trace_term)
+
     @cached_property
     def Xinv(self) -> np.ndarray:
-        return _cho_solve(self.LX, np.eye(self.p))
+        return _potrs(self.LX, np.eye(self.p))
 
     @cached_property
     def Ginv(self) -> np.ndarray:
-        return self.gamma * _cho_solve(self.LA, np.eye(self.p))
+        return self.gamma * _potrs(self.LA, np.eye(self.p))
 
     @cached_property
     def GinvS(self) -> np.ndarray:
@@ -250,6 +280,23 @@ def _point(cov: np.ndarray, X: np.ndarray, gamma: float) -> _Workspace | None:
 def _moved(point: _Workspace, step: NewtonStep, alpha: float) -> _Workspace | None:
     """The point ``alpha`` times ``step`` away from ``point``, or None outside the cone."""
     return _point(point.cov, point.X + alpha * step.delta_X, point.gamma + alpha * step.delta_gamma)
+
+
+def _ray_optimal(point: _Workspace, rho: float) -> _Workspace:
+    """The best point ``(cX, c gamma)`` on the ray of ``point``.
+
+    Every term of the objective but ``-log det X`` is homogeneous of degree 1 in
+    ``(X, gamma)``, so ``f(cX, c gamma) = f - p log c + (c - 1) K`` with
+    ``K = f + log det X >= gamma rho^2 > 0``, least at ``c = p / K``.  The scaled
+    point comes from ``point``'s own factors (``_Workspace.scaled``).  Returns ``point``
+    itself where it is not lower, as at ``c = 1`` or where rounding cancels ``K``.
+    """
+    _, trace_cov, trace_term = point._terms
+    K = point.gamma * (rho * rho - trace_cov) + point.gamma**2 * trace_term
+    if not K > 0.0:
+        return point
+    scaled = point.scaled(point.p / K)
+    return scaled if scaled.objective(rho) < point.objective(rho) else point
 
 
 #: rows of the reduced Newton matrix assembled per block by ``_FreeCoordinates.solve_newton``
@@ -325,7 +372,7 @@ class _FreeCoordinates:
         the ``8 f^2``-byte buffer or the panel buffer cannot be allocated: no
         other method is tried.
         """
-        import scipy.linalg
+        import scipy.linalg.lapack
 
         I, J, f, p = self.I, self.J, self.I.size, ws.p
         w = min(f, _PANEL_COLS)
@@ -364,20 +411,21 @@ class _FreeCoordinates:
                     Tr[: p - s] *= 0.5
                 if lo < p:
                     Tr[:, : p - lo] *= 0.5
-        try:
-            # T is C-ordered, so T.T is F-ordered with T's upper triangle as its lower one:
-            # LAPACK factorizes the buffer in place
-            L, _ = scipy.linalg.cho_factor(T.T, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveError(f"reduced Newton system is not positive definite: {exc}") from exc
+        lapack = scipy.linalg.lapack
+        # T is C-ordered, so T.T is F-ordered with T's upper triangle as its lower one:
+        # LAPACK factorizes the buffer in place
+        L, info = lapack.dpotrf(T.T, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise LinearSolveError(f"reduced Newton system is not positive definite: leading minor {info}"
+                                   " of the pair block")
         c = self.contract(-ws.W / ws.gamma**2, 0.0)[:-1]
-        z = scipy.linalg.cho_solve((L, True), np.column_stack((b[:-1], c)), check_finite=False)
+        z = lapack.dpotrs(L, np.column_stack((b[:-1], c)), lower=1)[0]
         schur = ws.h_gamma_gamma - float(c @ z[:, 1])
         if schur > 0.0:
             w = (b[-1] - float(c @ z[:, 0])) / schur
             return np.append(z[:, 0] - w * z[:, 1], w)
         x, c = ws.X[I, J], self.contract(ws.Xinv, 0.0)[:-1]
-        y = scipy.linalg.cho_solve((L, True), c, check_finite=False)
+        y = lapack.dpotrs(L, c, lower=1)[0]
         schur = float(x @ c) - float(c @ y)
         if not schur > 0.0:
             raise LinearSolveError(
@@ -439,8 +487,9 @@ def armijo_step(point: _Workspace, rho: float, step: NewtonStep):
     Backtracks from ``alpha = 1`` by halving until both conditions hold.  When the
     full step passes, expands instead: doubles ``alpha``, at most ``MAX_HALVINGS``
     times, while the doubled iterate stays in the cone and its objective is
-    strictly below the objective at ``alpha``; an expanded step thus lowers the
-    objective at least as far as C2 asks of the full step.  Returns
+    below the objective at ``alpha`` by more than the sum of their rounding levels
+    (``_Workspace.rounding``), so no near tie is decided by rounding; an expanded
+    step thus lowers the objective at least as far as C2 asks of the full step.  Returns
     ``(alpha, accepted, full)``: the accepted point, which ``sqa_solve`` carries
     into its next iteration, and the full step's point, None outside the cone,
     which the rounding-level test of ``sqa_solve`` reads.
@@ -461,7 +510,9 @@ def armijo_step(point: _Workspace, rho: float, step: NewtonStep):
     if alpha == 1.0:
         for _ in range(MAX_HALVINGS):
             doubled = _moved(point, step, 2.0 * alpha)
-            if doubled is None or not doubled.objective(rho) < accepted.objective(rho):
+            # lower beyond both objectives' rounding: a near tie would decide by rounding alone
+            if doubled is None or not (doubled.objective(rho) + doubled.rounding(rho)
+                                       < accepted.objective(rho) - accepted.rounding(rho)):
                 break
             alpha, accepted = 2.0 * alpha, doubled
     return alpha, accepted, full
@@ -483,11 +534,16 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
     ``X`` starts halfway from ``D = diag(eigenvalue_map(diag(cov), gamma*))``, the
     best diagonal matrix for ``gamma*``, to ``X*`` with the pattern entries zeroed,
     and halves back toward ``D`` until it is strictly feasible and no worse than
-    ``D``.  A private ``_start``, an earlier solution of any problem of this
-    dimension, is zeroed on the pattern and paired with ``gamma = argmin f(_start, .)``
-    on the problem at hand (``worst_case._multiplier_at``, from its ``eigh``); the
-    solver starts there instead when that point is in the cone and its objective is
-    strictly below the analytical start's, and ``trace.start`` says which it took.
+    ``D``; that point then moves to the optimum of its ray ``(cX, c gamma)``
+    (``_ray_optimal``).  A private ``_start``, an earlier solution of any problem
+    of this dimension, is zeroed on the pattern and paired with
+    ``gamma = argmin f(_start, .)`` on the problem at hand
+    (``worst_case._multiplier_at``, from its ``eigh``).  Where that point already
+    meets the stopping test it is kept as it is, so a restart from the solver's own
+    solution stops at once with the same answer; otherwise it moves to its ray
+    optimum too.  The solver starts there instead when that point is in the cone
+    and its objective is strictly below the analytical start's, and
+    ``trace.start`` says which it took.
     Iterates projected Newton steps with the Armijo search (``armijo_step``)
     until the projected gradient norm drops below ``config.grad_tol`` or the
     iteration budget is exhausted (the result is still returned, flagged in the
@@ -530,7 +586,7 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
         if trial is not None and trial.objective(rho) <= point.objective(rho):
             point = trial
             break
-    start = "analytical"
+    point, start = _ray_optimal(point, rho), "analytical"
     if _start is not None:
         X_prev = as_symmetric(_start, name="_start")
         if X_prev.shape != S.shape:
@@ -539,6 +595,8 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
         d, U = np.linalg.eigh(X_prev)
         if d[0] > 0.0:
             prev = _point(S, X_prev, _multiplier_at(S, d, U, rho)[0])
+            if prev is not None and _projected_gradient(prev, rho, mask)[1] > config.grad_tol:
+                prev = _ray_optimal(prev, rho)
             if prev is not None and prev.objective(rho) < point.objective(rho):
                 point, start = prev, "previous"
     trace = SolverTrace(objectives=[point.objective(rho)], start=start)

@@ -20,7 +20,7 @@ from wshrink.sqa import (NewtonStep, SolverConfig, SparsityPattern, armijo_step,
                          sqa_solve)
 from wshrink.worst_case import extremal_covariance, extremal_gamma
 
-from conftest import covariances, random_spd, refuse_allocation, tracemalloc_peak
+from conftest import covariances, random_psd_singular, random_spd, refuse_allocation, tracemalloc_peak
 
 
 def feasible_point(p, rng, margin=1.6):
@@ -260,6 +260,33 @@ class TestObjectiveForms:
         assert abs(reformulation_objective(S, X, gamma, rho) - eigen) <= 1e-10 * scale
 
 
+class TestRayScaling:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 12), rank=st.integers(1, 12),
+           log10_s=st.floats(-6.0, 6.0), log10_c=st.floats(-3.0, 3.0), log10_margin=st.floats(-3.0, 3.0),
+           r=st.floats(0.1, 10.0))
+    def test_objective_along_the_ray(self, seed, p, rank, log10_s, log10_c, log10_margin, r):
+        # -log det X is the only term not homogeneous of degree 1 in (X, gamma), so
+        # f(cX, c gamma) = f - p log c + (c - 1) K with K = f + log det X, least at c = p / K
+        rng = np.random.default_rng(seed)
+        s, c = 10.0**log10_s, 10.0**log10_c
+        S, X = s * random_psd_singular(p, min(rank, p), rng), random_spd(p, rng) / s
+        d, U = np.linalg.eigh(X)
+        gamma, rho = d[-1] * (1.0 + 10.0**log10_margin), np.sqrt(s) * r
+        f = reformulation_objective(S, X, gamma, rho)
+        logdet = float(np.log(d).sum())
+        K = f + logdet
+        m = np.einsum("ij,ik,kj->j", U, S, U)
+        # the terms' magnitudes at c = 1 and at c: the rounding of f, and of (c - 1) K, scales with them
+        terms = gamma * (rho * rho + np.trace(S)) + gamma * gamma * np.sum(np.abs(m) / (gamma - d))
+        scale = abs(logdet) + p * abs(np.log(c)) + max(1.0, c) * terms
+        expected = f - p * np.log(c) + (c - 1.0) * K
+        assert abs(reformulation_objective(S, c * X, c * gamma, rho) - expected) <= 1e-9 * scale
+        c_star = p / K
+        at_optimum = reformulation_objective(S, c_star * X, c_star * gamma, rho)
+        assert at_optimum <= f + 1e-12 * (abs(logdet) + terms)
+
+
 class TestHessianApply:
     def test_zero_direction_maps_to_zero(self, rng):
         cov = random_spd(4, rng)
@@ -435,6 +462,18 @@ class TestDescentDirection:
         with pytest.raises(LinearSolveError, match="Schur complement"):
             free.solve_newton(ws, b)
 
+    def test_indefinite_pair_block_raises(self, rng):
+        # LAPACK reports an indefinite pair block by its info code, not by raising
+        p = 5
+        cov = random_spd(p, rng)
+        X, gamma = feasible_point(p, rng)
+        ws = sqa._Workspace(cov, X, gamma)
+        free = sqa._FreeCoordinates(p, SparsityPattern(p, [(0, 4)]))
+        b = -free.contract(*ws.gradient(0.9))
+        ws.GinvSGinv = -1e6 * np.eye(p)
+        with pytest.raises(LinearSolveError, match="not positive definite: .*leading minor"):
+            free.solve_newton(ws, b)
+
     def test_ray_step_matches_dense_kron_oracle(self, rng):
         # h_gamma_gamma = 0 makes the multiplier's Schur complement negative, as
         # cancellation does near the cone boundary, so the ray (X, gamma) is eliminated instead
@@ -553,6 +592,30 @@ class TestArmijo:
         assert f_new == reformulation_objective(cov, X + direction, gamma, 1.0) < f
         # the objective still falls toward the boundary, so the cone ends the expansion
         assert reformulation_objective(cov, X + 1.75 * direction, gamma, 1.0) < f_new
+
+    @pytest.mark.parametrize("margin, expected", [(0.5, 1.0), (2.0, 4.0)])
+    def test_doubling_needs_a_decrease_beyond_rounding(self, margin, expected, monkeypatch):
+        # along X = (0.5 + 0.2 alpha) I the objective falls until alpha is about 6, and alpha = 8
+        # leaves the cone, so the step doubles to 4.  The point at alpha = 2 is made lower than the
+        # full step's by margin times the sum of both rounding levels: a near tie (margin < 1)
+        # ends the expansion
+        cov, X, gamma, rho = 0.01 * np.eye(3), 0.5 * np.eye(3), 2.0, 1.0
+        direction = 0.2 * np.eye(3)
+        g_mat, _ = sqa_gradient(cov, X, gamma, rho)
+        step = NewtonStep(delta_X=direction, delta_gamma=0.0, predicted_decrease=float(np.sum(g_mat * direction)))
+        start = sqa._Workspace(cov, X, gamma)
+        assert armijo_step(start, rho, step)[0] == 4.0
+        moved, full = sqa._moved, sqa._moved(start, step, 1.0)
+
+        def near_tie(point, step, alpha):
+            q = moved(point, step, alpha)
+            if alpha == 2.0:
+                f = full.objective(rho) - margin * (full.rounding(rho) + q.rounding(rho))
+                q.objective = lambda rho: f
+            return q
+
+        monkeypatch.setattr(sqa, "_moved", near_tie)
+        assert armijo_step(start, rho, step)[0] == expected
 
     def test_rejects_nondescent_step(self, rng):
         cov = random_spd(3, rng)
