@@ -46,7 +46,7 @@ from .applications import (
     synthetic_sigma0,
     zero_pattern_of,
 )
-from .errors import EstimationError, LinearSolveError, LineSearchError, SingularMatrixError
+from .errors import ConvergenceError, EstimationError, LinearSolveError, LineSearchError, SingularMatrixError
 from .evaluation import (
     CLASSIFICATION_RHO_GRID,
     CVReport,
@@ -109,6 +109,7 @@ __all__ = [
     "synthetic_benchmark",
     "synthetic_sigma0",
     "zero_pattern_of",
+    "ConvergenceError",
     "EstimationError",
     "LinearSolveError",
     "LineSearchError",

@@ -122,24 +122,29 @@ def eigenvalue_map(lam, gamma_star: float):
     """Shrunk precision eigenvalue(s) for sample eigenvalue(s) ``lam``.
 
     Scalar in, scalar out; array in, array out.  ``lam = 0`` maps to
-    ``gamma_star`` exactly (explicit branch, no division by zero).
+    ``gamma_star`` exactly (explicit branch, no division by zero).  A negative or
+    non-finite ``lam`` raises ``ValueError`` naming it.
     """
     if not np.isfinite(gamma_star) or gamma_star <= 0.0:
         raise ValueError(f"gamma_star must be finite and positive, got {gamma_star!r}")
     arr = np.asarray(lam, dtype=np.float64)
+    bad = ~np.isfinite(arr) | (arr < 0.0)
+    if bad.any():
+        raise ValueError(f"sample eigenvalues must be finite and nonnegative, got {float(arr[bad][0])!r}")
     out = _kernels.shrink_eigenvalues(np.atleast_1d(arr).ravel(), gamma_star)
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
 
 
-def _eigenbasis_objective(d, m, gamma: float, rho: float, trace: float) -> float:
-    """``f(X, gamma) = -sum log d + gamma (rho^2 - trace) + gamma^2 sum_{m > 0} m / (gamma - d)``,
-    the reformulation objective in an eigenbasis ``U`` of ``X = U diag(d) U^T``, with
-    ``m = diag(U^T cov U)`` and ``trace = tr cov``.  Terms with ``m = 0`` take their limit
-    value 0, also where ``d`` reaches ``gamma``."""
+def _eigenbasis_objective(d, m, gamma: float, rho: float) -> float:
+    """``f(X, gamma) = -sum log d + gamma (rho^2 + sum_{m > 0} m d / (gamma - d))``, the
+    reformulation objective in an eigenbasis ``U`` of ``X = U diag(d) U^T``, with
+    ``m = diag(U^T cov U)``: the paper's ``-sum log d + gamma (rho^2 - tr cov) + gamma^2
+    sum m / (gamma - d)``, since ``gamma / (gamma - d) - 1 = d / (gamma - d)``, with no terms
+    that cancel.  Terms with ``m = 0`` take their limit value 0, also where ``d`` reaches ``gamma``."""
     pos = m > 0.0
-    return float(-np.log(d).sum() + gamma * (rho * rho - trace) + gamma * gamma * np.sum(m[pos] / (gamma - d[pos])))
+    return float(-np.log(d).sum() + gamma * (rho * rho + np.sum(m[pos] * d[pos] / (gamma - d[pos]))))
 
 
 def wasserstein_shrinkage(source, rho: float) -> ShrinkageSolution:
@@ -209,7 +214,7 @@ def _solution(V, lam, gamma: float, rho: float, iters: int) -> ShrinkageSolution
     """The estimator at a solved radius, in factored form: ``V`` spans all of R^p
     (complement 0) or only the range of ``cov`` (complement ``gamma``)."""
     x = _kernels.shrink_eigenvalues(lam, gamma)
-    objective = _eigenbasis_objective(x, lam, gamma, rho, lam.sum())
+    objective = _eigenbasis_objective(x, lam, gamma, rho)
     r = V.shape[1]
     complement = 0.0 if r == lam.size else gamma
     return ShrinkageSolution(

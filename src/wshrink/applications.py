@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytical import FactoredPrecision, wasserstein_shrinkage, wasserstein_shrinkage_path
+from .errors import ConvergenceError
 from .evaluation import SampleMoments, _grid_scores, sample_moments, stein_loss
 from .gaussian import _check_int, as_symmetric, spectral_decompose
 from .sqa import SolverConfig, SparsityPattern, sqa_solve
@@ -139,13 +140,19 @@ def sparse_estimator(pattern: SparsityPattern, config: SolverConfig | None = Non
     ``sparse_synthetic`` pools (5 ascending radii, ``grad_tol = 1e-3``) the chained
     solves took 6.4 Newton iterations where cold ones took 9.2 and 9.5, with
     objectives equal to 1.5e-10 relative and estimates to 2.4e-5 of ``max|X|``.
+
+    A solve that stops unconverged (``SolverTrace.converged`` False, as when the
+    iteration budget runs out) raises ``ConvergenceError`` naming ``rho`` and the
+    solver's message, so no caller scores it; its estimate is still the next start.
     """
     last = None
 
     def estimate(moments: SampleMoments, rho: float) -> np.ndarray:
         nonlocal last
-        solution, _ = sqa_solve(moments.covariance, rho, pattern, config, _start=last)
+        solution, trace = sqa_solve(moments.covariance, rho, pattern, config, _start=last)
         last = solution.precision
+        if not trace.converged:
+            raise ConvergenceError(f"sqa_solve at rho={rho:g}: {trace.message}")
         return last
 
     return estimate

@@ -9,6 +9,10 @@ class LineSearchError(EstimationError):
     """No admissible step size found within the halving budget."""
 
 
+class ConvergenceError(EstimationError):
+    """An iterative solve stopped before its stopping test held."""
+
+
 class LinearSolveError(EstimationError):
     """Inner linear system did not reach the requested residual."""
 

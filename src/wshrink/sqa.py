@@ -41,6 +41,13 @@ phase of Nocedal and Wright, *Numerical Optimization*, Alg. 3.5).  Far from the
 optimum a full Newton step of this objective often cuts the gradient only 2-3x,
 and the expansion saves those steps.
 
+The paper's objective ``-log det X + gamma (rho^2 - tr cov) + gamma^2 <A^-1, cov>``,
+``A = gamma I - X``, is evaluated in the equal form ``-log det X + gamma (rho^2 +
+<X, A^-1 cov>)``, since ``gamma^2 A^-1 - gamma I = gamma A^-1 X``, and so is its
+multiplier gradient (``_Workspace.gradient``).  Every term after ``-log det X`` is
+nonnegative, so none cancels at large ``gamma`` (small ``rho``), and the rounding
+level of ``f`` (``_Workspace.rounding``) is epsilon times the sum of those terms.
+
 Every term of the objective but ``-log det X`` is homogeneous of degree 1 in
 ``(X, gamma)``, so the best point on the ray ``(cX, c gamma)`` of any start has a
 closed form, and each start is moved there (``_ray_optimal``) before it is
@@ -156,10 +163,10 @@ class SolverTrace:
     ``objectives`` starts with the initial point, so it has one more entry
     than the number of accepted steps, of the problem solved (ridged on
     rank-deficient input); ``grad_norms`` holds the projected gradient norm at
-    each visited iterate.  ``step_sizes`` holds the accepted step sizes, powers
-    of two that exceed 1 where the line search expanded.  ``start`` names the
-    starting point taken: ``"analytical"`` or ``"previous"`` (a caller's earlier
-    solution; see ``sqa_solve``).
+    each iterate, the last one included, so it has as many entries.  ``step_sizes``
+    holds the accepted step sizes, powers of two that exceed 1 where the line search
+    expanded.  ``start`` names the starting point taken: ``"analytical"`` or
+    ``"previous"`` (a caller's earlier solution; see ``sqa_solve``).
     """
 
     objectives: list = field(default_factory=list)
@@ -188,8 +195,10 @@ class _Workspace:
     non-finite or nonpositive ``gamma``, or a point outside the cone, raises
     ``ValueError``.  They give the objective at once, and the gradient and Newton
     terms on first use: ``Xinv``, ``Ginv = (I - X / gamma)^-1 = gamma A^-1``,
-    ``GinvS = Ginv cov``, ``GinvSGinv``, ``W`` and ``h_gamma_gamma``.  So a trial
-    point that the line search rejects costs two factorizations and one solve.
+    ``GinvS = Ginv cov``, ``GX = Ginv X``, ``GinvSGinv``, ``W`` and ``h_gamma_gamma``.
+    So a trial point that the line search rejects costs two factorizations and one solve.
+    The point keeps ``log det X`` and ``<X, A^-1 cov>``, the terms of the objective's
+    cancellation-free form (see the module docstring) that do not depend on ``rho``.
     """
 
     def __init__(self, cov: np.ndarray, X: np.ndarray, gamma: float):
@@ -206,32 +215,30 @@ class _Workspace:
             raise ValueError("gamma I - X must be positive definite") from None
         self.cov, self.X, self.gamma, self.p = cov, X, float(gamma), p
         self.AinvS = _potrs(self.LA, cov)
-        # the terms of the objective that do not depend on rho: a solve reads it several times per point
-        self._terms = 2.0 * float(np.log(np.diag(self.LX)).sum()), float(np.trace(cov)), float(np.trace(self.AinvS))
+        # a solve reads the objective several times per point
+        self._terms = 2.0 * float(np.log(np.diag(self.LX)).sum()), float(np.vdot(X, self.AinvS))
 
     def objective(self, rho: float) -> float:
-        """``f(X, gamma) = -log det X + gamma (rho^2 - tr cov) + gamma^2 <A^-1, cov>``."""
-        logdet, trace_cov, trace_term = self._terms
-        gamma = self.gamma
-        return -logdet + gamma * (rho * rho - trace_cov) + gamma * gamma * trace_term
+        """``f(X, gamma) = -log det X + gamma (rho^2 + <X, A^-1 cov>)``."""
+        logdet, inner = self._terms
+        return -logdet + self.gamma * (rho * rho + inner)
 
     def scaled(self, c: float) -> "_Workspace":
         """The point ``(cX, c gamma)``, for ``c > 0``.  Its factors are this point's times
-        ``sqrt(c)``, so nothing is factored: ``log det X`` gains ``p log c``, and ``A^-1 cov``
-        and its trace are divided by ``c``."""
+        ``sqrt(c)``, so nothing is factored: ``log det X`` gains ``p log c``, ``A^-1 cov`` is
+        divided by ``c``, and ``<X, A^-1 cov>`` does not change."""
         point, root = object.__new__(_Workspace), np.sqrt(c)
         point.LX, point.LA, point.AinvS = root * self.LX, root * self.LA, self.AinvS / c
         point.cov, point.X, point.gamma, point.p = self.cov, c * self.X, c * self.gamma, self.p
-        logdet, trace_cov, trace_term = self._terms
-        point._terms = logdet + self.p * float(np.log(c)), trace_cov, trace_term / c
+        logdet, inner = self._terms
+        point._terms = logdet + self.p * float(np.log(c)), inner
         return point
 
     def rounding(self, rho: float) -> float:
         """Rounding level of ``objective(rho)``: machine epsilon times the sum of its terms'
-        magnitudes.  Where the terms cancel (large ``gamma``), it reaches 1e4 ulps of ``f``."""
-        logdet, trace_cov, trace_term = self._terms
-        gamma = self.gamma
-        return _EPS * (abs(logdet) + gamma * (rho * rho + trace_cov) + gamma * gamma * trace_term)
+        magnitudes, ``eps (|log det X| + gamma (rho^2 + <X, A^-1 cov>))``."""
+        logdet, inner = self._terms
+        return _EPS * (abs(logdet) + self.gamma * (rho * rho + inner))
 
     @cached_property
     def Xinv(self) -> np.ndarray:
@@ -246,6 +253,10 @@ class _Workspace:
         return self.gamma * self.AinvS
 
     @cached_property
+    def GX(self) -> np.ndarray:
+        return self.Ginv @ self.X
+
+    @cached_property
     def GinvSGinv(self) -> np.ndarray:
         M = self.GinvS @ self.Ginv
         return 0.5 * (M + M.T)
@@ -258,14 +269,15 @@ class _Workspace:
 
     @cached_property
     def h_gamma_gamma(self) -> float:
-        GX = self.Ginv @ self.X
-        return 2.0 / self.gamma**3 * float(np.sum(GX.T * (self.GinvS @ GX)))
+        return 2.0 / self.gamma**3 * float(np.sum(self.GX.T * (self.GinvS @ self.GX)))
 
     def gradient(self, rho: float):
+        """``(G, g_gamma)`` with ``G = Ginv cov Ginv - X^-1`` and ``g_gamma = rho^2 - <GX, cov GX> /
+        gamma^2``, where ``GX / gamma = gamma A^-1 - I``: the paper's ``rho^2 - tr cov + 2 gamma
+        <A^-1, cov> - gamma^2 <A^-2, cov>`` without its cancelling terms."""
         g_mat = self.GinvSGinv - self.Xinv
         g_mat = 0.5 * (g_mat + g_mat.T)
-        inner = float(np.sum(self.GinvS.T * (self.Ginv @ self.X)))
-        g_gamma = rho * rho + float(np.trace(self.GinvS)) - inner / self.gamma - float(np.trace(self.cov))
+        g_gamma = rho * rho - float(np.vdot(self.GX, self.cov @ self.GX)) / self.gamma**2
         return g_mat, g_gamma
 
 
@@ -287,16 +299,11 @@ def _ray_optimal(point: _Workspace, rho: float) -> _Workspace:
 
     Every term of the objective but ``-log det X`` is homogeneous of degree 1 in
     ``(X, gamma)``, so ``f(cX, c gamma) = f - p log c + (c - 1) K`` with
-    ``K = f + log det X >= gamma rho^2 > 0``, least at ``c = p / K``.  The scaled
-    point comes from ``point``'s own factors (``_Workspace.scaled``).  Returns ``point``
-    itself where it is not lower, as at ``c = 1`` or where rounding cancels ``K``.
+    ``K = gamma (rho^2 + <X, A^-1 cov>) >= gamma rho^2 > 0``, least at ``c = p / K``,
+    where ``f`` falls by ``p (K / p - 1 - log(K / p)) >= 0``.  The scaled point comes
+    from ``point``'s own factors (``_Workspace.scaled``).
     """
-    _, trace_cov, trace_term = point._terms
-    K = point.gamma * (rho * rho - trace_cov) + point.gamma**2 * trace_term
-    if not K > 0.0:
-        return point
-    scaled = point.scaled(point.p / K)
-    return scaled if scaled.objective(rho) < point.objective(rho) else point
+    return point.scaled(point.p / (point.gamma * (rho * rho + point._terms[1])))
 
 
 #: rows of the reduced Newton matrix assembled per block by ``_FreeCoordinates.solve_newton``
@@ -450,7 +457,10 @@ def reformulation_objective(cov, X, gamma: float, rho: float) -> float:
 
     ``f(X, gamma) = -log det X + gamma (rho^2 - tr cov)
     + gamma^2 <(gamma I - X)^{-1}, cov>`` for ``0 < X < gamma I``, from the
-    Cholesky factors of ``X`` and ``gamma I - X`` (see ``_Workspace``).  Raises
+    Cholesky factors of ``X`` and ``gamma I - X`` (see ``_Workspace``).  Since
+    ``gamma^2 (gamma I - X)^{-1} - gamma I = gamma (gamma I - X)^{-1} X``, it is evaluated
+    as ``-log det X + gamma (rho^2 + <X, (gamma I - X)^{-1} cov>)``, whose last terms
+    are nonnegative and do not cancel at large ``gamma``.  Raises
     ``ValueError`` outside that domain, and where ``gamma`` exceeds ``lambda_max(X)``
     by no more than ``RANK_RTOL`` relative.
     """
@@ -547,9 +557,10 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
     Iterates projected Newton steps with the Armijo search (``armijo_step``)
     until the projected gradient norm drops below ``config.grad_tol`` or the
     iteration budget is exhausted (the result is still returned, flagged in the
-    trace).  Where the objective stops falling at floating-point resolution, it
-    takes the full Newton step while that lowers the projected gradient norm, and
-    otherwise stops with ``converged`` set.
+    trace); the iterate that the last allowed step reaches is tested too.  Where
+    the objective stops falling at floating-point resolution, it takes the full
+    Newton step while that lowers the projected gradient norm, and otherwise stops
+    with ``converged`` set.
     A singular input covariance is replaced by ``cov + eps I`` with
     ``eps = 1e-8 * lambda_max``, or ``eps = 1e-8 * rho^2`` when ``cov = 0``;
     both scale with the data.  This ridge shifts the spectrum to ``lam + eps``
@@ -601,12 +612,15 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
                 point, start = prev, "previous"
     trace = SolverTrace(objectives=[point.objective(rho)], start=start)
 
-    for _ in range(config.max_iters):
+    while True:  # every iterate is tested, the last one included
         gradient, pg_norm = _projected_gradient(point, rho, mask)
         trace.grad_norms.append(pg_norm)
         if pg_norm <= config.grad_tol:
             trace.converged = True
             trace.message = "projected gradient below tolerance"
+            break
+        if trace.iterations == config.max_iters:
+            trace.message = f"iteration budget ({config.max_iters}) exhausted"
             break
         step = _descent_direction(point, gradient, free)
         if step.predicted_decrease >= -1e-14:
@@ -627,8 +641,6 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
         trace.iterations += 1
         trace.objectives.append(point.objective(rho))
         trace.step_sizes.append(alpha)
-    else:
-        trace.message = f"iteration budget ({config.max_iters}) exhausted"
 
     X, gamma, f = point.X, point.gamma, point.objective(rho)
     d, U = np.linalg.eigh(X)

@@ -52,8 +52,9 @@ def _multiplier_at(S, d, U, rho: float):
     """``(gamma, f(X, gamma))`` at ``gamma = argmin f(X, .)`` on ``[lambda_max(X), inf)``,
     for ``X = U diag(d) U^T`` (``d`` ascending, positive) and a validated PSD ``S``.
 
-    With ``m = diag(U^T S U)``, ``f = -sum log d + gamma (rho^2 - tr S) + gamma^2 sum
-    m / (gamma - d)``, whose slope over ``rho^2``, ``1 - sum m d^2 / (rho^2 (gamma - d)^2)``,
+    With ``m = diag(U^T S U)``, ``f = -sum log d + gamma (rho^2 + sum m d / (gamma - d))``
+    (``analytical._eigenbasis_objective``), whose slope over ``rho^2``,
+    ``1 - sum m d^2 / (rho^2 (gamma - d)^2)``,
     is concave and increasing.  Each term alone puts its root beyond ``d_a (1 + sqrt(m_a)
     / rho)``; every gap at its smallest puts it below ``d_max + sqrt(sum m d^2) / rho``.
     Terms with ``m_a = 0`` (below the rank cut) vanish; if the slope is then nonnegative at
@@ -72,11 +73,13 @@ def _multiplier_at(S, d, U, rho: float):
     if residual(np.array([lower]), None)[0][0] < 0.0:
         upper = d[-1] + np.sqrt(mp @ (dm * dm)) / rho
         gamma = float(_kernels.monotone_newton(residual, lower, upper, GAMMA_TOL)[0][0])
-    return gamma, _eigenbasis_objective(d, m, gamma, rho, np.trace(S))
+    return gamma, _eigenbasis_objective(d, m, gamma, rho)
 
 
 def extremal_covariance(cov, X, gamma: float) -> WorstCaseDistribution:
-    """Worst-case covariance for a given feasible multiplier."""
+    """Worst-case covariance for a given feasible multiplier, finite and positive."""
+    if not np.isfinite(gamma) or gamma <= 0.0:
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
     S, Xs = _symmetric_pair(cov, X)
     p = S.shape[0]
     e = np.linalg.eigvalsh(Xs)

@@ -200,6 +200,13 @@ class TestEigenvalueMap:
         with pytest.raises(ValueError, match="gamma_star must be finite and positive"):
             eigenvalue_map(np.array([1.0, 0.0]), gamma)
 
+    @pytest.mark.parametrize("lam, named", [([np.nan, 1.0], "nan"), ([-1.0, 1.0], "-1.0"), ([np.inf, 1.0], "inf"),
+                                            (-1e-300, "-1e-300")])
+    def test_rejects_negative_or_nonfinite_eigenvalue(self, lam, named):
+        # nan and -1 used to map to gamma, like a zero eigenvalue, and inf to 0
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {named}$"):
+            eigenvalue_map(lam, 1.0)
+
 
 class TestShrinkage:
     def test_scalar_chain(self):

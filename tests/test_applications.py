@@ -25,9 +25,12 @@ from wshrink.applications import (
     synthetic_sigma0,
     zero_pattern_of,
 )
+import wshrink
 from wshrink import applications, sqa
 from wshrink.cli import _oos_square
+from wshrink.errors import ConvergenceError, EstimationError
 from wshrink.evaluation import SampleMoments, TuningGrid, cross_validate, sample_moments, stein_loss
+from wshrink.sqa import SolverConfig, SparsityPattern
 from wshrink.worst_case import _multiplier_at
 
 from conftest import random_rotation, random_spd
@@ -496,3 +499,22 @@ class TestSparseEstimator:
         assert all(trace.converged for trace in traces)
         assert traces[0].start == "analytical" and any(trace.start == "previous" for trace in traces)
         assert sum(trace.iterations for trace in traces) < cold_iterations
+
+    def test_unconverged_solve_raises_and_still_starts_the_next(self, monkeypatch):
+        # an estimate the solver did not converge to is never scored; it is still the next start
+        moments = sample_moments(np.random.default_rng(2).normal(0.0, 1.0, (40, 8)))
+        pattern = SparsityPattern(8, [(0, 1), (2, 4), (3, 7)])
+        starts = []
+
+        def recorded(*args, **kwargs):
+            starts.append(kwargs["_start"])
+            return sqa.sqa_solve(*args, **kwargs)
+
+        monkeypatch.setattr(applications, "sqa_solve", recorded)
+        estimate = sparse_estimator(pattern, SolverConfig(max_iters=1))
+        with pytest.raises(ConvergenceError, match=r"^sqa_solve at rho=0\.01: iteration budget \(1\) exhausted$"):
+            estimate(moments, 0.01)
+        with pytest.raises(ConvergenceError, match=r"at rho=0\.1:"):
+            estimate(moments, 0.1)
+        assert starts[0] is None and starts[1] is not None
+        assert wshrink.ConvergenceError is ConvergenceError and issubclass(ConvergenceError, EstimationError)

@@ -556,6 +556,20 @@ class TestTune:
         assert doc["first_errors"][2:] == [None, None, None]
         assert doc["selected"] in doc["values"][2:] and "mode" not in doc
 
+    def test_unconverged_pattern_solves_count_as_failed_folds(self, tmp_path):
+        # one Newton step leaves every solve short of the tolerance: each cell fails, named
+        # by its error, where it used to be scored as if the solve had converged
+        data = write_csv(tmp_path / "d.csv", np.random.default_rng(2).normal(0.0, 1.0, (40, 8)))
+        write_pattern(tmp_path / "pat.json", 8, [[1, 2], [3, 5], [4, 8]])
+        out = tmp_path / "r.json"
+        assert main(["tune", "--input", data, "--pattern", str(tmp_path / "pat.json"), "--max-iters", "1",
+                     "--cv", "kfold:4", "--output", str(out),
+                     "--grid", '{"param":"rho","log10_from":-2,"log10_to":1,"points":7}']) == 0
+        doc = json.loads(out.read_text())
+        assert doc["failed_folds"] == [4] * 7
+        assert doc["first_errors"][0] == "ConvergenceError: sqa_solve at rho=0.01: iteration budget (1) exhausted"
+        assert all(e.startswith("ConvergenceError: sqa_solve at rho=") for e in doc["first_errors"])
+
     def test_alpha_grid_uses_linear_shrinkage(self, tmp_path, rng):
         data = write_csv(tmp_path / "d.csv", rng.standard_normal((12, 4)))
         out = str(tmp_path / "r.json")
@@ -617,6 +631,15 @@ class TestSynthetic:
         assert len(rows) == 1 + 3
         summary = (tmp_path / "bench_summary.csv").read_text().strip().splitlines()
         assert summary[0] == "estimator,param,mean,q20,q80"
+
+    def test_unconverged_known_zeros_solve_is_solver_error(self, tmp_path, capsys):
+        # a Stein loss is never reported for an estimate the solver did not converge to
+        code = main(["synthetic", "--p", "10", "--density", "0.1", "--n", "10", "--trials", "2",
+                     "--grid-points", "3", "--known-zeros", "0.5", "--max-iters", "1",
+                     "--output", str(tmp_path / "syn.csv")])
+        assert code == 2
+        assert "solver error: sqa_solve at rho=0.01: iteration budget (1) exhausted" in capsys.readouterr().err
+        assert not (tmp_path / "syn.csv").exists()
 
     def test_deterministic_rerun(self, tmp_path):
         args = ["synthetic", "--p", "4", "--density", "0.5", "--n", "8",

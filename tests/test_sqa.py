@@ -1,5 +1,7 @@
+import math
 import re
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -254,10 +256,63 @@ class TestObjectiveForms:
         d, U = np.linalg.eigh(X)
         gamma, rho = d[-1] * (1.0 + 10.0**log10_margin), np.sqrt(c) * r
         m = np.einsum("ij,ik,kj->j", U, S, U)
-        trace = float(np.trace(S))
-        eigen = _eigenbasis_objective(d, m, gamma, rho, trace)
-        scale = np.abs(np.log(d)).sum() + gamma * (rho * rho + trace) + gamma * gamma * np.sum(np.abs(m) / (gamma - d))
+        eigen = _eigenbasis_objective(d, m, gamma, rho)
+        # the magnitudes of the terms of the cancellation-free form both evaluate
+        scale = np.abs(np.log(d)).sum() + gamma * (rho * rho + np.sum(np.abs(m) * d / (gamma - d)))
         assert abs(reformulation_objective(S, X, gamma, rho) - eigen) <= 1e-10 * scale
+
+
+#: a diagonal X, eigenvalues below 1 so that every term of f is positive, and a diagonal S with a zero
+_DIAG_X = np.array([0.2, 0.45, 0.7, 0.95])
+_DIAG_S = np.array([0.3, 1.1, 0.0, 2.0])
+#: multipliers far above lambda_max(X) = 0.95, where the paper's form cancels, and small to moderate radii
+_EXACT_GRID = [(gamma, rho) for gamma in 10.0 ** np.arange(2, 9) for rho in (1e-3, 1e-2, 0.1, 1.0)]
+
+
+def exact_diagonal(gamma, rho):
+    """``(f, g_gamma)`` at ``X = diag(_DIAG_X)``, ``S = diag(_DIAG_S)``: rational arithmetic on the
+    float inputs, ``f = -sum log x + gamma (rho^2 + sum s x / (gamma - x))`` and ``g_gamma = rho^2 -
+    sum s x^2 / (gamma - x)^2``; only the sum of the logs is rounded, by less than an ulp of ``f``."""
+    g, r2 = Fraction(gamma), Fraction(rho) ** 2
+    xs, ss = [Fraction(x) for x in _DIAG_X], [Fraction(s) for s in _DIAG_S]
+    rational = g * (r2 + sum(s * x / (g - x) for x, s in zip(xs, ss)))
+    slope = r2 - sum(s * x * x / ((g - x) * (g - x)) for x, s in zip(xs, ss))
+    return float(rational - Fraction(math.fsum(np.log(_DIAG_X)))), float(slope)
+
+
+class TestExactReference:
+    """The objective, its eigenbasis form and the multiplier gradient against exact rational
+    values on diagonal input.  The paper's form ``gamma (rho^2 - tr S) + gamma^2 <A^-1, S>``
+    cancels at large ``gamma``: at ``gamma = 1e8`` its rounding is about ``gamma tr S eps``."""
+
+    @staticmethod
+    def worst(errors):
+        return max(errors, key=lambda e: e[0])
+
+    def test_reformulation_objective(self):
+        X, S = np.diag(_DIAG_X), np.diag(_DIAG_S)
+        errors = []
+        for gamma, rho in _EXACT_GRID:
+            f = exact_diagonal(gamma, rho)[0]
+            errors.append((abs(reformulation_objective(S, X, gamma, rho) - f) / abs(f), gamma, rho))
+        assert self.worst(errors)[0] <= 1e-14, self.worst(errors)
+
+    def test_eigenbasis_objective(self):
+        errors = []
+        for gamma, rho in _EXACT_GRID:
+            f = exact_diagonal(gamma, rho)[0]
+            errors.append((abs(_eigenbasis_objective(_DIAG_X, _DIAG_S, gamma, rho) - f) / abs(f), gamma, rho))
+        assert self.worst(errors)[0] <= 1e-14, self.worst(errors)
+
+    def test_multiplier_gradient(self):
+        # relative to rho^2 where the gradient itself is smaller: its terms are rho^2 and one below it
+        X, S = np.diag(_DIAG_X), np.diag(_DIAG_S)
+        errors = []
+        for gamma, rho in _EXACT_GRID:
+            g = exact_diagonal(gamma, rho)[1]
+            got = sqa_gradient(S, X, gamma, rho)[1]
+            errors.append((abs(got - g) / max(abs(g), rho * rho), gamma, rho))
+        assert self.worst(errors)[0] <= 1e-14, self.worst(errors)
 
 
 class TestRayScaling:
@@ -900,8 +955,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("spec_seed", [119253154, 1763574599, 1636813174])
     def test_synthetic_items_end_below_tolerance(self, spec_seed):
-        # synthetic-benchmark items on which the objective stops falling at rounding
-        # level while the projected gradient is still up to 1.9x above grad_tol
+        # the 15 cold solves of three synthetic-benchmark items, one per radius of the benchmark's
+        # grid: each stops at the gradient test, below grad_tol, and a step that does not lower the
+        # objective may only be a full Newton step that lowers the projected gradient (none of
+        # these solves takes one: every accepted step lowers the objective)
         spec = SyntheticSpec(dim=30, density=0.05, n_samples=30, trials=1, seed=spec_seed)
         truth = zero_pattern_of(np.linalg.inv(synthetic_sigma0(spec)))
         pattern = known_zero_pattern(truth, 0.5, spec_seed)
@@ -938,6 +995,10 @@ class TestSolve:
         again, trace = sqa_solve(cov, 0.5, pattern, _start=first.precision)
         assert trace.start == "previous" and trace.converged and trace.iterations == 0
         assert (again.precision == first.precision).all()
+        # the start is tested like any iterate: with no step allowed, it is still converged
+        again, trace = sqa_solve(cov, 0.5, pattern, SolverConfig(max_iters=0), _start=first.precision)
+        assert trace.converged and trace.grad_norms[0] <= SolverConfig().grad_tol and len(trace.grad_norms) == 1
+        assert (again.precision == first.precision).all()
 
     def test_no_matrix_is_factored_twice(self, monkeypatch):
         # every visited point is factored once: the line search's accepted point is the next
@@ -966,12 +1027,30 @@ class TestSolve:
         with pytest.raises(ValueError, match="_start dimension"):
             sqa_solve(random_spd(4, rng), 0.5, _start=np.eye(3))
 
+    @pytest.mark.parametrize("rho", [0.01, 10.0])
+    def test_last_allowed_step_is_tested(self, rho):
+        # these solves meet the tolerance at their fifth iterate: a budget of 5 steps reaches it,
+        # so the solve converged, with the gradient norm of the estimate it returns
+        spec = SyntheticSpec(dim=3, density=0.5, n_samples=8, trials=1, seed=0)
+        sigma = synthetic_sigma0(spec)
+        pattern = known_zero_pattern(zero_pattern_of(np.linalg.inv(sigma)), 0.5, spec.seed)
+        cov = sample_moments(sample_gaussian(sigma, spec.n_samples, spec.seed + 1)).covariance
+        unbounded, unbounded_trace = sqa_solve(cov, rho, pattern)
+        assert unbounded_trace.converged and unbounded_trace.iterations == 5
+        budget, trace = sqa_solve(cov, rho, pattern, SolverConfig(max_iters=5))
+        assert trace.converged and trace.message == unbounded_trace.message
+        assert trace.grad_norms == unbounded_trace.grad_norms
+        assert (budget.precision == unbounded.precision).all()
+
     def test_budget_exhaustion_flagged(self, rng):
         cov = random_spd(6, rng)
-        sol, trace = sqa_solve(cov, 0.3, config=SolverConfig(max_iters=2))
-        assert not trace.converged
-        assert "budget" in trace.message
-        assert np.linalg.eigvalsh(sol.precision)[0] > 0.0
+        for max_iters in (0, 2):
+            sol, trace = sqa_solve(cov, 0.3, config=SolverConfig(max_iters=max_iters))
+            assert not trace.converged
+            assert "budget" in trace.message
+            # every iterate is tested, the last one included
+            assert trace.iterations == max_iters and len(trace.grad_norms) == max_iters + 1
+            assert np.linalg.eigvalsh(sol.precision)[0] > 0.0
 
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(ValueError, match="PSD"):

@@ -166,6 +166,12 @@ class TestExtremalCovariance:
         with pytest.raises(ValueError, match="positive definite"):
             extremal_covariance(np.eye(3), X, top * 0.5)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_nonfinite_or_nonpositive_multiplier(self, gamma, rng):
+        # nan used to fail in the linear solve, as "matrix contains non-finite entries"
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            extremal_covariance(random_spd(3, rng), 0.5 * np.eye(3), gamma)
+
 
 class TestExtremalForOptimal:
     def test_scalar_chain(self):
