@@ -13,9 +13,11 @@ distribution), cross-validation, and the three experiment pipelines.  The
 SQA step internals (Newton direction, Armijo line search) stay in ``sqa``.
 
 Importing the package loads NumPy only.  SciPy serves the Cholesky solves of
-the SQA solver, its gradient and the reformulation objective, and loads at the
-first of them in a process: the analytical estimator, cross-validation, the
-worst case and the pipelines without known zeros never load it.
+the SQA solver, its gradient, the reformulation objective and the worst case at
+a given point (``extremal_covariance``), and loads at the first of them in a
+process: the analytical estimator, cross-validation, the worst case at the
+optimal estimator (``extremal_for_optimal``, the ``worstcase`` command) and the
+pipelines without known zeros never load it.
 """
 
 from ._kernels import USING_NUMBA

@@ -7,10 +7,12 @@ multiplier ``gamma*`` is the unique positive root of the strictly increasing
 residual ``phi(g) = rho^2 g - n0 - sum_{lam > 0} map(lam, g) / g``, with ``n0``
 zero eigenvalues; it is concave, so Newton climbs to it from within the
 a priori bracket ``gamma_bracket``, which needs no repair (see ``_kernels``).
-This module provides the convex objective in its eigenbasis form, shared with
-the worst case, the bracket, the root solve, the eigenvalue map, the assembled
-estimator and its radius path.  The objective's Cholesky form, which needs no
-eigenbasis, is ``sqa.reformulation_objective``; this module needs NumPy only.
+This module provides the convex objective in its eigenbasis form and the
+multiplier that minimizes it at a fixed ``X`` (``_multiplier_at``), shared with
+the worst case and the SQA solver, the bracket, the root solve, the eigenvalue
+map, the assembled estimator and its radius path.  The objective's Cholesky form,
+which needs no eigenbasis, is ``sqa.reformulation_objective``; this module needs
+NumPy only.
 
 The estimator takes a covariance or ``SampleMoments`` (``_spectrum`` alone
 picks the decomposition) and is held in factored form, a
@@ -145,6 +147,36 @@ def _eigenbasis_objective(d, m, gamma: float, rho: float) -> float:
     that cancel.  Terms with ``m = 0`` take their limit value 0, also where ``d`` reaches ``gamma``."""
     pos = m > 0.0
     return float(-np.log(d).sum() + gamma * (rho * rho + np.sum(m[pos] * d[pos] / (gamma - d[pos]))))
+
+
+def _multiplier_at(S, d, U, rho: float):
+    """``(gamma, f(X, gamma))`` at ``gamma = argmin f(X, .)`` on ``[lambda_max(X), inf)``,
+    for ``X = U diag(d) U^T`` (``d`` ascending, positive) and a validated PSD ``S``.
+
+    With ``m = diag(U^T S U)``, ``f = -sum log d + gamma (rho^2 + sum m d / (gamma - d))``
+    (``_eigenbasis_objective``), whose slope over ``rho^2``,
+    ``1 - sum m d^2 / (rho^2 (gamma - d)^2)``,
+    is concave and increasing.  Each term alone puts its root beyond ``d_a (1 + sqrt(m_a)
+    / rho)``; every gap at its smallest puts it below ``d_max + sqrt(sum m d^2) / rho``.
+    Terms with ``m_a = 0`` (below the rank cut) vanish; if the slope is then nonnegative at
+    ``d_max``, that boundary is the minimum, as the analytical multiplier is on rank-deficient
+    input, and ``f`` is its limit there.  It gives the worst case's multiplier
+    (``worst_case.extremal_gamma``) and, in ``sqa.sqa_solve``, the multiplier of a previous
+    solution's start and of a ridged solve's answer.
+    """
+    m = psd_spectrum(np.sum(U * (S @ U), axis=0), "cov")
+    dm, mp, rho2 = d[m > 0.0], m[m > 0.0], rho * rho
+
+    def residual(g, _):
+        gap = g[:, None] - dm
+        t = mp * (dm / gap) ** 2 / rho2
+        return 1.0 - t.sum(axis=1), 2.0 * (t / gap).sum(axis=1)
+
+    gamma = lower = max(float(d[-1]), float(np.max(dm * (1.0 + np.sqrt(mp) / rho), initial=0.0)))
+    if residual(np.array([lower]), None)[0][0] < 0.0:
+        upper = d[-1] + np.sqrt(mp @ (dm * dm)) / rho
+        gamma = float(_kernels.monotone_newton(residual, lower, upper, GAMMA_TOL)[0][0])
+    return gamma, _eigenbasis_objective(d, m, gamma, rho)
 
 
 def wasserstein_shrinkage(source, rho: float) -> ShrinkageSolution:

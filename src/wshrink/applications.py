@@ -10,7 +10,7 @@ import numpy as np
 
 from .analytical import FactoredPrecision, wasserstein_shrinkage, wasserstein_shrinkage_path
 from .errors import ConvergenceError
-from .evaluation import SampleMoments, _grid_scores, sample_moments, stein_loss
+from .evaluation import SampleMoments, _FailedCells, sample_moments, stein_loss
 from .gaussian import _check_int, as_symmetric, spectral_decompose
 from .sqa import SolverConfig, SparsityPattern, sqa_solve
 
@@ -158,13 +158,33 @@ def sparse_estimator(pattern: SparsityPattern, config: SolverConfig | None = Non
     return estimate
 
 
+def _quantile(table: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(table, q, axis=0)`` with a failed cell's ``inf`` ranked above every loss.
+
+    An ``inf`` cell is replaced by its column's largest finite loss, which keeps the order
+    and forms no ``inf - inf``; where the interpolation gives a failed cell positive weight,
+    which the same quantile of the failure indicator tells, the quantile is ``inf``.
+    """
+    failed = np.isinf(table)
+    top = np.max(table, axis=0, where=~failed, initial=0.0)
+    out = np.quantile(np.where(failed, top, table), q, axis=0)
+    return np.where(np.quantile(failed.astype(np.float64), q, axis=0) > 0.0, np.inf, out)
+
+
 @dataclass
 class BenchmarkResult:
-    """Per-trial, per-grid-point Stein losses of the synthetic benchmark."""
+    """Per-trial, per-grid-point Stein losses of the synthetic benchmark.
+
+    A failed cell's loss is ``inf``; ``failed[name][g]`` counts the failed trials of grid
+    value ``g`` and ``first_errors[name][g]`` is the first one's text (see
+    ``cross_validate``'s ``failed_folds`` and ``first_errors``).
+    """
 
     spec: SyntheticSpec
     grids: dict
     losses: dict  # name -> array of shape (trials, grid size)
+    failed: dict  # name -> failed trials per grid value
+    first_errors: dict  # name -> first error text per grid value, None where none failed
 
     def long_rows(self):
         """Iterate ``(trial, estimator, parameter, loss)`` rows (1-based trials)."""
@@ -175,13 +195,14 @@ class BenchmarkResult:
                     yield t + 1, name, float(value), float(table[t, g])
 
     def summary(self, name: str):
-        """Mean and 20%/80% quantiles across trials for one estimator."""
+        """Mean and 20%/80% quantiles across trials for one estimator; a failed cell
+        counts as an infinite loss."""
         table = self.losses[name]
         return {
             "values": self.grids[name].values,
             "mean": table.mean(axis=0),
-            "q20": np.quantile(table, 0.2, axis=0),
-            "q80": np.quantile(table, 0.8, axis=0),
+            "q20": _quantile(table, 0.2),
+            "q80": _quantile(table, 0.8),
         }
 
 
@@ -193,19 +214,23 @@ def synthetic_benchmark(spec: SyntheticSpec, estimators: dict, grids: dict) -> B
     fresh samples from the fixed ground truth (trial ``t`` uses generator
     seed ``spec.seed + t``, 1-based) and scores every estimator at every grid
     point against the true covariance, through its ``path`` when it has one.
-    Estimator errors propagate.
+    A cell whose estimate or loss fails as a ``cross_validate`` cell does has loss
+    ``inf`` and is counted in ``failed`` and ``first_errors``; any other error propagates.
     """
     if set(estimators) != set(grids):
         raise ValueError("estimators and grids must share the same labels")
     sigma0 = synthetic_sigma0(spec)
     losses = {name: np.empty((spec.trials, grids[name].values.size)) for name in estimators}
+    failures = {name: _FailedCells(grids[name].values.size) for name in estimators}
     for t in range(spec.trials):
         data = sample_gaussian(sigma0, spec.n_samples, spec.seed + t + 1)
         moments = sample_moments(data)
         for name, estimate in estimators.items():
-            losses[name][t] = list(_grid_scores(estimate, moments, grids[name].values,
-                                                lambda P: stein_loss(P, sigma0), catch=()))
-    return BenchmarkResult(spec=spec, grids=dict(grids), losses=losses)
+            losses[name][t] = failures[name].losses(estimate, moments, grids[name].values,
+                                                    lambda P: stein_loss(P, sigma0))
+    return BenchmarkResult(spec=spec, grids=dict(grids), losses=losses,
+                           failed={name: f.count for name, f in failures.items()},
+                           first_errors={name: tuple(f.first) for name, f in failures.items()})
 
 
 # --- linear discriminant analysis ----------------------------------------------

@@ -171,6 +171,28 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _cv_fields(report) -> dict:
+    """The CV fields that ``tune`` and ``portfolio`` report; ``selected`` is null when no value scored."""
+    return {
+        "param": report.param_name,
+        "values": report.values.tolist(),
+        "mean_scores": report.mean_scores.tolist(),
+        "failed_folds": report.failed_folds.tolist(),
+        "first_errors": report.first_errors,
+        "selected": report.selected if np.isfinite(report.selected) else None,
+        "scheme": report.scheme,
+    }
+
+
+def _unselected(report) -> bool:
+    """True, with the first error printed, when no grid value scored on every fold."""
+    if np.isfinite(report.selected):
+        return False
+    first = next((e for e in report.first_errors if e), "no finite score")
+    print(f"solver error: no {report.param_name} value scored on every fold; first error: {first}", file=sys.stderr)
+    return True
+
+
 def cmd_tune(args) -> int:
     grid = _load_grid(args.grid, ("rho", "alpha"))
     data = io.read_matrix_csv(args.input)
@@ -180,18 +202,10 @@ def cmd_tune(args) -> int:
         data, estimator, grid, scheme=args.cv, seed=args.seed,
         divisor_policy="n-1" if args.divisor == "n-1" else "n",
     )
-    io.write_json(args.output, {
-        "command": "tune",
-        "param": report.param_name,
-        "values": report.values.tolist(),
-        "mean_scores": report.mean_scores.tolist(),
-        "fold_scores": report.fold_scores.tolist(),
-        "failed_folds": report.failed_folds.tolist(),
-        "first_errors": report.first_errors,
-        "selected": report.selected,
-        "scheme": report.scheme,
-        "seed": report.seed,
-    })
+    io.write_json(args.output, {"command": "tune", **_cv_fields(report),
+                                "fold_scores": report.fold_scores.tolist(), "seed": report.seed})
+    if _unselected(report):
+        return EXIT_SOLVER
     print(f"selected {report.param_name} = {report.selected:.17g}")
     return EXIT_OK
 
@@ -233,7 +247,7 @@ def cmd_synthetic(args) -> int:
             name = f"wasserstein+zeros{int(round(frac * 100))}"
             estimators[name] = sparse_estimator(pattern, config)
             grids[name] = grid
-    result = synthetic_benchmark(spec, estimators, grids)
+    result = synthetic_benchmark(spec, estimators, grids)  # a failed cell's loss is inf
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("trial,estimator,param,loss\n")
         for trial, name, value, loss in result.long_rows():
@@ -244,7 +258,14 @@ def cmd_synthetic(args) -> int:
             s = result.summary(name)
             for g, value in enumerate(s["values"]):
                 fh.write(f"{name},{value:.17g},{s['mean'][g]:.17g},{s['q20'][g]:.17g},{s['q80'][g]:.17g}\n")
-    return EXIT_OK
+    code = EXIT_OK
+    for name in estimators:
+        if result.failed[name].any():
+            first = next(e for e in result.first_errors[name] if e)
+            print(f"solver error: {name}: {result.failed[name].sum()} of {result.losses[name].size} cells failed;"
+                  f" first error: {first}", file=sys.stderr)
+            code = EXIT_SOLVER
+    return code
 
 
 def cmd_lda(args) -> int:
@@ -319,11 +340,10 @@ def cmd_portfolio(args) -> int:
         report = cross_validate(returns[: args.window], estimator, grid, scheme=args.cv, score=_oos_square,
                                 seed=args.seed, divisor_policy="n-1")
         value = report.selected
-        report_doc.update({"values": report.values.tolist(),
-                           "mean_scores": report.mean_scores.tolist(),
-                           "failed_folds": report.failed_folds.tolist(),
-                           "first_errors": report.first_errors,
-                           "selected": value, "param": grid.name, "scheme": args.cv})
+        report_doc.update(_cv_fields(report))
+        if _unselected(report):  # no backtest at a radius that no fold scored
+            io.write_json(args.output, report_doc)
+            return EXIT_SOLVER
     else:
         estimator, value = _estimator_for("rho"), args.rho
         report_doc.update({"selected": value, "param": "rho"})

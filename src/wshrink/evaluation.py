@@ -180,7 +180,8 @@ class CVReport:
     Scores are losses.  ``fold_scores[k, g]`` is the score of grid value ``g``
     on fold ``k`` (``inf`` marks an estimator failure at that point); the
     selected value minimizes the mean score, ties resolved toward the smallest
-    value.  ``failed_folds[g]`` counts the failed folds of value ``g``,
+    value, and is ``nan`` when no mean score is finite: no value scored on every
+    fold.  ``failed_folds[g]`` counts the failed folds of value ``g``,
     ``first_errors[g]`` the first one's text.
     """
 
@@ -195,9 +196,12 @@ class CVReport:
     first_errors: tuple
 
 
-def _grid_scores(estimator, moments, values, score,
-                 catch=(ValueError, np.linalg.LinAlgError, EstimationError)):
-    """Per grid value, in order, ``score(precision)`` or the ``catch`` error that replaced it."""
+#: the errors that fail one cell of a sweep, scored ``inf``, where any other propagates
+_CELL_ERRORS = (ValueError, np.linalg.LinAlgError, EstimationError)
+
+
+def _grid_scores(estimator, moments, values, score):
+    """Per grid value, in order, ``score(precision)`` or the ``_CELL_ERRORS`` error that replaced it."""
     path = getattr(estimator, "path", None)
     chunks = [values] if path else [values[g : g + 1] for g in range(len(values))]
     path = path or (lambda m, chunk: (estimator(m, float(v)) for v in chunk))
@@ -208,10 +212,31 @@ def _grid_scores(estimator, moments, values, score,
                 done += 1
                 try:
                     yield score(precision)
-                except catch as exc:
+                except _CELL_ERRORS as exc:
                     yield exc
-        except catch as exc:  # the path stopped: this value and every later one fail
+        except _CELL_ERRORS as exc:  # the path stopped: this value and every later one fail
             yield from [exc] * (len(chunk) - done)
+
+
+class _FailedCells:
+    """The failed cells of a sweep: ``count[g]`` counts those of grid value ``g``, and
+    ``first[g]`` is the first one's text, None where none failed."""
+
+    def __init__(self, size: int):
+        self.count = np.zeros(size, dtype=int)
+        self.first = [None] * size
+
+    def losses(self, estimator, moments, values, score) -> list:
+        """The losses of ``_grid_scores(estimator, moments, values, score)``, one per grid
+        value, each failed cell recorded and ``inf``."""
+        row = []
+        for g, cell in enumerate(_grid_scores(estimator, moments, values, score)):
+            if isinstance(cell, Exception):
+                self.count[g] += 1
+                self.first[g] = self.first[g] or f"{type(cell).__name__}: {cell}"
+                cell = np.inf
+            row.append(cell)
+        return row
 
 
 def cross_validate(
@@ -240,7 +265,8 @@ def cross_validate(
     A ``ValueError``, ``LinAlgError`` or ``EstimationError`` scores ``inf``
     and is counted in the report.  An estimator call or a score that raises
     fails only its cell; a path that raises before yielding value ``g`` fails
-    cells ``g`` onward of its fold.
+    cells ``g`` onward of its fold.  When every value failed on some fold, no
+    value is selected: ``selected`` is ``nan``.
     """
     if divisor_policy not in ("n", "n-1"):
         raise ValueError("divisor_policy must be 'n' or 'n-1'")
@@ -250,32 +276,26 @@ def cross_validate(
     score = gaussian_validation_nll if score is None else score
 
     fold_scores = np.empty((len(folds), grid.values.size))
-    failed_folds = np.zeros(grid.values.size, dtype=int)
-    first_errors = [None] * grid.values.size
+    failures = _FailedCells(grid.values.size)
     for k, fold in enumerate(folds):
         train_mask = np.ones(n, dtype=bool)
         train_mask[fold] = False
         train = X[train_mask]
         div = float(train.shape[0] - 1) if divisor_policy == "n-1" else None
         moments = sample_moments(train, divisor=div)
-        for g, cell in enumerate(_grid_scores(estimator, moments, grid.values,
-                                              lambda P: score(P, moments, X[fold]))):
-            if isinstance(cell, Exception):
-                failed_folds[g] += 1
-                first_errors[g] = first_errors[g] or f"{type(cell).__name__}: {cell}"
-                cell = np.inf
-            fold_scores[k, g] = cell
+        fold_scores[k] = failures.losses(estimator, moments, grid.values, lambda P: score(P, moments, X[fold]))
 
     mean_scores = fold_scores.mean(axis=0)
+    scored = np.isfinite(mean_scores).any()
     return CVReport(
         param_name=grid.name,
         values=grid.values,
         fold_scores=fold_scores,
         mean_scores=mean_scores,
-        selected=float(grid.values[np.argmin(mean_scores)]),  # argmin: ties go to the smallest value
+        # argmin: ties go to the smallest value; no value is selected when none scored
+        selected=float(grid.values[np.argmin(mean_scores)]) if scored else np.nan,
         scheme=scheme,
         seed=seed,
-        failed_folds=failed_folds,
-        first_errors=tuple(first_errors),
+        failed_folds=failures.count,
+        first_errors=tuple(failures.first),
     )
-

@@ -21,15 +21,19 @@ the line search, an iterate) is one ``_Workspace``: the Cholesky factors of
 and the gradient and Newton terms come from the same factors on first use.  The
 point the line search accepts is the next iterate, and a start moved along its
 ray reuses its factors, scaled, so no matrix is factored twice in one solve.
-``reformulation_objective`` evaluates the objective the same way.
+A caller's point is validated once, by ``_cone_point``, and the same factors give
+``reformulation_objective``, ``sqa_gradient`` and the worst-case covariance
+``gamma^2 (gamma I - X)^-1 cov (gamma I - X)^-1`` of ``worst_case.extremal_covariance``,
+which is the gradient's first term (``GinvSGinv``).
 
 SciPy serves only LAPACK: ``potrf`` factors the Newton matrix in place, and
 ``potrs`` gives ``A^-1 cov``, the inverses and the Newton solves from the
 Cholesky factors, with none of ``scipy.linalg``'s argument checks.  The p x p
 cone-test factors are NumPy's.  Each function that calls LAPACK imports
 ``scipy.linalg.lapack`` itself, so importing ``wshrink`` loads NumPy only, and the
-first ``sqa_solve``, ``sqa_gradient`` or ``reformulation_objective`` of a process
-pays for loading SciPy.
+first ``sqa_solve``, ``sqa_gradient``, ``reformulation_objective`` or
+``extremal_covariance`` of a process pays for loading SciPy.  ``extremal_for_optimal``
+(and so the ``worstcase`` command) never loads it.
 
 The line search halves the step from 1 until the iterate stays in the cone and
 the objective falls by at least ``ARMIJO_SIGMA`` times the predicted decrease;
@@ -75,10 +79,9 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import _EPS
-from .analytical import ShrinkageSolution, _check_rho, _path, _spectrum, eigenvalue_map
+from .analytical import ShrinkageSolution, _check_rho, _multiplier_at, _path, _spectrum, eigenvalue_map
 from .errors import LinearSolveError, LineSearchError
 from .gaussian import RANK_RTOL, _check_int, _symmetric_pair, as_symmetric
-from .worst_case import _multiplier_at
 
 #: no conjugate-gradient step exists; the name stays bound because the benchmark tracer wraps ``sqa.cg``
 cg = None
@@ -442,14 +445,35 @@ class _FreeCoordinates:
         return np.append(z[:, 0] + t * (x - y), t * ws.gamma)
 
 
-def sqa_gradient(cov, X, gamma: float, rho: float):
-    """Gradient of the reformulation objective at a feasible point.
+def _cone_point(cov, X, gamma: float) -> _Workspace:
+    """The validated point ``(X, gamma)`` of the cone for a caller's ``cov`` and ``X``.
 
-    Returns ``(matrix_part, scalar_part)``; the matrix part is symmetric.
+    Checks, in this order: ``cov`` and ``X`` symmetric of one shape (``_symmetric_pair``),
+    ``gamma`` finite and positive, ``X`` positive definite, and ``gamma`` above
+    ``lambda_max(X)`` by more than ``RANK_RTOL`` relative; each raises ``ValueError``, as
+    does a point whose Cholesky factors fail (``_Workspace``).  The one entry of
+    ``reformulation_objective``, ``sqa_gradient`` and ``worst_case.extremal_covariance``.
+    """
+    S, Xs = _symmetric_pair(cov, X)
+    if not np.isfinite(gamma) or gamma <= 0.0:
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
+    e = np.linalg.eigvalsh(Xs)
+    if e[0] <= 0.0:
+        raise ValueError("X must be positive definite")
+    if gamma - e[-1] <= RANK_RTOL * max(gamma, float(e[-1])):
+        raise ValueError("gamma I - X must be positive definite")
+    return _Workspace(S, Xs, gamma)
+
+
+def sqa_gradient(cov, X, gamma: float, rho: float):
+    """Gradient of the reformulation objective at a point of its domain (see
+    ``reformulation_objective``).
+
+    Returns ``(matrix_part, scalar_part)``; the matrix part ``S* - X^-1`` is symmetric,
+    with ``S*`` the worst-case covariance ``worst_case.extremal_covariance`` returns.
     """
     _check_rho(rho)
-    ws = _Workspace(*_symmetric_pair(cov, X), gamma)
-    return ws.gradient(rho)
+    return _cone_point(cov, X, gamma).gradient(rho)
 
 
 def reformulation_objective(cov, X, gamma: float, rho: float) -> float:
@@ -462,19 +486,10 @@ def reformulation_objective(cov, X, gamma: float, rho: float) -> float:
     as ``-log det X + gamma (rho^2 + <X, (gamma I - X)^{-1} cov>)``, whose last terms
     are nonnegative and do not cancel at large ``gamma``.  Raises
     ``ValueError`` outside that domain, and where ``gamma`` exceeds ``lambda_max(X)``
-    by no more than ``RANK_RTOL`` relative.
+    by no more than ``RANK_RTOL`` relative (``_cone_point``).
     """
     _check_rho(rho)
-    S, Xs = _symmetric_pair(cov, X)
-    e = np.linalg.eigvalsh(Xs)
-    if e[0] <= 0.0:
-        raise ValueError("X must be positive definite")
-    if gamma - e[-1] <= RANK_RTOL * max(abs(gamma), float(e[-1])):
-        raise ValueError("gamma I - X must be positive definite")
-    point = _point(S, Xs, gamma)
-    if point is None:
-        raise ValueError("X and gamma I - X must be numerically positive definite")
-    return point.objective(rho)
+    return _cone_point(cov, X, gamma).objective(rho)
 
 
 def _descent_direction(ws: _Workspace, gradient, free: _FreeCoordinates) -> NewtonStep:
@@ -548,7 +563,7 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
     (``_ray_optimal``).  A private ``_start``, an earlier solution of any problem
     of this dimension, is zeroed on the pattern and paired with
     ``gamma = argmin f(_start, .)`` on the problem at hand
-    (``worst_case._multiplier_at``, from its ``eigh``).  Where that point already
+    (``analytical._multiplier_at``, from its ``eigh``).  Where that point already
     meets the stopping test it is kept as it is, so a restart from the solver's own
     solution stops at once with the same answer; otherwise it moves to its ray
     optimum too.  The solver starts there instead when that point is in the cone
@@ -569,7 +584,7 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
 
     Returns ``(ShrinkageSolution, SolverTrace)``.  On ridged input the solution reports
     the caller's problem, ``gamma = argmin f(X, .)`` on ``cov`` and ``f`` there (by
-    ``worst_case._multiplier_at``, from the ``eigh`` of ``X`` that also gives
+    ``analytical._multiplier_at``, from the ``eigh`` of ``X`` that also gives
     ``shrunk_eigenvalues``), and ``trace.objectives`` the ridged problem's.
     """
     config = config or SolverConfig()

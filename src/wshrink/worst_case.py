@@ -6,6 +6,9 @@ normal distribution whose covariance has the closed form
 ``S* = gamma^2 (gamma I - X)^{-1} cov (gamma I - X)^{-1}``, with the
 multiplier ``gamma`` solving a scalar stationarity equation on
 ``(lambda_max(X), inf)``, concave and increasing like the shrinkage multiplier's.
+``extremal_gamma`` solves it in the eigenbasis of ``X`` (``analytical._multiplier_at``,
+which the SQA solver shares), and ``extremal_covariance`` forms ``S*`` from the SQA
+solver's validated point (``sqa._cone_point``), whose gradient ``S* - X^-1`` it is.
 
 At the optimal shrinkage estimator ``X*`` the worst case is ``S* = X*^{-1}``:
 ``X*`` shares the eigenvectors of ``cov``, and each of its eigenvalues ``x``
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .analytical import GAMMA_TOL, _check_rho, _eigenbasis_objective, _path, _spectrum
-from .gaussian import RANK_RTOL, _symmetric_pair, as_symmetric, induced_metric_V, psd_spectrum
+from .analytical import _check_rho, _multiplier_at, _path, _spectrum
+from .gaussian import _symmetric_pair, induced_metric_V, psd_spectrum
+from .sqa import _cone_point
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,8 @@ class WorstCaseDistribution:
 
 def extremal_gamma(cov, X, rho: float) -> float:
     """Multiplier of the worst-case covariance for a fixed positive definite ``X`` and a
-    PSD, possibly rank-deficient ``cov`` (see ``_multiplier_at``, which checks only the
-    ``diag(U^T cov U) >= 0`` it needs); raises ``EstimationError`` when it does not converge.
+    PSD, possibly rank-deficient ``cov`` (see ``analytical._multiplier_at``, which checks only
+    the ``diag(U^T cov U) >= 0`` it needs); raises ``EstimationError`` when it does not converge.
     """
     _check_rho(rho)
     S, Xs = _symmetric_pair(cov, X)
@@ -48,52 +51,21 @@ def extremal_gamma(cov, X, rho: float) -> float:
     return _multiplier_at(S, d, U, rho)[0]
 
 
-def _multiplier_at(S, d, U, rho: float):
-    """``(gamma, f(X, gamma))`` at ``gamma = argmin f(X, .)`` on ``[lambda_max(X), inf)``,
-    for ``X = U diag(d) U^T`` (``d`` ascending, positive) and a validated PSD ``S``.
-
-    With ``m = diag(U^T S U)``, ``f = -sum log d + gamma (rho^2 + sum m d / (gamma - d))``
-    (``analytical._eigenbasis_objective``), whose slope over ``rho^2``,
-    ``1 - sum m d^2 / (rho^2 (gamma - d)^2)``,
-    is concave and increasing.  Each term alone puts its root beyond ``d_a (1 + sqrt(m_a)
-    / rho)``; every gap at its smallest puts it below ``d_max + sqrt(sum m d^2) / rho``.
-    Terms with ``m_a = 0`` (below the rank cut) vanish; if the slope is then nonnegative at
-    ``d_max``, that boundary is the minimum, as the analytical multiplier is on rank-deficient
-    input, and ``f`` is its limit there.
-    """
-    m = psd_spectrum(np.sum(U * (S @ U), axis=0), "cov")
-    dm, mp, rho2 = d[m > 0.0], m[m > 0.0], rho * rho
-
-    def residual(g, _):
-        gap = g[:, None] - dm
-        t = mp * (dm / gap) ** 2 / rho2
-        return 1.0 - t.sum(axis=1), 2.0 * (t / gap).sum(axis=1)
-
-    gamma = lower = max(float(d[-1]), float(np.max(dm * (1.0 + np.sqrt(mp) / rho), initial=0.0)))
-    if residual(np.array([lower]), None)[0][0] < 0.0:
-        upper = d[-1] + np.sqrt(mp @ (dm * dm)) / rho
-        gamma = float(_kernels.monotone_newton(residual, lower, upper, GAMMA_TOL)[0][0])
-    return gamma, _eigenbasis_objective(d, m, gamma, rho)
-
-
 def extremal_covariance(cov, X, gamma: float) -> WorstCaseDistribution:
-    """Worst-case covariance for a given feasible multiplier, finite and positive."""
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
-    S, Xs = _symmetric_pair(cov, X)
-    p = S.shape[0]
-    e = np.linalg.eigvalsh(Xs)
-    if gamma - float(e[-1]) <= RANK_RTOL * max(abs(gamma), float(e[-1])):
-        raise ValueError("gamma I - X must be positive definite")
-    A = gamma * np.eye(p) - Xs
-    B = np.linalg.solve(A, S)
-    worst = gamma * gamma * np.linalg.solve(A, B.T).T
-    worst = as_symmetric(worst, rtol=1.0)
+    """Worst-case covariance ``S* = gamma^2 (gamma I - X)^-1 cov (gamma I - X)^-1`` for a
+    positive definite ``X`` and a multiplier above ``lambda_max(X)``.
+
+    ``S*`` is the first term of the reformulation's gradient ``S* - X^-1``, and comes from
+    the same validated SQA point (``sqa._cone_point``) and its Cholesky factors, so the
+    first call of a process loads SciPy.
+    """
+    point = _cone_point(cov, X, gamma)
+    worst = point.GinvSGinv
     return WorstCaseDistribution(
         covariance=worst,
-        multiplier=float(gamma),
-        attained_distance=induced_metric_V(worst, S),
-        attained_value=float(np.sum(worst * Xs)),
+        multiplier=point.gamma,
+        attained_distance=induced_metric_V(worst, point.cov),
+        attained_value=float(np.sum(worst * point.X)),
     )
 
 

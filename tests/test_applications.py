@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from wshrink.analytical import FactoredPrecision, wasserstein_shrinkage, wasserstein_shrinkage_path
 from wshrink.applications import (
     BacktestConfig,
+    BenchmarkResult,
     LabeledDataset,
     SyntheticSpec,
     analytical_estimator,
@@ -457,6 +458,40 @@ class TestBenchmark:
         assert_allclose(s["q20"], np.quantile(table, 0.2, axis=0), rtol=1e-12)
         assert_allclose(s["q80"], np.quantile(table, 0.8, axis=0), rtol=1e-12)
         assert_allclose(s["mean"], table.mean(axis=0), rtol=1e-12)
+
+    def test_failed_cells_are_inf_and_the_rest_keep_their_losses(self):
+        # a failed cell is counted with its first error, as a CV cell is; every other cell, and
+        # the other estimator, keep their losses, and each estimator sees the cells in order
+        spec = SyntheticSpec(dim=4, density=0.5, n_samples=12, trials=5, seed=9)
+        grid = TuningGrid("rho", [0.1, 0.5, 2.0])
+        calls = []
+
+        def flaky(moments, rho):
+            calls.append(rho)
+            if rho == 2.0 and len(calls) != 3:  # trial 1 scores every radius
+                raise ConvergenceError(f"trial {len(calls) // 3}")
+            return analytical_estimator(moments, rho)
+
+        result = synthetic_benchmark(spec, {"w": analytical_estimator, "f": flaky}, {"w": grid, "f": grid})
+        assert calls == [0.1, 0.5, 2.0] * 5
+        assert (result.losses["f"][:, :2] == result.losses["w"][:, :2]).all()
+        assert result.losses["f"][0, 2] == result.losses["w"][0, 2]
+        assert np.isinf(result.losses["f"][1:, 2]).all() and np.isfinite(result.losses["w"]).all()
+        assert result.failed["f"].tolist() == [0, 0, 4] and result.failed["w"].tolist() == [0, 0, 0]
+        assert result.first_errors["f"] == (None, None, "ConvergenceError: trial 2")
+        # four of five trials failed: the mean and both quantiles are inf, with no RuntimeWarning
+        s = result.summary("f")
+        assert np.isinf([s["mean"][2], s["q20"][2], s["q80"][2]]).all()
+        assert (s["q80"][:2] == result.summary("w")["q80"][:2]).all()
+
+    def test_summary_ranks_failed_cells_last(self):
+        # with one failure in five, the 20% quantile reads only finite losses and the 80% one
+        # reaches the failed cell
+        result = BenchmarkResult(spec=None, grids={"w": TuningGrid("rho", [1.0])},
+                                 losses={"w": np.array([[3.0], [np.inf], [1.0], [4.0], [2.0]])},
+                                 failed={"w": np.array([1])}, first_errors={"w": ("ValueError: x",)})
+        s = result.summary("w")
+        assert s["q20"][0] == np.quantile([1.0, 2.0, 3.0, 4.0, 5.0], 0.2) and s["q80"][0] == np.inf
 
     def test_path_estimator_matches_per_value_losses(self, monkeypatch):
         spec = SyntheticSpec(dim=6, density=0.3, n_samples=5, trials=3, seed=4)  # n < p

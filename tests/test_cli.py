@@ -556,19 +556,32 @@ class TestTune:
         assert doc["first_errors"][2:] == [None, None, None]
         assert doc["selected"] in doc["values"][2:] and "mode" not in doc
 
-    def test_unconverged_pattern_solves_count_as_failed_folds(self, tmp_path):
+    def test_unconverged_pattern_solves_count_as_failed_folds(self, tmp_path, capsys):
         # one Newton step leaves every solve short of the tolerance: each cell fails, named
-        # by its error, where it used to be scored as if the solve had converged
+        # by its error, where it used to be scored as if the solve had converged; no radius
+        # scored, so none is selected and the command is a solver error
         data = write_csv(tmp_path / "d.csv", np.random.default_rng(2).normal(0.0, 1.0, (40, 8)))
         write_pattern(tmp_path / "pat.json", 8, [[1, 2], [3, 5], [4, 8]])
         out = tmp_path / "r.json"
         assert main(["tune", "--input", data, "--pattern", str(tmp_path / "pat.json"), "--max-iters", "1",
                      "--cv", "kfold:4", "--output", str(out),
-                     "--grid", '{"param":"rho","log10_from":-2,"log10_to":1,"points":7}']) == 0
+                     "--grid", '{"param":"rho","log10_from":-2,"log10_to":1,"points":7}']) == 2
         doc = json.loads(out.read_text())
-        assert doc["failed_folds"] == [4] * 7
+        assert doc["failed_folds"] == [4] * 7 and doc["selected"] is None
+        assert "sqa_solve at rho=0.01: iteration budget (1) exhausted" in capsys.readouterr().err
         assert doc["first_errors"][0] == "ConvergenceError: sqa_solve at rho=0.01: iteration budget (1) exhausted"
         assert all(e.startswith("ConvergenceError: sqa_solve at rho=") for e in doc["first_errors"])
+
+    def test_no_selection_when_no_value_scored(self, tmp_path, rng, monkeypatch, capsys):
+        # every multiplier solve stops at its first iteration, so every cell fails
+        monkeypatch.setattr(_kernels, "MAX_ITER", 1)
+        data = write_csv(tmp_path / "d.csv", rng.standard_normal((12, 4)))
+        out = tmp_path / "r.json"
+        assert main(["tune", "--input", data, "--cv", "kfold:3", "--output", str(out), "--grid", GRID]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["selected"] is None and doc["failed_folds"] == [3, 3]
+        err = capsys.readouterr().err
+        assert "no rho value scored" in err and doc["first_errors"][0] in err
 
     def test_alpha_grid_uses_linear_shrinkage(self, tmp_path, rng):
         data = write_csv(tmp_path / "d.csv", rng.standard_normal((12, 4)))
@@ -633,13 +646,22 @@ class TestSynthetic:
         assert summary[0] == "estimator,param,mean,q20,q80"
 
     def test_unconverged_known_zeros_solve_is_solver_error(self, tmp_path, capsys):
-        # a Stein loss is never reported for an estimate the solver did not converge to
+        # a Stein loss is never reported for an estimate the solver did not converge to: its
+        # cell is inf, and every other cell keeps its loss
         code = main(["synthetic", "--p", "10", "--density", "0.1", "--n", "10", "--trials", "2",
                      "--grid-points", "3", "--known-zeros", "0.5", "--max-iters", "1",
                      "--output", str(tmp_path / "syn.csv")])
         assert code == 2
-        assert "solver error: sqa_solve at rho=0.01: iteration budget (1) exhausted" in capsys.readouterr().err
-        assert not (tmp_path / "syn.csv").exists()
+        err = capsys.readouterr().err
+        assert "sqa_solve at rho=0.01: iteration budget (1) exhausted" in err
+        rows = [line.split(",") for line in (tmp_path / "syn.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 2 * 3  # every trial, estimator and radius
+        failed = [row for row in rows if not np.isfinite(float(row[3]))]
+        assert f"wasserstein+zeros50: {len(failed)} of 6 cells failed" in err
+        assert failed and all(row[1] == "wasserstein+zeros50" for row in failed)
+        assert all(np.isfinite(float(row[3])) for row in rows if row[1] == "wasserstein")
+        summary = (tmp_path / "syn_summary.csv").read_text().splitlines()[1:]
+        assert len(summary) == 2 * 3
 
     def test_deterministic_rerun(self, tmp_path):
         args = ["synthetic", "--p", "4", "--density", "0.5", "--n", "8",
@@ -757,6 +779,19 @@ class TestPortfolioCommand:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["std"] > 0.0
         assert doc["n_oos_returns"] == 36
+
+    def test_grid_that_no_fold_scored_stops_before_the_backtest(self, tmp_path, rng, monkeypatch, capsys):
+        monkeypatch.setattr(_kernels, "MAX_ITER", 1)  # every multiplier solve fails
+        R = write_csv(tmp_path / "returns.csv", 0.02 * rng.standard_normal((40, 3)))
+        backtests = []
+        monkeypatch.setattr(cli, "rolling_backtest", lambda *args: backtests.append(args))
+        out = tmp_path / "report.json"
+        assert main(["portfolio", "--input", R, "--grid", GRID, "--cv", "kfold:3", "--window", "20",
+                     "--output", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert not backtests and doc["selected"] is None and doc["failed_folds"] == [3, 3]
+        assert "std" not in doc
+        assert "no rho value scored" in capsys.readouterr().err
 
     def test_non_finite_input_is_user_error(self, tmp_path, rng, capsys):
         R = (0.02 * rng.standard_normal((40, 3))).astype(str)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from wshrink import _kernels
 from wshrink.applications import analytical_estimator, analytical_path_estimator
 from wshrink.cli import _oos_square
-from wshrink.errors import SingularMatrixError
+from wshrink.errors import EstimationError, SingularMatrixError
 from wshrink.evaluation import (
     CLASSIFICATION_RHO_GRID,
     TuningGrid,
@@ -228,6 +228,22 @@ class TestCrossValidate:
         assert report.selected == 0.5
         assert report.failed_folds.tolist() == [0, 2]
         assert report.first_errors == (None, "ValueError: boom")
+
+    def test_no_selection_when_no_value_scored(self, rng):
+        # each value fails on one fold: no mean score is finite, so none is selected
+        calls = []
+
+        def fails_per_value(moments, value):
+            calls.append(value)
+            if len(calls) in (1, 4):  # fold 0, first value; fold 1, second value
+                raise EstimationError("no root")
+            return self._inverse_estimator(moments, value)
+
+        report = cross_validate(rng.standard_normal((10, 3)), fails_per_value, TuningGrid("rho", [0.5, 2.0]),
+                                scheme="kfold:2")
+        assert np.isinf(report.mean_scores).all() and np.isnan(report.selected)
+        assert report.failed_folds.tolist() == [1, 1]
+        assert report.first_errors == ("EstimationError: no root", "EstimationError: no root")
 
     def test_ties_break_to_smallest(self, rng):
         data = rng.standard_normal((6, 2))

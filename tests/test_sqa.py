@@ -243,6 +243,20 @@ class TestGradient:
         with pytest.raises(ValueError, match="gamma must be finite and positive"):
             sqa_gradient(random_spd(3, rng), 0.5 * np.eye(3), gamma, 1.0)
 
+    # one domain for the three: gamma within RANK_RTOL of lambda_max(X) is on the cone's boundary,
+    # although the Cholesky factor of gamma I - X still exists there
+    @pytest.mark.parametrize("fn", [
+        lambda cov, X, gamma: sqa_gradient(cov, X, gamma, 1.0),
+        lambda cov, X, gamma: reformulation_objective(cov, X, gamma, 1.0),
+        extremal_covariance,
+    ], ids=["sqa_gradient", "reformulation_objective", "extremal_covariance"])
+    def test_rejects_multiplier_within_rank_tolerance_of_boundary(self, fn, rng):
+        cov, X = random_spd(3, rng), random_spd(3, rng)
+        top = np.linalg.eigvalsh(X)[-1]
+        fn(cov, X, top * (1.0 + 1e-6))  # inside the domain
+        with pytest.raises(ValueError, match="gamma I - X must be positive definite"):
+            fn(cov, X, top * (1.0 + 1e-13))
+
 
 class TestObjectiveForms:
     @settings(max_examples=200, deadline=None)

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
-from wshrink import _kernels, gaussian, worst_case
+from wshrink import _kernels, gaussian
 from wshrink.analytical import wasserstein_shrinkage
 from wshrink.errors import EstimationError
 from wshrink.evaluation import sample_moments
 from wshrink.gaussian import as_symmetric, induced_metric_V, sqrtm_psd
+from wshrink.sqa import sqa_gradient
 from wshrink.worst_case import extremal_covariance, extremal_for_optimal, extremal_gamma
 
 from conftest import covariances, random_psd_singular, random_spd
@@ -172,6 +173,24 @@ class TestExtremalCovariance:
         with pytest.raises(ValueError, match="gamma must be finite and positive"):
             extremal_covariance(random_spd(3, rng), 0.5 * np.eye(3), gamma)
 
+    @pytest.mark.parametrize("X", [np.diag([0.0, 0.5, 1.0]), np.ones((3, 3))], ids=["diagonal", "rank_one"])
+    def test_rejects_singular_estimator(self, X, rng):
+        # a candidate precision lies in S++, as extremal_gamma requires too
+        with pytest.raises(ValueError, match="X must be positive definite"):
+            extremal_covariance(random_spd(3, rng), X, 4.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cov=covariances(), seed=st.integers(0, 2**32 - 1), log10_margin=st.floats(-6.0, 6.0),
+           rho=st.floats(0.1, 10.0))
+    def test_is_the_first_term_of_the_gradient(self, cov, seed, log10_margin, rho):
+        # the paper's gradient of the reformulation in X is S* - X^-1
+        X = random_spd(cov.shape[0], np.random.default_rng(seed))
+        gamma = np.linalg.eigvalsh(X)[-1] * (1.0 + 10.0**log10_margin)
+        worst = extremal_covariance(cov, X, gamma).covariance
+        Xinv = np.linalg.inv(X)
+        scale = np.abs(worst).max() + np.abs(Xinv).max()
+        assert np.abs(sqa_gradient(cov, X, gamma, rho)[0] + Xinv - worst).max() <= 1e-10 * scale
+
 
 class TestExtremalForOptimal:
     def test_scalar_chain(self):
@@ -249,9 +268,8 @@ class TestExtremalForOptimal:
                 return fn(*args, **kwargs)
             return wrapper
 
-        as_symmetric_counted = counted("as_symmetric", gaussian.as_symmetric)
-        for module in (gaussian, worst_case):
-            monkeypatch.setattr(module, "as_symmetric", as_symmetric_counted)
+        # worst_case binds no as_symmetric of its own: every call goes through gaussian's
+        monkeypatch.setattr(gaussian, "as_symmetric", counted("as_symmetric", gaussian.as_symmetric))
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         extremal_for_optimal(random_psd_singular(5, 3, rng), 0.7)
         assert calls == {"as_symmetric": 1, "eigh": 1}
