@@ -151,16 +151,20 @@ def _eigenbasis_objective(d, m, gamma: float, rho: float) -> float:
 
 def _multiplier_at(S, d, U, rho: float):
     """``(gamma, f(X, gamma))`` at ``gamma = argmin f(X, .)`` on ``[lambda_max(X), inf)``,
-    for ``X = U diag(d) U^T`` (``d`` ascending, positive) and a validated PSD ``S``.
+    for ``X = U diag(d) U^T`` (``d`` ascending, positive) and a validated PSD ``S``, a
+    point of the domain that the ``gaussian`` module docstring states: ``extremal_gamma``
+    validates it by ``gaussian._cone_inputs``, and ``sqa_solve`` passes its own iterate
+    or a previous solution that ``gaussian._positive_definite`` accepts.
 
     With ``m = diag(U^T S U)``, ``f = -sum log d + gamma (rho^2 + sum m d / (gamma - d))``
     (``_eigenbasis_objective``), whose slope over ``rho^2``,
     ``1 - sum m d^2 / (rho^2 (gamma - d)^2)``,
     is concave and increasing.  Each term alone puts its root beyond ``d_a (1 + sqrt(m_a)
     / rho)``; every gap at its smallest puts it below ``d_max + sqrt(sum m d^2) / rho``.
-    Terms with ``m_a = 0`` (below the rank cut) vanish; if the slope is then nonnegative at
-    ``d_max``, that boundary is the minimum, as the analytical multiplier is on rank-deficient
-    input, and ``f`` is its limit there.  It gives the worst case's multiplier
+    ``m`` is cleaned by ``psd_spectrum``, and its terms with ``m_a = 0`` (below the rank
+    cut) vanish; if the slope is then nonnegative at ``d_max``, that boundary is the
+    minimum, as the analytical multiplier is on rank-deficient input, and ``f`` is its
+    limit there.  It gives the worst case's multiplier
     (``worst_case.extremal_gamma``) and, in ``sqa.sqa_solve``, the multiplier of a previous
     solution's start and of a ridged solve's answer.
     """

@@ -7,9 +7,26 @@ covariance metric induced by the type-2 Wasserstein distance between
 zero-mean normal distributions.
 
 It also holds the package's one PSD policy, ``psd_spectrum``: every decision
-that a spectrum is PSD, or that a matrix is rank deficient, goes through it.
-Its tolerances are relative to the largest eigenvalue, so the decisions are
-unchanged when a matrix is scaled by any positive factor.
+that a spectrum is PSD, or that a matrix is rank deficient, goes through it,
+or applies its cut itself where the matrix must be positive definite
+(``_positive_definite``, so an indefinite ``X`` is not positive definite
+rather than not PSD).  Its tolerances are relative to the largest eigenvalue,
+so the decisions are unchanged when a matrix is scaled by any positive
+factor.  Three decisions stay with a factorization of an estimate instead:
+the SQA solver's own trial points (``sqa._Workspace``, whose Cholesky factors
+are its cone test), ``stein_loss``'s Cholesky factors and the sign of
+``gaussian_validation_nll``'s ``slogdet``.
+
+The reformulation objective, its gradient and the worst-case covariance
+``S* = gamma^2 (gamma I - X)^-1 cov (gamma I - X)^-1`` are defined at a caller's
+point ``(cov, X, gamma)`` with ``cov`` PSD and ``0 < X < gamma I``.  That domain
+is decided here, once, by ``_cone_inputs``, with ``psd_spectrum``'s cut
+``RANK_RTOL``: ``cov`` and ``X`` symmetric of one shape, ``cov`` PSD by
+``psd_spectrum``, ``lambda_min(X) >= RANK_RTOL lambda_max(X) > 0``
+(``_positive_definite``), and, where a multiplier is given, ``gamma`` finite,
+positive and ``gamma - lambda_max(X) > RANK_RTOL max(gamma, lambda_max(X))``.
+Every rule is relative, so scaling ``(cov, X, gamma)`` by ``c > 0`` changes no
+decision.
 
 A PSD matrix rebuilt from a nonnegative spectrum ``w`` is ``W @ W.T`` with
 ``W = V diag(sqrt(w))``: numpy forms a product of a factor with its own
@@ -73,12 +90,33 @@ def as_symmetric(matrix, rtol: float = 1e-8, name: str = "matrix") -> np.ndarray
     return np.triu(M) + np.triu(M, 1).T
 
 
-def _symmetric_pair(cov, X):
-    """``cov`` and ``X`` through ``as_symmetric``; ``ValueError`` when their shapes differ."""
+def _positive_definite(d) -> bool:
+    """Whether ascending eigenvalues ``d`` are those of a positive definite matrix by the
+    rank cut of ``psd_spectrum``: ``d[0] >= RANK_RTOL d[-1] > 0``, which indefinite ``d`` fail."""
+    return bool(0.0 < d[0] >= RANK_RTOL * d[-1])
+
+
+def _cone_inputs(cov, X, gamma=None):
+    """``(S, X, d, U)`` for a caller's point of the domain in the module docstring, with
+    ``S`` and ``X`` exactly symmetric copies and ``X = U diag(d) U^T`` (``d`` ascending).
+
+    Checks, in this order, each raising ``ValueError``: ``cov`` and ``X`` symmetric
+    (``as_symmetric``) of one shape; ``cov`` PSD (``psd_spectrum``); ``X`` positive
+    definite (``_positive_definite``); and, unless ``gamma`` is None, ``gamma`` finite and
+    positive and above ``lambda_max(X)`` by more than ``RANK_RTOL`` relative.
+    """
     S, Xs = as_symmetric(cov, name="cov"), as_symmetric(X, name="X")
     if S.shape != Xs.shape:
         raise ValueError("cov and X dimensions differ")
-    return S, Xs
+    psd_spectrum(np.linalg.eigvalsh(S), "cov")
+    d, U = np.linalg.eigh(Xs)
+    if not _positive_definite(d):
+        raise ValueError("X must be positive definite")
+    if gamma is not None and not (np.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
+    if gamma is not None and gamma - d[-1] <= RANK_RTOL * max(gamma, float(d[-1])):
+        raise ValueError("gamma I - X must be positive definite")
+    return S, Xs, d, U
 
 
 def _check_int(value, name: str) -> int:

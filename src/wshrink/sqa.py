@@ -21,10 +21,12 @@ the line search, an iterate) is one ``_Workspace``: the Cholesky factors of
 and the gradient and Newton terms come from the same factors on first use.  The
 point the line search accepts is the next iterate, and a start moved along its
 ray reuses its factors, scaled, so no matrix is factored twice in one solve.
-A caller's point is validated once, by ``_cone_point``, and the same factors give
-``reformulation_objective``, ``sqa_gradient`` and the worst-case covariance
+A caller's point is validated once, by ``_cone_point`` on the domain that the
+``gaussian`` module docstring states (``gaussian._cone_inputs``), and the same
+factors give ``reformulation_objective``, ``sqa_gradient`` and the worst-case covariance
 ``gamma^2 (gamma I - X)^-1 cov (gamma I - X)^-1`` of ``worst_case.extremal_covariance``,
-which is the gradient's first term (``GinvSGinv``).
+which is the gradient's first term (``GinvSGinv``).  A caller's ``_start`` of
+``sqa_solve`` must be positive definite by the same rule (``gaussian._positive_definite``).
 
 SciPy serves only LAPACK: ``potrf`` factors the Newton matrix in place, and
 ``potrs`` gives ``A^-1 cov``, the inverses and the Newton solves from the
@@ -81,7 +83,7 @@ import numpy as np
 from ._kernels import _EPS
 from .analytical import ShrinkageSolution, _check_rho, _multiplier_at, _path, _spectrum, eigenvalue_map
 from .errors import LinearSolveError, LineSearchError
-from .gaussian import RANK_RTOL, _check_int, _symmetric_pair, as_symmetric
+from .gaussian import _check_int, _cone_inputs, _positive_definite, as_symmetric
 
 #: no conjugate-gradient step exists; the name stays bound because the benchmark tracer wraps ``sqa.cg``
 cg = None
@@ -448,26 +450,18 @@ class _FreeCoordinates:
 def _cone_point(cov, X, gamma: float) -> _Workspace:
     """The validated point ``(X, gamma)`` of the cone for a caller's ``cov`` and ``X``.
 
-    Checks, in this order: ``cov`` and ``X`` symmetric of one shape (``_symmetric_pair``),
-    ``gamma`` finite and positive, ``X`` positive definite, and ``gamma`` above
-    ``lambda_max(X)`` by more than ``RANK_RTOL`` relative; each raises ``ValueError``, as
-    does a point whose Cholesky factors fail (``_Workspace``).  The one entry of
-    ``reformulation_objective``, ``sqa_gradient`` and ``worst_case.extremal_covariance``.
+    The domain, and the order of its checks, are ``gaussian._cone_inputs``'s (see the
+    ``gaussian`` module docstring); each raises ``ValueError``, as does a point whose
+    Cholesky factors fail (``_Workspace``).  The one entry of ``reformulation_objective``,
+    ``sqa_gradient`` and ``worst_case.extremal_covariance``.
     """
-    S, Xs = _symmetric_pair(cov, X)
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
-    e = np.linalg.eigvalsh(Xs)
-    if e[0] <= 0.0:
-        raise ValueError("X must be positive definite")
-    if gamma - e[-1] <= RANK_RTOL * max(gamma, float(e[-1])):
-        raise ValueError("gamma I - X must be positive definite")
+    S, Xs, _, _ = _cone_inputs(cov, X, gamma)
     return _Workspace(S, Xs, gamma)
 
 
 def sqa_gradient(cov, X, gamma: float, rho: float):
     """Gradient of the reformulation objective at a point of its domain (see
-    ``reformulation_objective``).
+    ``reformulation_objective`` and the ``gaussian`` module docstring).
 
     Returns ``(matrix_part, scalar_part)``; the matrix part ``S* - X^-1`` is symmetric,
     with ``S*`` the worst-case covariance ``worst_case.extremal_covariance`` returns.
@@ -485,8 +479,9 @@ def reformulation_objective(cov, X, gamma: float, rho: float) -> float:
     ``gamma^2 (gamma I - X)^{-1} - gamma I = gamma (gamma I - X)^{-1} X``, it is evaluated
     as ``-log det X + gamma (rho^2 + <X, (gamma I - X)^{-1} cov>)``, whose last terms
     are nonnegative and do not cancel at large ``gamma``.  Raises
-    ``ValueError`` outside that domain, and where ``gamma`` exceeds ``lambda_max(X)``
-    by no more than ``RANK_RTOL`` relative (``_cone_point``).
+    ``ValueError`` outside the domain that the ``gaussian`` module docstring states
+    (``_cone_point``): there ``cov`` is PSD, and ``X`` and ``gamma I - X`` are positive
+    definite by the rank cut ``RANK_RTOL``.
     """
     _check_rho(rho)
     return _cone_point(cov, X, gamma).objective(rho)
@@ -561,7 +556,8 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
     and halves back toward ``D`` until it is strictly feasible and no worse than
     ``D``; that point then moves to the optimum of its ray ``(cX, c gamma)``
     (``_ray_optimal``).  A private ``_start``, an earlier solution of any problem
-    of this dimension, is zeroed on the pattern and paired with
+    of this dimension, is zeroed on the pattern and, when it is positive definite by
+    the rule of the point's domain (``gaussian._positive_definite``), paired with
     ``gamma = argmin f(_start, .)`` on the problem at hand
     (``analytical._multiplier_at``, from its ``eigh``).  Where that point already
     meets the stopping test it is kept as it is, so a restart from the solver's own
@@ -619,7 +615,7 @@ def sqa_solve(cov, rho: float, pattern: SparsityPattern | None = None,
             raise ValueError("_start dimension does not match cov")
         X_prev[mask] = 0.0
         d, U = np.linalg.eigh(X_prev)
-        if d[0] > 0.0:
+        if _positive_definite(d):
             prev = _point(S, X_prev, _multiplier_at(S, d, U, rho)[0])
             if prev is not None and _projected_gradient(prev, rho, mask)[1] > config.grad_tol:
                 prev = _ray_optimal(prev, rho)

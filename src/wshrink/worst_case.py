@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytical import _check_rho, _multiplier_at, _path, _spectrum
-from .gaussian import _symmetric_pair, induced_metric_V, psd_spectrum
+from .gaussian import _cone_inputs, induced_metric_V
 from .sqa import _cone_point
 
 
@@ -40,20 +40,19 @@ class WorstCaseDistribution:
 
 def extremal_gamma(cov, X, rho: float) -> float:
     """Multiplier of the worst-case covariance for a fixed positive definite ``X`` and a
-    PSD, possibly rank-deficient ``cov`` (see ``analytical._multiplier_at``, which checks only
-    the ``diag(U^T cov U) >= 0`` it needs); raises ``EstimationError`` when it does not converge.
+    PSD, possibly rank-deficient ``cov``, on the domain that the ``gaussian`` module docstring
+    states (``gaussian._cone_inputs``, whose ``eigh`` of ``X`` ``analytical._multiplier_at``
+    reads); raises ``EstimationError`` when it does not converge.
     """
     _check_rho(rho)
-    S, Xs = _symmetric_pair(cov, X)
-    d, U = np.linalg.eigh(Xs)
-    if psd_spectrum(d, "X")[0] == 0.0:
-        raise ValueError("X must be positive definite, not rank deficient")
+    S, _, d, U = _cone_inputs(cov, X)
     return _multiplier_at(S, d, U, rho)[0]
 
 
 def extremal_covariance(cov, X, gamma: float) -> WorstCaseDistribution:
     """Worst-case covariance ``S* = gamma^2 (gamma I - X)^-1 cov (gamma I - X)^-1`` for a
-    positive definite ``X`` and a multiplier above ``lambda_max(X)``.
+    PSD ``cov``, a positive definite ``X`` and a multiplier above ``lambda_max(X)``, on the
+    domain that the ``gaussian`` module docstring states.
 
     ``S*`` is the first term of the reformulation's gradient ``S* - X^-1``, and comes from
     the same validated SQA point (``sqa._cone_point``) and its Cholesky factors, so the

@@ -22,7 +22,20 @@ from wshrink.sqa import (NewtonStep, SolverConfig, SparsityPattern, armijo_step,
                          sqa_solve)
 from wshrink.worst_case import extremal_covariance, extremal_gamma
 
-from conftest import covariances, random_psd_singular, random_spd, refuse_allocation, tracemalloc_peak
+from conftest import covariances, random_psd_singular, random_rotation, random_spd, refuse_allocation, tracemalloc_peak
+
+#: the public functions of a caller's point ``(cov, X, gamma)`` with a radius, whose one domain is
+#: ``gaussian._cone_inputs``'s; ``extremal_gamma`` takes no multiplier and decides on ``(cov, X)`` alone
+_POINT_FUNCTIONS = {
+    "sqa_gradient": sqa_gradient,
+    "reformulation_objective": reformulation_objective,
+    "extremal_gamma": lambda cov, X, gamma, rho: extremal_gamma(cov, X, rho),
+    "extremal_covariance": lambda cov, X, gamma, rho: extremal_covariance(cov, X, gamma),
+}
+#: log10 of a ratio drawn on either side of the rank cut, a factor 1.1 away from it: eigvalsh and eigh
+#: round differently there
+_LOG10_CUT, _LOG10_AWAY = math.log10(RANK_RTOL), math.log10(1.1)
+_ratios_off_the_cut = st.one_of(st.floats(-16.0, _LOG10_CUT - _LOG10_AWAY), st.floats(_LOG10_CUT + _LOG10_AWAY, -8.0))
 
 
 def feasible_point(p, rng, margin=1.6):
@@ -227,15 +240,47 @@ class TestGradient:
             sqa_gradient(cov, np.eye(3), 0.5, 1.0)
 
     # the gradient and its siblings check the shapes before any product
-    @pytest.mark.parametrize("fn", [
-        lambda cov, X: sqa_gradient(cov, X, 1.0, 1.0),
-        lambda cov, X: reformulation_objective(cov, X, 1.0, 1.0),
-        lambda cov, X: extremal_gamma(cov, X, 1.0),
-        lambda cov, X: extremal_covariance(cov, X, 1.0),
-    ], ids=["sqa_gradient", "reformulation_objective", "extremal_gamma", "extremal_covariance"])
+    @pytest.mark.parametrize("fn", _POINT_FUNCTIONS.values(), ids=_POINT_FUNCTIONS)
     def test_rejects_mismatched_shapes(self, fn):
         with pytest.raises(ValueError, match="cov and X dimensions differ"):
-            fn(np.eye(3), 0.5 * np.eye(4))
+            fn(np.eye(3), 0.5 * np.eye(4), 1.0, 1.0)
+
+    # one domain for the four: X positive definite by the rank cut, cov PSD by psd_spectrum
+    @pytest.mark.parametrize("fn", _POINT_FUNCTIONS.values(), ids=_POINT_FUNCTIONS)
+    @pytest.mark.parametrize("cov, X, message", [
+        (np.eye(2), np.diag([1e-14, 1.0]), "X must be positive definite"),
+        (np.diag([1.0, -0.5]), 0.1 * np.eye(2), "cov is not PSD"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), 0.1 * np.eye(2), "cov is not PSD"),
+    ], ids=["X_below_rank_cut", "cov_negative_diagonal", "cov_indefinite"])
+    def test_rejects_points_outside_the_domain(self, fn, cov, X, message):
+        with pytest.raises(ValueError, match=message):
+            fn(cov, X, 2.0, 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), log10_ratio=_ratios_off_the_cut,
+           log10_margin=_ratios_off_the_cut, log10_c=st.floats(-8.0, 8.0))
+    def test_four_functions_share_one_domain(self, data, p, seed, log10_ratio, log10_margin, log10_c):
+        # X = Q diag(d) Q^T with lambda_min / lambda_max and gamma / lambda_max - 1 on either side of
+        # RANK_RTOL: all four accept, or all raise one message, and scaling (cov, X, gamma) changes neither
+        rng = np.random.default_rng(seed)
+        d = np.concatenate(([10.0**log10_ratio], 10.0 ** rng.uniform(log10_ratio, 0.0, p - 2), [1.0]))
+        Q = random_rotation(p, rng)
+        X, cov, gamma = (Q * d) @ Q.T, data.draw(covariances(dim=p)), 1.0 + 10.0**log10_margin
+        X = 0.5 * (X + X.T)
+        for name, fn in _POINT_FUNCTIONS.items():
+            if log10_ratio < _LOG10_CUT:
+                expected = "X must be positive definite"
+            elif log10_margin < _LOG10_CUT and name != "extremal_gamma":
+                expected = "gamma I - X must be positive definite"
+            else:
+                expected = None
+            for c in (1.0, 10.0**log10_c):
+                args = (c * cov, c * X, c * gamma, np.sqrt(c))
+                if expected is None:
+                    fn(*args)
+                else:
+                    with pytest.raises(ValueError, match=f"^{expected}$"):
+                        fn(*args)
 
     @pytest.mark.parametrize("gamma", [np.inf, np.nan, 0.0, -1.0])
     def test_rejects_nonfinite_or_nonpositive_multiplier(self, gamma, rng):
