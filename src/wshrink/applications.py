@@ -10,7 +10,7 @@ import numpy as np
 
 from .analytical import FactoredPrecision, wasserstein_shrinkage, wasserstein_shrinkage_path
 from .errors import ConvergenceError
-from .evaluation import SampleMoments, _FailedCells, sample_moments, stein_loss
+from .evaluation import CVReport, SampleMoments, TuningGrid, _FailedCells, make_folds, sample_moments, stein_loss
 from .gaussian import _check_int, as_symmetric, spectral_decompose
 from .sqa import SolverConfig, SparsityPattern, sqa_solve
 
@@ -277,18 +277,47 @@ def pooled_moments(dataset: LabeledDataset) -> SampleMoments:
                          sample_count=X.shape[0], divisor=float(X.shape[0] - classes.size))
 
 
-def lda_fit(dataset: LabeledDataset, estimator) -> LdaModel:
-    """Class means plus a shared precision from ``estimator(pooled_moments)``."""
-    return next(lda_fit_path(dataset, lambda moments: [estimator(moments)]))
-
-
-def lda_fit_path(dataset: LabeledDataset, path):
-    """An ``LdaModel`` for each precision that ``path(pooled_moments)`` yields."""
+def _class_means(dataset: LabeledDataset):
+    """The sorted classes of ``dataset`` and their mean feature rows."""
     X, y = dataset.features, dataset.labels
     classes = np.unique(y)
-    means = np.vstack([X[y == cls].mean(axis=0) for cls in classes])
-    for precision in path(pooled_moments(dataset)):
-        yield LdaModel(classes=classes, means=means, precision=np.asarray(precision, dtype=np.float64))
+    return classes, np.vstack([X[y == cls].mean(axis=0) for cls in classes])
+
+
+def lda_fit(dataset: LabeledDataset, estimator) -> LdaModel:
+    """Class means plus a shared precision from ``estimator(pooled_moments)``."""
+    return LdaModel(*_class_means(dataset), np.asarray(estimator(pooled_moments(dataset)), dtype=np.float64))
+
+
+def lda_cross_validate(dataset: LabeledDataset, estimator, grid: TuningGrid, scheme: str, seed: int) -> CVReport:
+    """Sweep a radius grid with cross-validation of the classifier.
+
+    On each training fold, ``estimator(pooled_moments, value)`` (through its ``path``
+    when it has one, as in ``cross_validate``) gives the shared precision of the class
+    means.  A cell's loss is the negated held-out accuracy, ``-mean(lda_classify == y)``:
+    negation is exact, so ``-mean_scores`` is the mean accuracy bit for bit.  A cell
+    fails, scores ``inf`` and is counted as a ``cross_validate`` cell does, and the
+    value is selected by the selection rule of every sweep, ``_FailedCells.report``.
+    A training fold that is not a valid ``LabeledDataset`` raises ``ValueError``
+    naming the fold.
+    """
+    X, y = dataset.features, dataset.labels
+    folds = make_folds(X.shape[0], scheme, seed)
+    fold_scores = np.empty((len(folds), grid.values.size))
+    failures = _FailedCells(grid.values.size)
+    for k, fold in enumerate(folds):
+        try:
+            train = LabeledDataset(np.delete(X, fold, axis=0), np.delete(y, fold))
+        except ValueError as exc:
+            raise ValueError(f"fold {k}: {exc}") from None
+        classes, means = _class_means(train)
+
+        def loss(precision):
+            model = LdaModel(classes, means, np.asarray(precision, dtype=np.float64))
+            return -float(np.mean(lda_classify(model, X[fold]) == y[fold]))
+
+        fold_scores[k] = failures.losses(estimator, pooled_moments(train), grid.values, loss)
+    return failures.report(grid, fold_scores, scheme, seed)
 
 
 def lda_classify(model: LdaModel, z):

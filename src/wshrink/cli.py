@@ -19,6 +19,16 @@ and ``--max-iters`` need ``--pattern`` (``estimate``, ``tune``) or
 user error: ``rho`` or ``alpha`` (``tune``, ``portfolio``), ``rho``
 (``synthetic``, ``lda``).
 
+A ``--grid`` sweep of ``tune``, ``lda`` or ``portfolio`` writes the same CV
+fields: ``param``, ``values``, ``mean_scores``, ``failed_folds``,
+``first_errors``, ``selected`` and ``scheme``.  Scores are losses; ``lda``
+scores the negated held-out accuracy and also writes ``mean_accuracy``, which
+is ``-mean_scores``, and ``selected_rho``.  When no grid value scored on every
+fold, ``selected`` is null, the report is still written, and the command stops
+there (no final fit, backtest or predictions) with exit code 2.  Two
+``--known-zeros`` fractions that round to one estimator label
+(``wasserstein+zeros50`` for 0.5 and 0.501) are a user error.
+
 Exit codes: 0 success; 1 user error (usage errors, bad arguments or input
 files); 2 solver error.  Every command is deterministic given its arguments
 and ``--seed``.
@@ -43,8 +53,8 @@ from .applications import (
     analytical_path_estimator,
     known_zero_pattern,
     lda_classify,
+    lda_cross_validate,
     lda_fit,
-    lda_fit_path,
     min_variance_weights,
     pooled_moments,
     rolling_backtest,
@@ -54,7 +64,7 @@ from .applications import (
     zero_pattern_of,
 )
 from .errors import EstimationError
-from .evaluation import TuningGrid, cross_validate, linear_shrinkage, make_folds, sample_moments
+from .evaluation import TuningGrid, cross_validate, linear_shrinkage, sample_moments
 from .gaussian import as_symmetric
 from .sqa import SolverConfig, SparsityPattern, sqa_gradient, sqa_solve
 from .worst_case import extremal_for_optimal
@@ -172,7 +182,7 @@ def cmd_estimate(args) -> int:
 
 
 def _cv_fields(report) -> dict:
-    """The CV fields that ``tune`` and ``portfolio`` report; ``selected`` is null when no value scored."""
+    """The CV fields that ``tune``, ``lda`` and ``portfolio`` report; ``selected`` is null when no value scored."""
     return {
         "param": report.param_name,
         "values": report.values.tolist(),
@@ -242,9 +252,13 @@ def cmd_synthetic(args) -> int:
     grids = {"wasserstein": grid}
     if args.known_zeros:
         truth = zero_pattern_of(np.linalg.inv(synthetic_sigma0(spec)))
+        fractions = {}  # label -> the fraction that took it: two that round to one label would merge
         for frac in args.known_zeros:
             pattern = known_zero_pattern(truth, frac, spec.seed)
             name = f"wasserstein+zeros{int(round(frac * 100))}"
+            if name in fractions:
+                raise UserError(f"--known-zeros {fractions[name]} and {frac} both take the label {name}")
+            fractions[name] = frac
             estimators[name] = sparse_estimator(pattern, config)
             grids[name] = grid
     result = synthetic_benchmark(spec, estimators, grids)  # a failed cell's loss is inf
@@ -277,33 +291,16 @@ def cmd_lda(args) -> int:
     if test_labels is not None and test_labels.shape[0] != test.shape[0]:
         raise UserError(f"--test-labels holds {test_labels.shape[0]} labels for {test.shape[0]} test rows")
     report_doc = {"command": "lda", "n": int(data.shape[0]), "p": int(data.shape[1])}
+    rho = args.rho
     if args.grid:
-        grid = _load_grid(args.grid, ("rho",))
-        # classification CV scores whole folds against their labels, so it
-        # runs its own sweep instead of going through cross_validate
-        folds = make_folds(data.shape[0], args.cv, args.seed)
-        scores = np.zeros((len(folds), grid.values.size))
-        for k, fold in enumerate(folds):
-            try:
-                train = LabeledDataset(np.delete(data, fold, axis=0), np.delete(labels, fold))
-            except ValueError as exc:
-                raise UserError(f"fold {k}: {exc}") from None
-            path = lda_fit_path(train, lambda m: analytical_path_estimator.path(m, grid.values))
-            for g, model in enumerate(path):  # one eigh per fold
-                scores[k, g] = float(np.mean(lda_classify(model, data[fold]) == labels[fold]))
-        mean_acc = scores.mean(axis=0)
-        best = int(np.argmax(mean_acc))
-        rho = float(grid.values[best])
-        report_doc.update({
-            "values": grid.values.tolist(),
-            "mean_accuracy": mean_acc.tolist(),
-            "selected_rho": rho,
-            "scheme": args.cv,
-            "seed": args.seed,
-        })
-    else:
-        rho = args.rho
-        report_doc["selected_rho"] = rho
+        report = lda_cross_validate(dataset, analytical_path_estimator, _load_grid(args.grid, ("rho",)),
+                                    args.cv, args.seed)
+        report_doc.update(_cv_fields(report), mean_accuracy=(-report.mean_scores).tolist(), seed=report.seed)
+        rho = report_doc["selected"]
+    report_doc["selected_rho"] = rho
+    if args.grid and _unselected(report):  # no final fit at a radius that no fold scored
+        io.write_json(args.output, report_doc)
+        return EXIT_SOLVER
 
     model = lda_fit(dataset, lambda moments: analytical_path_estimator(moments, rho))
     train_acc = float(np.mean(lda_classify(model, data) == labels))

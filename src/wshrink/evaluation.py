@@ -178,11 +178,10 @@ class CVReport:
     """Cross-validation sweep results.
 
     Scores are losses.  ``fold_scores[k, g]`` is the score of grid value ``g``
-    on fold ``k`` (``inf`` marks an estimator failure at that point); the
-    selected value minimizes the mean score, ties resolved toward the smallest
-    value, and is ``nan`` when no mean score is finite: no value scored on every
-    fold.  ``failed_folds[g]`` counts the failed folds of value ``g``,
-    ``first_errors[g]`` the first one's text.
+    on fold ``k`` (``inf`` marks an estimator failure at that point), and
+    ``selected`` is the value that ``_FailedCells.report``, the one selection
+    rule of every sweep, picks from their means.  ``failed_folds[g]`` counts the
+    failed folds of value ``g``, ``first_errors[g]`` the first one's text.
     """
 
     param_name: str
@@ -238,6 +237,27 @@ class _FailedCells:
             row.append(cell)
         return row
 
+    def report(self, grid: TuningGrid, fold_scores: np.ndarray, scheme: str, seed: int) -> CVReport:
+        """The ``CVReport`` of a sweep's ``fold_scores`` (folds x grid values) with these failures.
+
+        The selection rule of every sweep: the value of least mean score, ties resolved
+        toward the smallest value, and ``nan`` when no mean score is finite, that is when
+        no value scored on every fold.
+        """
+        mean_scores = fold_scores.mean(axis=0)
+        scored = np.isfinite(mean_scores).any()
+        return CVReport(
+            param_name=grid.name,
+            values=grid.values,
+            fold_scores=fold_scores,
+            mean_scores=mean_scores,
+            selected=float(grid.values[np.argmin(mean_scores)]) if scored else np.nan,
+            scheme=scheme,
+            seed=seed,
+            failed_folds=self.count,
+            first_errors=tuple(self.first),
+        )
+
 
 def cross_validate(
     data,
@@ -253,8 +273,9 @@ def cross_validate(
     ``estimator(moments, value) -> precision`` is fitted on each training
     fold; ``score(precision, train_moments, validation_data) -> float``
     defaults to the held-out Gaussian negative log-likelihood.  Scores are
-    losses: the selected value minimizes their mean over the folds, ties
-    resolved toward the smallest value.
+    losses, and the value is selected from their means over the folds by
+    ``_FailedCells.report``, the selection rule that ``lda_cross_validate``
+    shares.
     An estimator with a path, ``estimator.path(moments, values)`` yielding
     the fold's estimates in grid order, is fitted through it instead.  An
     estimate reaches ``score`` as the estimator returns it: a dense matrix,
@@ -271,31 +292,14 @@ def cross_validate(
     if divisor_policy not in ("n", "n-1"):
         raise ValueError("divisor_policy must be 'n' or 'n-1'")
     X = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    n = X.shape[0]
-    folds = make_folds(n, scheme, seed)
+    folds = make_folds(X.shape[0], scheme, seed)
     score = gaussian_validation_nll if score is None else score
 
     fold_scores = np.empty((len(folds), grid.values.size))
     failures = _FailedCells(grid.values.size)
     for k, fold in enumerate(folds):
-        train_mask = np.ones(n, dtype=bool)
-        train_mask[fold] = False
-        train = X[train_mask]
+        train = np.delete(X, fold, axis=0)
         div = float(train.shape[0] - 1) if divisor_policy == "n-1" else None
         moments = sample_moments(train, divisor=div)
         fold_scores[k] = failures.losses(estimator, moments, grid.values, lambda P: score(P, moments, X[fold]))
-
-    mean_scores = fold_scores.mean(axis=0)
-    scored = np.isfinite(mean_scores).any()
-    return CVReport(
-        param_name=grid.name,
-        values=grid.values,
-        fold_scores=fold_scores,
-        mean_scores=mean_scores,
-        # argmin: ties go to the smallest value; no value is selected when none scored
-        selected=float(grid.values[np.argmin(mean_scores)]) if scored else np.nan,
-        scheme=scheme,
-        seed=seed,
-        failed_folds=failures.count,
-        first_errors=tuple(failures.first),
-    )
+    return failures.report(grid, fold_scores, scheme, seed)

@@ -691,6 +691,19 @@ class TestSynthetic:
             assert float(q80) == pytest.approx(np.quantile(got, 0.8), rel=1e-12)
 
 
+    def test_known_zeros_that_share_a_label_are_a_user_error(self, tmp_path, monkeypatch, capsys):
+        # 0.5 and 0.501 both round to the label wasserstein+zeros50: the second fraction's
+        # estimator replaced the first one's, and the command exited 0
+        runs = []
+        monkeypatch.setattr(cli, "synthetic_benchmark", lambda *args: runs.append(args))
+        out = tmp_path / "syn.csv"
+        assert main(["synthetic", "--p", "6", "--density", "0.2", "--n", "12", "--trials", "1",
+                     "--grid-points", "2", "--known-zeros", "0.5", "0.501", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: --known-zeros 0.5 and 0.501 both take the label "
+                                           "wasserstein+zeros50\n")
+        assert not runs and not out.exists()
+
+
 class TestLdaCommand:
     def _toy(self, tmp_path, rng):
         mus = np.array([[0.0, 0.0, 0.0], [2.5, -1.0, 1.0]])
@@ -745,6 +758,37 @@ class TestLdaCommand:
                 scores[k, g] = np.mean(lda_classify(model, X[fold]) == y[fold])
         assert doc["mean_accuracy"] == scores.mean(axis=0).tolist()
         assert doc["selected_rho"] == float(rhos[np.argmax(scores.mean(axis=0))])
+
+
+    def test_grid_that_no_fold_scored_writes_the_report_and_stops(self, tmp_path, rng, monkeypatch, capsys):
+        monkeypatch.setattr(_kernels, "MAX_ITER", 1)  # every multiplier root solve fails
+        data, labels = self._toy(tmp_path, rng)
+        test = write_csv(tmp_path / "test.csv", [[0.0, 0.0, 0.0]])
+        out = tmp_path / "report.json"
+        assert main(["lda", "--input", data, "--labels", labels, "--cv", "kfold:3", "--test-input", test,
+                     "--grid", '{"param":"rho","log10_from":-2,"log10_to":1,"points":7}',
+                     "--output", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["selected"] is None and doc["selected_rho"] is None
+        assert doc["failed_folds"] == [3] * 7
+        assert all(e.startswith("EstimationError: multiplier root solve") for e in doc["first_errors"])
+        assert doc["mean_accuracy"] == [-np.inf] * 7
+        assert "train_accuracy" not in doc and "predictions" not in doc
+        assert not (tmp_path / "report_predictions.csv").exists()
+        assert "no rho value scored on every fold" in capsys.readouterr().err
+
+    def test_fold_that_leaves_a_class_one_row_is_a_user_error(self, tmp_path, rng, capsys):
+        # leave-one-out with a class of 2 rows: the fold that holds one of them trains on the other alone
+        y = np.array([0] * 10 + [1] * 2)
+        data = write_csv(tmp_path / "X.csv", rng.standard_normal((12, 3)) + y[:, None])
+        labels = tmp_path / "y.csv"
+        labels.write_text("".join(f"{v}\n" for v in y))
+        out = tmp_path / "report.json"
+        assert main(["lda", "--input", data, "--labels", str(labels), "--cv", "loo", "--grid", GRID,
+                     "--output", str(out)]) == 1
+        k = next(k for k, fold in enumerate(make_folds(12, "loo", 0)) if y[fold[0]] == 1)
+        assert capsys.readouterr().err.startswith(f"error: fold {k}: every class needs at least 2 samples")
+        assert not out.exists()
 
 
     def test_test_labels_must_match_test_rows(self, tmp_path, rng, capsys):

@@ -56,7 +56,7 @@ def robust_objective(cov, X, rho):
     x, U = np.linalg.eigh(X)
     s = np.einsum("ij,ik,kj->j", U, cov, U)
     s = np.where(s < RANK_RTOL * s.max(), 0.0, s)  # cov is PSD: roundoff below the rank cut is zero
-    base = rho * rho - np.trace(cov)
+    base = rho * rho - s.sum()  # tr S of the cleaned diagonal: a term below the cut is zero here too
 
     def slope(g):
         return base + np.sum(s * g * (g - 2.0 * x) / (g - x) ** 2)
