@@ -25,8 +25,9 @@ fields: ``param``, ``values``, ``mean_scores``, ``failed_folds``,
 scores the negated held-out accuracy and also writes ``mean_accuracy``, which
 is ``-mean_scores``, and ``selected_rho``.  When no grid value scored on every
 fold, ``selected`` is null, the report is still written, and the command stops
-there (no final fit, backtest or predictions) with exit code 2.  Two
-``--known-zeros`` fractions that round to one estimator label
+there (no final fit, backtest or predictions) with exit code 2.
+``--known-zeros`` takes at least one fraction (given empty, it is a usage
+error), and two fractions that round to one estimator label
 (``wasserstein+zeros50`` for 0.5 and 0.501) are a user error.
 
 Exit codes: 0 success; 1 user error (usage errors, bad arguments or input
@@ -379,7 +380,7 @@ FLAGS = {
     "--n": dict(type=int, required=True, help="samples per trial"),
     "--trials": dict(type=int, default=100),
     "--grid-points": dict(type=int, help="radii log-spaced over [1e-2, 1e1] (default 25)"),
-    "--known-zeros": dict(type=float, nargs="*", help="fractions of true zeros imposed, e.g. 0.5 1.0"),
+    "--known-zeros": dict(type=float, nargs="+", help="fractions of true zeros imposed, e.g. 0.5 1.0"),
     "--test-input": dict(help="features to classify after fitting"),
     "--test-labels": dict(help="labels for --test-input accuracy"),
     "--window": dict(type=int, default=120),

@@ -175,6 +175,10 @@ def induced_metric_V(S1, S2) -> float:
     ``min_U || sqrt(S1) - sqrt(S2) U ||_F``: computing a norm of a difference
     instead of a difference of traces keeps near-zero distances accurate to
     machine precision instead of its square root.
+
+    The worst-case functions of ``worst_case`` do not call it: they read the closed form
+    of their transport map (see that module's docstring), which also avoids this form's
+    cancellation where the two matrices are close.  The tests use it as their reference.
     """
     ra = sqrtm_psd(S1, "S1")
     rb = sqrtm_psd(S2, "S2")

@@ -25,7 +25,8 @@ A caller's point is validated once, by ``_cone_point`` on the domain that the
 ``gaussian`` module docstring states (``gaussian._cone_inputs``), and the same
 factors give ``reformulation_objective``, ``sqa_gradient`` and the worst-case covariance
 ``gamma^2 (gamma I - X)^-1 cov (gamma I - X)^-1`` of ``worst_case.extremal_covariance``,
-which is the gradient's first term (``GinvSGinv``).  A caller's ``_start`` of
+which is the gradient's first term (``GinvSGinv``), and its squared distance from ``cov``,
+which the multiplier gradient subtracts from ``rho^2`` (``distance2``).  A caller's ``_start`` of
 ``sqa_solve`` must be positive definite by the same rule (``gaussian._positive_definite``).
 
 SciPy serves only LAPACK: ``potrf`` factors the Newton matrix in place, and
@@ -200,7 +201,10 @@ class _Workspace:
     non-finite or nonpositive ``gamma``, or a point outside the cone, raises
     ``ValueError``.  They give the objective at once, and the gradient and Newton
     terms on first use: ``Xinv``, ``Ginv = (I - X / gamma)^-1 = gamma A^-1``,
-    ``GinvS = Ginv cov``, ``GX = Ginv X``, ``GinvSGinv``, ``W`` and ``h_gamma_gamma``.
+    ``GinvS = Ginv cov``, ``GX = Ginv X``, ``GinvSGinv``, ``W``, ``h_gamma_gamma`` and
+    ``distance2 = <GX, cov GX> / gamma^2``.  ``GinvSGinv`` is the worst-case covariance
+    ``S* = T cov T`` with ``T = Ginv``, and ``distance2`` its squared Wasserstein distance
+    ``||cov^(1/2) (T - I)||_F^2`` from ``cov``, since ``T - I = GX / gamma``.
     So a trial point that the line search rejects costs two factorizations and one solve.
     The point keeps ``log det X`` and ``<X, A^-1 cov>``, the terms of the objective's
     cancellation-free form (see the module docstring) that do not depend on ``rho``.
@@ -276,14 +280,17 @@ class _Workspace:
     def h_gamma_gamma(self) -> float:
         return 2.0 / self.gamma**3 * float(np.sum(self.GX.T * (self.GinvS @ self.GX)))
 
+    @cached_property
+    def distance2(self) -> float:
+        return float(np.vdot(self.GX, self.cov @ self.GX)) / self.gamma**2
+
     def gradient(self, rho: float):
-        """``(G, g_gamma)`` with ``G = Ginv cov Ginv - X^-1`` and ``g_gamma = rho^2 - <GX, cov GX> /
-        gamma^2``, where ``GX / gamma = gamma A^-1 - I``: the paper's ``rho^2 - tr cov + 2 gamma
-        <A^-1, cov> - gamma^2 <A^-2, cov>`` without its cancelling terms."""
+        """``(G, g_gamma)`` with ``G = Ginv cov Ginv - X^-1`` and ``g_gamma = rho^2 - distance2``,
+        ``distance2 = <GX, cov GX> / gamma^2`` with ``GX / gamma = gamma A^-1 - I``: the paper's
+        ``rho^2 - tr cov + 2 gamma <A^-1, cov> - gamma^2 <A^-2, cov>`` without its cancelling terms."""
         g_mat = self.GinvSGinv - self.Xinv
         g_mat = 0.5 * (g_mat + g_mat.T)
-        g_gamma = rho * rho - float(np.vdot(self.GX, self.cov @ self.GX)) / self.gamma**2
-        return g_mat, g_gamma
+        return g_mat, rho * rho - self.distance2
 
 
 def _point(cov: np.ndarray, X: np.ndarray, gamma: float) -> _Workspace | None:

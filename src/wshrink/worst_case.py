@@ -10,6 +10,13 @@ multiplier ``gamma`` solving a scalar stationarity equation on
 which the SQA solver shares), and ``extremal_covariance`` forms ``S*`` from the SQA
 solver's validated point (``sqa._cone_point``), whose gradient ``S* - X^-1`` it is.
 
+``S* = T cov T`` with ``T = gamma (gamma I - X)^{-1}`` positive definite, and a positive
+definite linear map is the optimal transport map between the two Gaussians (Knott and
+Smith, *JOTA* 1984), so the attained distance has the closed form
+``W(cov, S*) = ||cov^{1/2} (T - I)||_F``.  Its square is the term that the multiplier
+gradient subtracts from ``rho^2`` (``sqa._Workspace.distance2``), and in the eigenbasis of
+``cov`` at the optimal estimator it is ``||x^{-1/2} - sqrt(lam)||``.
+
 At the optimal shrinkage estimator ``X*`` the worst case is ``S* = X*^{-1}``:
 ``X*`` shares the eigenvectors of ``cov``, and each of its eigenvalues ``x``
 minimizes ``-log x + gamma^2 lam / (gamma - x)``, whose stationarity condition
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytical import _check_rho, _multiplier_at, _path, _spectrum
-from .gaussian import _cone_inputs, induced_metric_V
+from .gaussian import _cone_inputs
 from .sqa import _cone_point
 
 
@@ -56,14 +63,17 @@ def extremal_covariance(cov, X, gamma: float) -> WorstCaseDistribution:
 
     ``S*`` is the first term of the reformulation's gradient ``S* - X^-1``, and comes from
     the same validated SQA point (``sqa._cone_point``) and its Cholesky factors, so the
-    first call of a process loads SciPy.
+    first call of a process loads SciPy.  The attained distance is the closed form
+    ``W(cov, S*) = ||cov^{1/2} (T - I)||_F``, ``T = gamma (gamma I - X)^-1`` (see the module
+    docstring), the square root of the point's ``distance2``: ``cov`` and ``X`` are each
+    decomposed once, by ``gaussian._cone_inputs``.
     """
     point = _cone_point(cov, X, gamma)
     worst = point.GinvSGinv
     return WorstCaseDistribution(
         covariance=worst,
         multiplier=point.gamma,
-        attained_distance=induced_metric_V(worst, point.cov),
+        attained_distance=float(np.sqrt(point.distance2)),
         attained_value=float(np.sum(worst * point.X)),
     )
 

@@ -690,6 +690,18 @@ class TestSynthetic:
             assert float(q20) == pytest.approx(np.quantile(got, 0.2), rel=1e-12)
             assert float(q80) == pytest.approx(np.quantile(got, 0.8), rel=1e-12)
 
+    @pytest.mark.parametrize("extra", [[], ["--tol", "1e-3"]], ids=["alone", "with_tol"])
+    def test_known_zeros_without_values_is_usage_error(self, extra, tmp_path, monkeypatch, capsys):
+        # an empty --known-zeros parsed to [], which read as "not given": alone it ran the
+        # wasserstein estimator only and exited 0, and with --tol it was "--tol needs --known-zeros"
+        runs = []
+        monkeypatch.setattr(cli, "synthetic_benchmark", lambda *args: runs.append(args))
+        out = tmp_path / "o.csv"
+        assert main(["synthetic", "--p", "4", "--density", "0.5", "--n", "8", "--trials", "1",
+                     "--grid-points", "2", "--known-zeros", *extra, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wshrink synthetic") and "error: argument --known-zeros: expected" in err
+        assert not runs and not out.exists()
 
     def test_known_zeros_that_share_a_label_are_a_user_error(self, tmp_path, monkeypatch, capsys):
         # 0.5 and 0.501 both round to the label wasserstein+zeros50: the second fraction's

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,10 +189,51 @@ class TestExtremalCovariance:
         # the paper's gradient of the reformulation in X is S* - X^-1
         X = random_spd(cov.shape[0], np.random.default_rng(seed))
         gamma = np.linalg.eigvalsh(X)[-1] * (1.0 + 10.0**log10_margin)
-        worst = extremal_covariance(cov, X, gamma).covariance
+        result = extremal_covariance(cov, X, gamma)
+        worst = result.covariance
         Xinv = np.linalg.inv(X)
         scale = np.abs(worst).max() + np.abs(Xinv).max()
         assert np.abs(sqa_gradient(cov, X, gamma, rho)[0] + Xinv - worst).max() <= 1e-10 * scale
+        # the closed-form distance against the general metric.  The reference's Procrustes
+        # difference cancels where S* is close to cov: beyond 1e-8 relative in about one draw
+        # in 20,000 at margins above 1e4, but within 1e-14 of the roots' norm sqrt(tr cov)
+        reference = induced_metric_V(worst, cov)
+        assert abs(result.attained_distance - reference) <= 1e-8 * reference + 1e-14 * np.sqrt(np.trace(cov))
+
+    def test_attained_distance_matches_exact_rational(self):
+        # W(cov, S*)^2 = sum s (x / (gamma - x))^2 on diagonal input, in rational arithmetic on the
+        # float inputs, at margins gamma / lambda_max - 1 from 1e-6 to 1e6 and scales 1e-8 to 1e8
+        diag_cov, diag_X = np.array([2.0, 0.75, 0.0, 1.5]), np.array([0.5, 0.25, 0.125, 0.625])
+        errors = []
+        for c in (1e-8, 1.0, 1e8):
+            cov, X = np.diag(c * diag_cov), np.diag(diag_X / c)
+            for margin in np.logspace(-6.0, 6.0, 13):
+                gamma = float(diag_X.max() * (1.0 + margin)) / c
+                g = Fraction(gamma)
+                exact = sum(Fraction(s) * (Fraction(x) / (g - Fraction(x))) ** 2
+                            for s, x in zip(np.diag(cov), np.diag(X)))
+                reference = math.sqrt(float(exact))
+                attained = extremal_covariance(cov, X, gamma).attained_distance
+                errors.append((abs(attained - reference) / reference, c, margin))
+        assert max(errors)[0] <= 1e-14, max(errors)
+
+    def test_decomposes_each_input_once(self, rng, monkeypatch):
+        # one eigvalsh of cov and one eigh of X, both by gaussian._cone_inputs, and no SVD:
+        # the distance is the cone point's closed form, not a second metric
+        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        cov, X = random_psd_singular(5, 3, rng), random_spd(5, rng, scale=0.5)
+        gamma = 2.0 * np.linalg.eigvalsh(X)[-1]
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        extremal_covariance(cov, X, gamma)
+        assert calls == {"eigh": 1, "eigvalsh": 1, "svd": 0}
 
 
 class TestExtremalForOptimal:
