@@ -16,8 +16,9 @@ Importing the package loads NumPy only.  SciPy serves the Cholesky solves of
 the SQA solver, its gradient, the reformulation objective and the worst case at
 a given point (``extremal_covariance``), and loads at the first of them in a
 process: the analytical estimator, cross-validation, the worst case at the
-optimal estimator (``extremal_for_optimal``, the ``worstcase`` command) and the
-pipelines without known zeros never load it.
+optimal estimator (``extremal_for_optimal``, the ``worstcase`` command), the
+``estimate`` command without ``--pattern`` and the pipelines without known
+zeros never load it.
 """
 
 from ._kernels import USING_NUMBA

@@ -11,7 +11,7 @@ import numpy as np
 from .analytical import FactoredPrecision, wasserstein_shrinkage, wasserstein_shrinkage_path
 from .errors import ConvergenceError
 from .evaluation import CVReport, SampleMoments, TuningGrid, _FailedCells, make_folds, sample_moments, stein_loss
-from .gaussian import _check_int, as_symmetric, spectral_decompose
+from .gaussian import _check_int, as_symmetric, psd_spectrum, spectral_decompose
 from .sqa import SolverConfig, SparsityPattern, sqa_solve
 
 #: ridge of the synthetic ground truth ``(C^T C + SYNTHETIC_RIDGE I)^{-1}``
@@ -74,13 +74,15 @@ def synthetic_sigma0(spec: SyntheticSpec, C=None) -> np.ndarray:
 def sample_gaussian(sigma0, n: int, seed) -> np.ndarray:
     """Draw ``n`` rows from a zero-mean normal with the given PSD covariance.
 
-    Sampling goes through the spectral factor, so rank-deficient covariances
-    are handled uniformly.  ``seed`` may be an int or a Generator.
+    Sampling goes through the spectral factor, with the spectrum cleaned by
+    ``psd_spectrum``: an indefinite ``sigma0`` raises ``ValueError``, and eigenvalues
+    below its rank cut are exact zeros, so the rows of a rank-deficient covariance
+    lie in its range up to rounding.  ``seed`` may be an int or a Generator.
     """
     S = as_symmetric(sigma0, name="sigma0")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dec = spectral_decompose(S)
-    factor = dec.eigenvectors * np.sqrt(np.maximum(dec.eigenvalues, 0.0))
+    factor = dec.eigenvectors * np.sqrt(psd_spectrum(dec.eigenvalues, "sigma0"))
     return rng.standard_normal((_check_int(n, "n"), S.shape[0])) @ factor.T
 
 

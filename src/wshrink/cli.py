@@ -38,7 +38,6 @@ and ``--seed``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 import time
@@ -67,7 +66,7 @@ from .applications import (
 from .errors import EstimationError
 from .evaluation import TuningGrid, cross_validate, linear_shrinkage, sample_moments
 from .gaussian import as_symmetric
-from .sqa import SolverConfig, SparsityPattern, sqa_gradient, sqa_solve
+from .sqa import SolverConfig, SparsityPattern, sqa_solve
 from .worst_case import extremal_for_optimal
 
 EXIT_OK = 0
@@ -148,13 +147,11 @@ def cmd_estimate(args) -> int:
     start = time.perf_counter()
     if pattern is None:
         solution = wasserstein_shrinkage(moments, args.rho)  # n < p: from the n x n Gram matrix
-        grad_norm = None  # rank deficient: a zero eigenvalue maps to gamma, on the cone boundary
-        if solution.shrunk_eigenvalues[0] < solution.dual_multiplier:
-            # the certificate goes through the SQA workspace, so full-rank input loads SciPy
-            with contextlib.suppress(ValueError):  # numerically on the boundary
-                g_mat, g_gamma = sqa_gradient(moments.covariance, solution.precision,
-                                              solution.dual_multiplier, args.rho)
-                grad_norm = float(np.sqrt(np.sum(g_mat**2) + g_gamma**2))
+        x, gamma = solution.shrunk_eigenvalues, solution.dual_multiplier
+        # the worst case at the optimum is X^-1 (see ``worst_case``): the gradient's matrix part
+        # vanishes, and its multiplier part is rho^2 - sum x / gamma^2.  None when rank
+        # deficient: a zero eigenvalue maps to gamma, on the cone boundary
+        grad_norm = abs(args.rho**2 - float(x.sum()) / gamma**2) if x[0] < gamma else None
         iterations = solution.iterations
         solver = {}
     else:

@@ -84,24 +84,33 @@ def linear_shrinkage(moments, alpha: float) -> np.ndarray:
             f"blended covariance is singular at alpha={alpha:g} (min eigenvalue {w[0]:.3e})"
         )
     W = V / np.sqrt(lam)
-    return as_symmetric(W @ W.T, rtol=1.0)
+    return W @ W.T  # exactly symmetric (see ``gaussian``)
+
+
+def _logdet(M: np.ndarray, name: str) -> float:
+    """``log det M`` from the Cholesky factor ``L`` of an exactly symmetric ``M``, as
+    ``2 sum log diag L``; raises ``SingularMatrixError`` naming ``M`` when it is not
+    positive definite, whatever the sign of its determinant."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"{name} is not positive definite: {exc}") from exc
+    return 2.0 * float(np.log(np.diag(L)).sum())
 
 
 def stein_loss(precision, reference_cov) -> float:
     """Stein's loss ``-log det(X S) + <X, S> - p`` of a precision estimate
-    against a reference covariance; zero only at the exact inverse."""
+    against a reference covariance; zero only at the exact inverse.
+
+    Both inputs must be symmetric (``as_symmetric``) and positive definite by their
+    Cholesky factors (``_logdet``, shared with ``gaussian_validation_nll``), else
+    ``ValueError`` or ``SingularMatrixError``."""
     X = as_symmetric(precision, name="precision")
     S = as_symmetric(reference_cov, name="reference covariance")
     if X.shape != S.shape:
         raise ValueError("dimension mismatch")
-    p = X.shape[0]
-    try:
-        LX = np.linalg.cholesky(X)
-        LS = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"stein_loss requires positive definite inputs: {exc}") from exc
-    logdet = 2.0 * (np.log(np.diag(LX)).sum() + np.log(np.diag(LS)).sum())
-    return float(-logdet + np.sum(X * S) - p)
+    logdet = _logdet(X, "precision") + _logdet(S, "reference covariance")
+    return float(-logdet + np.sum(X * S) - X.shape[0])
 
 
 @dataclass(frozen=True)
@@ -158,19 +167,19 @@ def make_folds(n: int, scheme: str, seed: int = 0):
 def gaussian_validation_nll(precision, train_moments: SampleMoments, validation_data) -> float:
     """Held-out Gaussian negative log-likelihood, up to constants.
 
-    ``-log det X + <S_val, X>`` with the validation second moment taken
-    around the training mean.  Equals Stein's loss against the validation
-    covariance up to a parameter-independent constant, but stays finite when
-    that covariance is rank deficient (e.g. single-row validation folds).
+    ``-log det X + <S_val, X>`` with the validation second moment ``S_val`` taken
+    around the training mean.  Equals Stein's loss against ``S_val`` less
+    ``log det S_val + p``, a constant of the fold, but stays finite when ``S_val``
+    is rank deficient (e.g. single-row validation folds).  The precision must be
+    symmetric (``as_symmetric``) and positive definite by its Cholesky factor, the
+    log-determinant that ``stein_loss`` shares: an indefinite one raises
+    ``SingularMatrixError`` even where its determinant is positive.
     """
-    X = np.asarray(precision, dtype=np.float64)
+    X = as_symmetric(precision, name="precision")
     V = np.atleast_2d(np.asarray(validation_data, dtype=np.float64))
     resid = V - train_moments.mean
     S_val = resid.T @ resid / V.shape[0]
-    sign, logdet = np.linalg.slogdet(X)
-    if sign <= 0.0:
-        raise SingularMatrixError("precision estimate is not positive definite")
-    return float(-logdet + np.sum(S_val * X))
+    return float(-_logdet(X, "precision") + np.sum(S_val * X))
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,13 @@ or applies its cut itself where the matrix must be positive definite
 (``_positive_definite``, so an indefinite ``X`` is not positive definite
 rather than not PSD).  Its tolerances are relative to the largest eigenvalue,
 so the decisions are unchanged when a matrix is scaled by any positive
-factor.  Three decisions stay with a factorization of an estimate instead:
-the SQA solver's own trial points (``sqa._Workspace``, whose Cholesky factors
-are its cone test), ``stein_loss``'s Cholesky factors and the sign of
-``gaussian_validation_nll``'s ``slogdet``.
+factor; ``applications.sample_gaussian`` reads it too, so an indefinite
+``sigma0`` is rejected and its rounding-level eigenvalues sample nothing.  Two
+decisions stay with a factorization of an estimate instead: the SQA solver's
+own trial points (``sqa._Workspace``, whose Cholesky factors are its cone
+test), and the Cholesky log-determinant that ``stein_loss`` and
+``gaussian_validation_nll`` share (``evaluation._logdet``), which raises on
+any matrix that is not positive definite, whatever its determinant's sign.
 
 The reformulation objective, its gradient and the worst-case covariance
 ``S* = gamma^2 (gamma I - X)^-1 cov (gamma I - X)^-1`` are defined at a caller's
@@ -172,9 +175,14 @@ def induced_metric_V(S1, S2) -> float:
     is validated and decomposed once, by ``sqrtm_psd``.
 
     Evaluated through the equivalent orthogonal-Procrustes form
-    ``min_U || sqrt(S1) - sqrt(S2) U ||_F``: computing a norm of a difference
-    instead of a difference of traces keeps near-zero distances accurate to
-    machine precision instead of its square root.
+    ``min_U || sqrt(S1) - sqrt(S2) U ||_F``: a norm of a difference instead of
+    a difference of traces, so its absolute error is about ``1e-14 sqrt(tr)``
+    of the inputs, with no square-root loss as in the trace form (within
+    ``1e-14 sqrt(tr S2)`` over 20,000 worst cases ``S1`` of ``S2 = cov``).  Its
+    relative accuracy is lost where ``S1`` is close to ``S2`` against the norm
+    of their square roots: against a 50-digit reference it was off by 1.9e-8
+    relative at the worst case of a rank-1 ``cov`` at scale 1e-7, with
+    ``gamma / lambda_max(X) - 1`` about 6.7e5.
 
     The worst-case functions of ``worst_case`` do not call it: they read the closed form
     of their transport map (see that module's docstring), which also avoids this form's

@@ -106,6 +106,19 @@ class TestSampling:
         S = np.diag([1.0, 0.0, 2.0])
         X = sample_gaussian(S, 1000, 5)
         assert np.abs(X[:, 1]).max() <= 1e-12
+        # rotated rank-k covariances: the rounding-level eigenvalues of the null space are cut
+        # to zero, so the rows lie in the range up to rounding, not up to their square root
+        for _ in range(20):
+            p = int(rng.integers(3, 12))
+            k = int(rng.integers(1, p))
+            Q = random_rotation(p, rng)
+            B = Q[:, :k] * rng.uniform(0.5, 2.0, k)
+            X = sample_gaussian(B @ B.T, 200, rng)
+            assert np.abs(X @ Q[:, k:]).max() <= 1e-12 * np.abs(X).max()
+
+    def test_rejects_indefinite_covariance(self):
+        with pytest.raises(ValueError, match="sigma0 is not PSD"):
+            sample_gaussian(np.diag([1.0, -4.0]), 5, 0)
 
     def test_rejects_non_integer_row_count(self):
         with pytest.raises(ValueError, match=r"n must be an integer, got 10\.5"):

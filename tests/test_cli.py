@@ -17,7 +17,7 @@ from wshrink.applications import (LabeledDataset, analytical_estimator, lda_clas
                                   sample_gaussian)
 from wshrink.cli import _estimator_for, main
 from wshrink.evaluation import SampleMoments, make_folds, sample_moments
-from wshrink.sqa import SolverConfig, SparsityPattern
+from wshrink.sqa import SolverConfig, SparsityPattern, sqa_gradient
 
 from conftest import random_spd, refuse_allocation
 
@@ -103,6 +103,7 @@ def test_non_solver_commands_run_without_scipy(files):
         "tune --input {d}/X.csv --grid {grid} --cv kfold:3 --output {d}/o.json",
         "lda --input {d}/X.csv --labels {d}/y.csv --grid {grid} --cv kfold:3 --output {d}/o.json",
         "estimate --input {d}/W.csv --rho 0.5 --output {d}/o.csv",
+        BASE["estimate"],  # full rank: its gradient norm is read from the spectrum
         BASE["worstcase"],
         BASE["synthetic"],
     ]
@@ -478,6 +479,33 @@ class TestEstimate:
         assert diag["p"] == 40 and diag["n"] == 12 and diag["projected_grad_norm"] is None
         assert abs(diag["gamma_star"] - expected.dual_multiplier) <= 1e-9 * expected.dual_multiplier
         assert abs(diag["objective"] - expected.objective) <= 1e-9 * abs(expected.objective)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("pooled", [False, True], ids=["sample", "pooled"])
+    def test_full_rank_gradient_norm_is_the_multiplier_part(self, tmp_path, rng, scale, pooled):
+        # at the optimum the worst case is X^-1, so the gradient's matrix part vanishes and the
+        # norm is its multiplier part |rho^2 - sum x / gamma^2|, the dense gradient's to rounding
+        X = np.sqrt(scale) * (rng.standard_normal((30, 6)) * rng.uniform(0.5, 2.0, 6) + 1.0)
+        labels = np.arange(30) % 3
+        data, out = write_csv(tmp_path / "d.csv", X), tmp_path / "prec.csv"
+        (tmp_path / "y.csv").write_text("".join(f"{label}\n" for label in labels))
+        extra = ["--labels", str(tmp_path / "y.csv")] if pooled else []
+        rho = 0.5 * scale**0.5
+        assert main(["estimate", "--input", data, "--rho", repr(rho), *extra, "--output", str(out)]) == 0
+        diag = json.loads((tmp_path / "prec.json").read_text())
+        X = io.read_matrix_csv(data)
+        moments = pooled_moments(LabeledDataset(X, labels)) if pooled else sample_moments(X)
+        _, g_gamma = sqa_gradient(moments.covariance, io.read_matrix_csv(out), diag["gamma_star"], rho)
+        assert abs(diag["projected_grad_norm"] - abs(g_gamma)) <= 1e-10 * rho**2
+
+    def test_rank_deficient_input_reports_no_gradient_norm(self, tmp_path, rng):
+        # more rows than columns, but a repeated column: a zero eigenvalue maps to gamma
+        X = rng.standard_normal((20, 4))
+        X[:, 3] = X[:, 0]
+        out = tmp_path / "prec.csv"
+        assert main(["estimate", "--input", write_csv(tmp_path / "d.csv", X), "--rho", "0.5",
+                     "--output", str(out)]) == 0
+        assert json.loads((tmp_path / "prec.json").read_text())["projected_grad_norm"] is None
 
     def test_infinite_tolerance_is_user_error(self, files, capsys):
         # it would stop the solver at its warm start and report that point as converged

@@ -76,6 +76,7 @@ class TestLinearShrinkage:
         cov = random_spd(4, rng)
         out = linear_shrinkage(cov, 0.0)
         assert_allclose(out, np.linalg.inv(cov), rtol=1e-10)
+        assert np.array_equal(out, out.T)  # W W^T is formed exactly symmetric, with no mirroring
 
     def test_diagonal_input_ignores_alpha(self):
         cov = np.diag([2.0, 5.0])
@@ -120,6 +121,39 @@ class TestSteinLoss:
     def test_rejects_singular(self, rng):
         with pytest.raises(SingularMatrixError):
             stein_loss(np.diag([1.0, 0.0]), np.eye(2))
+
+
+class TestGaussianValidationNll:
+    @pytest.mark.parametrize("precision", [-np.eye(2), np.diag([-1.0, -2.0, 3.0])], ids=["minus_I", "two_negative"])
+    def test_rejects_indefinite_with_positive_determinant(self, precision, rng):
+        # an even number of negative eigenvalues gives a positive determinant: its sign decides nothing
+        p = precision.shape[0]
+        moments = sample_moments(rng.standard_normal((6, p)))
+        with pytest.raises(SingularMatrixError, match="precision is not positive definite"):
+            gaussian_validation_nll(precision, moments, rng.standard_normal((3, p)))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        p=st.integers(min_value=1, max_value=8),
+        extra=st.integers(min_value=1, max_value=10),
+        log10_scale=st.floats(min_value=-8.0, max_value=8.0),
+        log10_precision_scale=st.floats(min_value=-8.0, max_value=8.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_differs_from_stein_loss_by_a_constant_of_the_fold(self, seed, p, extra, log10_scale,
+                                                               log10_precision_scale):
+        # -log det X + <S_val, X> less Stein's loss against S_val is log det S_val + p, for any X
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log10_scale
+        X = random_spd(p, rng, scale=10.0**log10_precision_scale)
+        train = sample_moments(scale * rng.standard_normal((p + 2, p)))
+        rows = scale * rng.standard_normal((p + extra, p))
+        resid = rows - train.mean
+        S_val = resid.T @ resid / rows.shape[0]
+        nll, stein = gaussian_validation_nll(X, train, rows), stein_loss(X, S_val)
+        logdet_X, logdet_S = np.linalg.slogdet(X)[1], np.linalg.slogdet(S_val)[1]
+        magnitude = abs(logdet_X) + abs(np.sum(S_val * X)) + abs(logdet_S) + p
+        assert abs((nll - stein) - (logdet_S + p)) <= 1e-12 * magnitude
 
 
 class TestTuningGrid:
@@ -244,6 +278,22 @@ class TestCrossValidate:
         assert np.isinf(report.mean_scores).all() and np.isnan(report.selected)
         assert report.failed_folds.tolist() == [1, 1]
         assert report.first_errors == ("EstimationError: no root", "EstimationError: no root")
+
+    def test_indefinite_estimate_fails_its_folds(self, rng):
+        # negating the two largest eigenvalues keeps the determinant's sign and lowers the
+        # held-out score: were the sign the test, rho = 1 would be selected with no failed fold
+        data = rng.standard_normal((12, 4))
+
+        def negates_two_at_one(moments, value):
+            w, V = np.linalg.eigh(self._inverse_estimator(moments, value))
+            if value == 1.0:
+                w[-2:] *= -1.0
+            return (V * w) @ V.T
+
+        report = cross_validate(data, negates_two_at_one, TuningGrid("rho", [0.5, 1.0]), scheme="kfold:3")
+        assert report.failed_folds.tolist() == [0, 3]
+        assert report.first_errors[1].startswith("SingularMatrixError: precision is not positive definite")
+        assert report.selected == 0.5
 
     def test_ties_break_to_smallest(self, rng):
         data = rng.standard_normal((6, 2))
