@@ -93,11 +93,7 @@ def zero_pattern_of(precision) -> SparsityPattern:
     """
     M = as_symmetric(precision, name="precision")
     cut = ZERO_RTOL * float(np.abs(M).max())
-    mask = np.abs(M) <= cut
-    np.fill_diagonal(mask, False)
-    iu, ju = np.triu_indices(M.shape[0], k=1)
-    pairs = [(int(i), int(j)) for i, j in zip(iu, ju) if mask[i, j]]
-    return SparsityPattern(M.shape[0], pairs)
+    return SparsityPattern(M.shape[0], zip(*np.nonzero(np.triu(np.abs(M) <= cut, 1))))
 
 
 def known_zero_pattern(full: SparsityPattern, fraction: float, seed: int) -> SparsityPattern:
@@ -106,12 +102,12 @@ def known_zero_pattern(full: SparsityPattern, fraction: float, seed: int) -> Spa
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
     seed = _check_int(seed, "seed")
-    upper = sorted((i, j) for i, j in full.pairs if i < j)
-    k = int(round(fraction * len(upper)))
+    I, J = np.nonzero(np.triu(full.mask(), 1))  # the pairs i < j, sorted: seeded subsets index them
+    k = int(round(fraction * I.size))
     if k == 0:
         return SparsityPattern.empty(full.dim)
-    idx = np.random.default_rng(seed).choice(len(upper), size=k, replace=False)
-    return SparsityPattern(full.dim, [upper[i] for i in np.sort(idx)])
+    idx = np.sort(np.random.default_rng(seed).choice(I.size, size=k, replace=False))
+    return SparsityPattern(full.dim, zip(I[idx], J[idx]))
 
 
 # --- estimator factories (moments, value) -> precision -------------------------

@@ -102,7 +102,12 @@ class SparsityPattern:
     Pairs are stored 0-based with symmetric closure applied; diagonal pairs
     are rejected (the diagonal of a positive definite matrix cannot vanish,
     and the diagonal part of the warm start must stay feasible).  ``dim`` and
-    the indices must be integers (see ``gaussian._check_int``).
+    the indices must be integers (see ``gaussian._check_int``).  An invalid
+    pair list reports its first offending pair, in input order.
+
+    The boolean mask, True on the constrained entries, is built once at
+    construction from the validated indices and kept read-only; ``mask()``
+    returns a copy, and ``_FreeCoordinates`` reads the kept one.
     """
 
     dim: int
@@ -112,28 +117,29 @@ class SparsityPattern:
         dim = _check_int(dim, "dim")
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        closed = set()
+        rows, cols = [], []
         for i, j in pairs:
             i, j = _check_int(i, "index"), _check_int(j, "index")
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"index pair ({i}, {j}) out of range for dim {dim}")
             if i == j:
                 raise ValueError(f"diagonal entries cannot be constrained to zero (index {i})")
-            closed.add((i, j))
-            closed.add((j, i))
+            rows.append(i)
+            cols.append(j)
+        mask = np.zeros((dim, dim), dtype=bool)
+        mask[rows, cols] = mask[cols, rows] = True
+        mask.flags.writeable = False
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "pairs", frozenset(closed))
+        object.__setattr__(self, "pairs", frozenset(zip(rows + cols, cols + rows)))
+        object.__setattr__(self, "_mask", mask)
 
     @classmethod
     def empty(cls, dim: int) -> "SparsityPattern":
         return cls(dim, ())
 
     def mask(self) -> np.ndarray:
-        """Boolean matrix, True on entries constrained to zero."""
-        m = np.zeros((self.dim, self.dim), dtype=bool)
-        for i, j in self.pairs:
-            m[i, j] = True
-        return m
+        """Boolean matrix, True on entries constrained to zero: a writable copy of the kept mask."""
+        return self._mask.copy()
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -339,11 +345,12 @@ class _FreeCoordinates:
     ``B[:, I]``.  So the pair block is assembled in panels of ``_PANEL_COLS``
     columns, whose columns of the factors are gathered once (``48 p`` bytes a
     column), and in blocks of ``_BLOCK_ROWS`` rows of a panel, into one f x f
-    buffer, which is kept and factorized in place.
+    buffer, which is kept and factorized in place.  It reads the pattern's kept,
+    read-only mask (``pattern=None`` is ``SparsityPattern.empty(p)``).
     """
 
     def __init__(self, p: int, pattern: SparsityPattern | None):
-        self.mask = pattern.mask() if pattern is not None else np.zeros((p, p), dtype=bool)
+        self.mask = (pattern if pattern is not None else SparsityPattern.empty(p))._mask
         I, J = np.triu_indices(p, 1)
         keep = ~self.mask[I, J]
         diag = np.arange(p)

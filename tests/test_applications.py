@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from wshrink.analytical import FactoredPrecision, wasserstein_shrinkage, wasserstein_shrinkage_path
 from wshrink.applications import (
+    ZERO_RTOL,
     BacktestConfig,
     BenchmarkResult,
     LabeledDataset,
@@ -125,6 +126,26 @@ class TestSampling:
             sample_gaussian(np.eye(2), 10.5, 0)
 
 
+def _zero_pattern_reference(M) -> frozenset:
+    """``zero_pattern_of``'s pairs, found pair by pair over the upper triangle."""
+    cut = ZERO_RTOL * float(np.abs(M).max())
+    mask = np.abs(M) <= cut
+    np.fill_diagonal(mask, False)
+    iu, ju = np.triu_indices(M.shape[0], k=1)
+    upper = [(int(i), int(j)) for i, j in zip(iu, ju) if mask[i, j]]
+    return frozenset(upper) | frozenset((j, i) for i, j in upper)
+
+
+def _known_zero_reference(full: SparsityPattern, fraction: float, seed: int) -> frozenset:
+    """``known_zero_pattern``'s pairs, drawn from the sorted list of the full pattern's pairs i < j."""
+    upper = sorted((i, j) for i, j in full.pairs if i < j)
+    k = int(round(fraction * len(upper)))
+    if k == 0:
+        return frozenset()
+    chosen = [upper[i] for i in np.sort(np.random.default_rng(seed).choice(len(upper), size=k, replace=False))]
+    return frozenset(chosen) | frozenset((j, i) for i, j in chosen)
+
+
 class TestZeroPatterns:
     def test_detects_true_zeros(self):
         M = np.array([[2.0, 0.0, 0.5], [0.0, 3.0, 0.0], [0.5, 0.0, 1.0]])
@@ -146,6 +167,38 @@ class TestZeroPatterns:
     def test_known_fraction_rejects_non_integer_seed(self, seed):
         with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
             known_zero_pattern(zero_pattern_of(np.eye(6)), 0.5, seed)
+
+    def test_matches_pair_by_pair_references(self):
+        # exact zeros, and off-diagonal entries of either sign at the cut (zero) and one ulp above it
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            p = int(rng.integers(1, 16))
+            A = rng.standard_normal((p, p)) * 10.0 ** rng.uniform(-6.0, 6.0)
+            M = A + A.T
+            zeros = np.triu(rng.random((p, p)) < rng.uniform(0.0, 0.9), 1)
+            M[zeros | zeros.T] = 0.0
+            np.fill_diagonal(M, 2.0 * np.abs(M).max())  # the largest entry: the entries put at the cut do not move it
+            cut = ZERO_RTOL * float(np.abs(M).max())
+            I, J = np.triu_indices(p, 1)
+            at = rng.choice(I.size, size=min(I.size, 4), replace=False)
+            for k, value in zip(at, (cut, -cut, np.nextafter(cut, np.inf), -np.nextafter(cut, np.inf))):
+                M[I[k], J[k]] = M[J[k], I[k]] = value
+            full = zero_pattern_of(M)
+            assert full.pairs == _zero_pattern_reference(M)
+            assert all(((I[k], J[k]) in full.pairs) == (abs(M[I[k], J[k]]) <= cut) for k in at)
+            for fraction in (0.0, 0.3, 0.5, 1.0):
+                for seed in (0, 1, 7, 2**31 - 1):
+                    assert known_zero_pattern(full, fraction, seed).pairs == _known_zero_reference(full, fraction, seed)
+
+    def test_benchmark_pool_matches_pair_by_pair_references(self):
+        # the 16 items of the seed-1 sparse_synthetic pool: p = 30, half the true zeros known
+        for spec_seed in np.random.default_rng(1).integers(0, 2**31, size=16):
+            spec = SyntheticSpec(dim=30, density=0.05, n_samples=30, trials=1, seed=int(spec_seed))
+            precision = np.linalg.inv(synthetic_sigma0(spec))
+            full = zero_pattern_of(precision)
+            assert full.pairs == _zero_pattern_reference(precision)
+            known = known_zero_pattern(full, 0.5, spec.seed)
+            assert known.pairs == _known_zero_reference(full, 0.5, spec.seed) and len(known) > 0
 
 
 class TestLda:
@@ -547,6 +600,18 @@ class TestSparseEstimator:
         assert all(trace.converged for trace in traces)
         assert traces[0].start == "analytical" and any(trace.start == "previous" for trace in traces)
         assert sum(trace.iterations for trace in traces) < cold_iterations
+
+    def test_sweep_reads_the_mask_built_with_the_pattern(self, monkeypatch):
+        # the pattern builds its mask once, at construction: no solve of a sweep rebuilds it
+        pattern = SparsityPattern(8, [(0, 1), (2, 4), (3, 7)])
+        moments = sample_moments(np.random.default_rng(3).normal(0.0, 1.0, (40, 8)))
+        calls = []
+        mask = SparsityPattern.mask
+        monkeypatch.setattr(SparsityPattern, "mask", lambda self: calls.append(1) or mask(self))
+        estimate = sparse_estimator(pattern)
+        estimates = [estimate(moments, rho) for rho in np.geomspace(0.1, 10.0, 5)]
+        assert calls == []
+        assert all(X[0, 1] == X[2, 4] == X[3, 7] == 0.0 for X in estimates)
 
     def test_unconverged_solve_raises_and_still_starts_the_next(self, monkeypatch):
         # an estimate the solver did not converge to is never scored; it is still the next start

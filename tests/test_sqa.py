@@ -1,7 +1,10 @@
+import json
 import math
 import re
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
-from wshrink import sqa
+from wshrink import io, sqa
 from wshrink.analytical import _eigenbasis_objective, wasserstein_shrinkage
 from wshrink.applications import (SyntheticSpec, known_zero_pattern, sample_gaussian, synthetic_benchmark,
                                   synthetic_sigma0, zero_pattern_of)
@@ -157,6 +160,23 @@ def projection_matrix(pattern, p):
     return P
 
 
+#: integer types a pattern's indices may arrive as: Python ints, and NumPy's from index arrays
+_INDEX_TYPES = [int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint64]
+
+
+@st.composite
+def _pair_lists(draw):
+    """``(dim, pairs)``: dims 1-12 and valid off-diagonal pairs in either orientation, some
+    repeated, each index of a drawn integer type."""
+    dim = draw(st.integers(1, 12))
+    index = st.integers(0, dim - 1)
+    pairs = draw(st.lists(st.tuples(index, index).filter(lambda ij: ij[0] != ij[1]), max_size=40)) if dim > 1 else []
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=5))
+    types = draw(st.lists(st.sampled_from(_INDEX_TYPES), min_size=2 * len(pairs), max_size=2 * len(pairs)))
+    return dim, [(types[2 * k](i), types[2 * k + 1](j)) for k, (i, j) in enumerate(pairs)]
+
+
 class TestSparsityPattern:
     def test_symmetric_closure(self):
         pat = SparsityPattern(4, [(0, 3)])
@@ -186,6 +206,49 @@ class TestSparsityPattern:
         pat = SparsityPattern(np.int64(4), [(np.int32(1), np.uint8(3))])
         assert pat.dim == 4 and type(pat.dim) is int
         assert pat.pairs == SparsityPattern(4, [(1, 3)]).pairs
+
+    def test_reports_the_first_offending_pair(self):
+        with pytest.raises(ValueError, match="out of range"):
+            SparsityPattern(3, [(0, 5), (1, 1)])
+        with pytest.raises(ValueError, match="diagonal"):
+            SparsityPattern(3, [(1, 1), (0, 5)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_pair_lists())
+    def test_mask_pairs_and_file_agree(self, case):
+        dim, pairs = case
+        pat = SparsityPattern(dim, pairs)
+        M = pat.mask()
+        assert M.dtype == bool and M.shape == (dim, dim)
+        assert np.array_equal(M, M.T) and not M.diagonal().any()
+        assert pat.pairs == {(int(i), int(j)) for i, j in zip(*np.nonzero(M))}
+        assert pat.pairs == {(int(i), int(j)) for i, j in pairs} | {(int(j), int(i)) for i, j in pairs}
+        assert len(pat) == np.count_nonzero(M)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pattern.json"
+            path.write_text(json.dumps({"p": dim, "zeros": [[i + 1, j + 1] for i, j in sorted(pat.pairs)]}))
+            read = io.read_pattern_json(path)
+        assert read == pat and hash(read) == hash(pat)
+
+    def test_writing_a_returned_mask_changes_nothing(self, rng):
+        p = 6
+        pattern = SparsityPattern(p, [(0, 3), (1, 4)])
+        cov = random_spd(p, rng)
+        before, _ = sqa_solve(cov, 0.5, pattern)
+        M = pattern.mask()
+        M[...] = ~M
+        assert np.array_equal(pattern.mask(), ~M)
+        after, _ = sqa_solve(cov, 0.5, pattern)
+        assert np.array_equal(after.precision, before.precision)
+        assert after.precision[0, 3] == after.precision[1, 4] == 0.0
+
+    def test_free_coordinates_share_the_pattern_mask(self):
+        # the mask is built once, by the pattern; every solve reads that one read-only array
+        pattern = SparsityPattern(5, [(0, 2), (1, 4)])
+        a, b = sqa._FreeCoordinates(5, pattern), sqa._FreeCoordinates(5, pattern)
+        assert np.shares_memory(a.mask, b.mask) and not a.mask.flags.writeable
+        assert a.I.size == 5 + 10 - 2
+        assert not sqa._FreeCoordinates(5, None).mask.any()
 
 
 class TestGradient:
